@@ -13,6 +13,7 @@ Exit codes: 0 success, 2 config/validation error, 3 cost-cap abort,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -172,7 +173,7 @@ def _zvals(values) -> list:
     return [list(v.coords) for v in values]
 
 
-def _cocycle_from_config(params: dict, seed) -> tuple[Cocycle, int, dict]:
+def _cocycle_from_config(params: dict, seed, cap) -> tuple[Cocycle, int, dict]:
     import random
 
     y1 = _nilspace(_need(params, "y1", list))
@@ -181,6 +182,9 @@ def _cocycle_from_config(params: dict, seed) -> tuple[Cocycle, int, dict]:
     k = _need(params, "k", int)
     dim = k + 1
     X = y1.product(y2)
+    cubes = cube_set(X, dim).size
+    if cubes > cap:
+        raise CapExceeded(f"cube set of size {cubes} exceeds cap {cap}")
     spec = _need(params, "cocycle", dict)
     kind = spec.get("kind")
     meta: dict = {"y1": list(y1.factors), "y2": list(y2.factors), "z": list(Z.orders), "k": k}
@@ -355,7 +359,7 @@ def _run_obstruct(params, seed, cap, tol):
 
 
 def _run_avg_split(params, seed, cap, tol):
-    rho, split, meta = _cocycle_from_config(params, seed)
+    rho, split, meta = _cocycle_from_config(params, seed, cap)
     E = factor_average(rho, split)
     Ep = rooted_factor_average(rho, split)
     members = rho.carrier.members
@@ -369,7 +373,7 @@ def _run_avg_split(params, seed, cap, tol):
 
 
 def _run_cocycle_split(params, seed, cap, tol):
-    rho, split, meta = _cocycle_from_config(params, seed)
+    rho, split, meta = _cocycle_from_config(params, seed, cap)
     res = split_cocycle(rho, split)
     members = rho.carrier.members
     X = rho.nilspace
@@ -444,6 +448,8 @@ def run(config: dict) -> tuple[dict, list]:
     if seed is not None and not isinstance(seed, int):
         raise ConfigError("'seed' must be an integer")
     cap = config.get("cap", DEFAULT_CAP)
+    if not isinstance(cap, int):
+        raise ConfigError("'cap' must be an integer")
     tol = config.get("tolerance", DEFAULT_TOL)
     digest = hashlib.sha256(
         json.dumps(config, sort_keys=True, separators=(",", ":")).encode()
@@ -634,7 +640,8 @@ def _emit(record: dict, csv_rows: list, args) -> None:
             sys.stdout.write(csv_text)
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gowerslab",
         description="Exact desk-scale experiments in higher-order Fourier analysis",
@@ -651,8 +658,11 @@ def main(argv=None) -> int:
     g = sub.add_parser("golden", help="run the golden suite of worked examples")
     g.add_argument("--filter", help="run a single golden case by name")
     g.add_argument("--golden-file", help="use an alternative golden file")
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         if args.subcommand == "golden":
             report = golden_suite(filter_name=args.filter, golden_path=args.golden_file)

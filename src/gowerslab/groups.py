@@ -7,7 +7,7 @@ algorithms below is verified exhaustively.  The module provides
   * ``FinAbGroup`` / ``GroupElement`` / ``Homomorphism`` / ``Subgroup``,
   * primary (Sylow) decomposition with an explicit isomorphism pair,
   * kernel / image / quotient (quotient via Smith normal form),
-  * brute-force complement search (``find_complement``),
+  * complements by lifting the invariant factors of A/H (``find_complement``),
   * the constructive complement machinery for p-groups:
     ``complemented_hull``     - enlarge <x> to a complemented H, |H| <= p^(n^2),
     ``complemented_enlarge``  - enlarge an r-generated H, |H'| <= p^(n^2 r),
@@ -17,8 +17,8 @@ algorithms below is verified exhaustively.  The module provides
     one prime component at a time.
 
 All iteration orders are lexicographic, so every result is deterministic.
-When several complements exist the first one in canonical search order is
-returned; complements are not unique.
+Complements are not unique: ``find_complement`` returns the one generated
+by the first lexicographic lifts of the invariant-factor generators of A/H.
 """
 
 from __future__ import annotations
@@ -407,10 +407,6 @@ class Subgroup:
     def join(self, other: "Subgroup") -> "Subgroup":
         return Subgroup.from_generators(self.parent, self.generators + other.generators)
 
-    def key(self) -> frozenset:
-        """Canonical identity of the subgroup (its element set)."""
-        return self.elements
-
     def __repr__(self):
         return f"Subgroup(order={len(self.elements)} of {self.parent!r})"
 
@@ -649,42 +645,39 @@ def verify_complement(A: FinAbGroup, H: Subgroup, K: Subgroup) -> None:
 
 
 def find_complement(H: Subgroup, *, cap: int = 10**7) -> Subgroup | None:
-    """Exhaustive search for a complement of H in its parent.
+    """Complement of H in its parent A, or None when H has none.
 
-    Scans all generator tuples of length rank(A) in lexicographic order
-    (every subgroup of A is generated by at most rank(A) elements), with
-    canonical-form deduplication.  Returns the first verified complement,
-    or None when the exhaustive search finds none.
+    Lift criterion: with pi: A -> A/H and e_j the invariant-factor
+    generators of A/H, of orders d_j, H has a complement exactly when every
+    e_j has a preimage of order d_j.  If K complements H, pi maps K
+    isomorphically onto A/H, so the preimage of e_j in K has order d_j.
+    Conversely, lifts of order d_j generate a K with |K| <= prod d_j = |A/H|
+    that pi maps onto A/H; so pi is a bijection on K, K meets H in 0 and
+    |H| * |K| = |A|.  Each lift is the first in lexicographic order, and the
+    complement they generate is verified exhaustively.  ``cap`` bounds
+    2|A|: the quotient's kernel check and the lift scan each pass over A.
     """
     A = H.parent
-    r = max(A.rank, 1)
-    if A.order**r > cap:
-        raise CapExceeded(f"|A|^rank = {A.order}^{r} exceeds cap {cap}")
-    target = A.order // H.order
-    if target == 1:
-        return Subgroup.trivial(A)
-    elems = sorted(A.elements())
-    seen: set[frozenset] = set()
-    for tup in iproduct(elems, repeat=r):
-        K = Subgroup.from_generators(A, tup)
-        key = K.key()
-        if key in seen:
-            continue
-        seen.add(key)
-        if K.order != target:
-            continue
-        if K.elements & H.elements == {A.zero}:
-            verify_complement(A, H, K)
-            return K
-    return None
+    if 2 * A.order > cap:
+        raise CapExceeded(f"2|A| = {2 * A.order} exceeds cap {cap}")
+    quo = quotient(A, H)
+    d = quo.group.orders
+    lifts: dict[int, GroupElement] = {}  # j -> first lift of e_j of order d_j
+    for a in A.elements():
+        if len(lifts) == len(d):
+            break
+        e = quo.projection(a).coords  # a residue vector, so e = e_j iff sum(e) == 1
+        if sum(e) == 1 and a.order() == d[e.index(1)]:
+            lifts.setdefault(e.index(1), a)
+    if len(lifts) < len(d):
+        return None
+    K = Subgroup.from_generators(A, [lifts[j] for j in range(len(d))])
+    verify_complement(A, H, K)
+    return K
 
 
 # -- presented p-subgroups: independent-basis coordinates for a materialized
 #    subgroup, so the hull/enlarge recursion can run inside any subgroup.
-
-
-def _element_order(x: GroupElement) -> int:
-    return x.order()
 
 
 def _maximal_cyclic_complement(elems: frozenset, x: GroupElement) -> tuple[list[GroupElement], frozenset]:
@@ -695,7 +688,7 @@ def _maximal_cyclic_complement(elems: frozenset, x: GroupElement) -> tuple[list[
     lexicographic order, so the result is deterministic.
     """
     parent = x.group
-    ordx = _element_order(x)
+    ordx = x.order()
     xmult = []
     y = x
     while not y.is_zero():
@@ -727,7 +720,7 @@ def _pgroup_basis(parent: FinAbGroup, elems: frozenset) -> list[GroupElement]:
     """Independent generators of a materialized abelian p-group subgroup."""
     if len(elems) == 1:
         return []
-    x = min(elems, key=lambda e: (-_element_order(e), e.coords))
+    x = min(elems, key=lambda e: (-e.order(), e.coords))
     _, c_els = _maximal_cyclic_complement(elems, x)
     return [x] + _pgroup_basis(parent, c_els)
 
@@ -742,7 +735,7 @@ class _PresentedSubgroup:
     def __init__(self, sub: Subgroup):
         self.parent = sub.parent
         self.basis = _pgroup_basis(sub.parent, sub.elements)
-        self.group = FinAbGroup(tuple(_element_order(b) for b in self.basis))
+        self.group = FinAbGroup(tuple(b.order() for b in self.basis))
         if self.group.order != sub.order:
             raise PostconditionError("basis does not span the subgroup")
         self._to_parent: dict[tuple, GroupElement] = {}

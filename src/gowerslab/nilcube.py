@@ -37,7 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations, permutations, product as iproduct
-from math import gcd
+from math import comb, gcd
 
 from .errors import CapExceeded, CoprimalityError, PostconditionError
 from .groups import FinAbGroup, GroupElement
@@ -176,7 +176,7 @@ class CubeSet:
         total = 1
         n = self.dim
         for m, d in self.nilspace.factors:
-            exp = sum(_ncombs(n, i) for i in range(min(d, n) + 1))
+            exp = sum(comb(n, i) for i in range(min(d, n) + 1))
             total *= m**exp
         return total
 
@@ -215,12 +215,6 @@ class CubeSet:
         for q in self.members:
             out.setdefault(q[0], []).append(q)
         return out
-
-
-def _ncombs(n: int, k: int) -> int:
-    from math import comb
-
-    return comb(n, k)
 
 
 def cube_set(X: FilteredGroupNilspace, n: int, *, cap: int = 2_000_000) -> CubeSet:

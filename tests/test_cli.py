@@ -224,6 +224,15 @@ def test_main_cap_exit_3(tmp_path):
     assert main(["norm", "--config", path]) == 3
 
 
+@pytest.mark.parametrize("command", ["avg-split", "cocycle-split"])
+@pytest.mark.parametrize("cap, code", [(10, 3), ("10", 2)])
+def test_main_split_cap(tmp_path, command, cap, code):
+    # D1(Z2) x D1(Z3) at k = 1 carries 216 cubes
+    params = {"y1": [[2, 1]], "y2": [[3, 1]], "z": [3], "k": 1, "cocycle": {"kind": "random"}}
+    path = _write(tmp_path, "c.json", cfg(command, params, seed=9, cap=cap))
+    assert main([command, "--config", path]) == code
+
+
 def test_main_noncoprime_exit_4(tmp_path):
     path = _write(
         tmp_path,

@@ -217,6 +217,63 @@ def test_find_complement_z2_in_z2z4():
     assert K.elements in complements
 
 
+def _brute_force_complement(H):
+    """Oracle: the first complement among subgroups generated by rank(A)-tuples.
+
+    Every subgroup of A is generated by at most rank(A) elements, so the
+    exhaustive scan finds a complement whenever one exists.
+    """
+    from itertools import product as ip
+
+    A = H.parent
+    target = A.order // H.order
+    if target == 1:
+        return Subgroup.trivial(A)
+    seen = set()
+    for tup in ip(sorted(A.elements()), repeat=max(A.rank, 1)):
+        K = Subgroup.from_generators(A, tup)
+        if K.elements in seen:
+            continue
+        seen.add(K.elements)
+        if K.order == target and K.elements & H.elements == {A.zero}:
+            verify_complement(A, H, K)
+            return K
+    return None
+
+
+ORACLE_GROUPS = [
+    (2, 4), (4, 8), (3, 9), (2, 8), (4, 4), (2, 6),
+    (6,), (12,), (2, 2, 2), (2, 2, 4), (2, 12), (3, 6),
+]
+
+
+def test_find_complement_agrees_with_brute_force_oracle():
+    checked = 0
+    for orders in ORACLE_GROUPS:
+        G = FinAbGroup(orders)
+        subgroups = {}
+        elems = sorted(G.elements())
+        for i, a in enumerate(elems):
+            for b in elems[i:]:
+                S = Subgroup.from_generators(G, [a, b])
+                subgroups.setdefault(S.elements, S)
+        for H in subgroups.values():
+            K = find_complement(H)
+            assert (K is None) == (_brute_force_complement(H) is None), (orders, H.generators)
+            if K is not None:
+                verify_complement(G, H, K)
+            checked += 1
+    assert checked == 154
+
+
+def test_find_complement_order_21600():
+    G = FinAbGroup((4, 8, 9, 3, 5, 5))
+    H = Subgroup.from_generators(G, [(1, 2, 0, 0, 0, 0), (0, 0, 3, 1, 0, 0)])
+    K = find_complement(H)
+    assert K is not None and K.order == 1800
+    assert find_complement(Subgroup.from_generators(G, [(2, 4, 3, 0, 1, 0)])) is None
+
+
 # ---------------------------------------------------------------------------
 # complemented_hull
 
