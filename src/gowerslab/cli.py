@@ -16,6 +16,7 @@ import argparse
 import functools
 import hashlib
 import json
+import math
 import os
 import sys
 import tempfile
@@ -445,12 +446,14 @@ def run(config: dict) -> tuple[dict, list]:
     if not isinstance(params, dict):
         raise ConfigError("missing 'params' object")
     seed = config.get("seed")
-    if seed is not None and not isinstance(seed, int):
+    if seed is not None and type(seed) is not int:  # bool is not an integer here
         raise ConfigError("'seed' must be an integer")
     cap = config.get("cap", DEFAULT_CAP)
-    if not isinstance(cap, int):
+    if type(cap) is not int:
         raise ConfigError("'cap' must be an integer")
     tol = config.get("tolerance", DEFAULT_TOL)
+    if type(tol) not in (int, float) or not 0 <= tol < math.inf:  # refuses NaN too
+        raise ConfigError("'tolerance' must be a finite number >= 0")
     digest = hashlib.sha256(
         json.dumps(config, sort_keys=True, separators=(",", ":")).encode()
     ).hexdigest()

@@ -290,7 +290,9 @@ class Homomorphism:
         )
 
     def is_surjective(self) -> bool:
-        return image(self).order == self.codomain.order
+        """Whether the images tau(e_j) of the domain generators generate the codomain."""
+        gens = [self(e) for e in self.domain.generators()]
+        return len(_closure(self.codomain, gens)) == self.codomain.order
 
     def is_bijective(self) -> bool:
         return self.domain.order == self.codomain.order and self.is_surjective()
@@ -420,89 +422,54 @@ def _eye(n: int) -> list[list[int]]:
 
 
 def smith_normal_form(mat) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
-    """Exact integer Smith normal form.
+    """Exact integer Smith normal form by least-remainder elimination.
 
     Returns (U, S, V) with U @ mat @ V == S, U and V unimodular, S diagonal
     with nonnegative entries d_1 | d_2 | ...
+
+    For each pivot t, the smallest nonzero entry of the trailing block (first
+    in row-major order among ties) moves to (t, t), and every other entry of
+    row t and column t is reduced by its floor quotient.  A nonzero remainder
+    is smaller than the pivot, so picking the pivot again strictly shrinks
+    it.  When row t and column t are clear but the pivot fails to divide an
+    entry of the trailing block, that entry's row is added to row t, which
+    leaves such a remainder in row t.  |pivot| is a positive integer that
+    falls at least every second repeat, so the loop ends.  Taking the least entry left as
+    the pivot keeps the quotients, and so the entries, small on dense input.
     """
     S = [list(map(int, row)) for row in mat]
     r = len(S)
     c = len(S[0]) if r else 0
     U = _eye(r)
     V = _eye(c)
-
-    def row_op(i1, i2, q):  # row i1 -= q * row i2
-        for j in range(c):
-            S[i1][j] -= q * S[i2][j]
-        for j in range(r):
-            U[i1][j] -= q * U[i2][j]
-
-    def col_op(j1, j2, q):  # col j1 -= q * col j2
-        for i in range(r):
-            S[i][j1] -= q * S[i][j2]
-        for i in range(c):
-            V[i][j1] -= q * V[i][j2]
-
-    def swap_rows(i1, i2):
-        S[i1], S[i2] = S[i2], S[i1]
-        U[i1], U[i2] = U[i2], U[i1]
-
-    def swap_cols(j1, j2):
-        for i in range(r):
-            S[i][j1], S[i][j2] = S[i][j2], S[i][j1]
-        for i in range(c):
-            V[i][j1], V[i][j2] = V[i][j2], V[i][j1]
-
-    t = 0
-    while t < min(r, c):
-        # find a smallest-magnitude nonzero pivot in the trailing block
-        piv = None
-        best = None
-        for i in range(t, r):
-            for j in range(t, c):
-                v = abs(S[i][j])
-                if v and (best is None or v < best):
-                    best, piv = v, (i, j)
-        if piv is None:
-            break
-        i0, j0 = piv
-        swap_rows(t, i0)
-        swap_cols(t, j0)
-        # clear row and column t by Euclidean steps
-        dirty = True
-        while dirty:
-            dirty = False
+    for t in range(min(r, c)):
+        while True:
+            pivots = [(abs(S[i][j]), i, j) for i in range(t, r) for j in range(t, c) if S[i][j]]
+            if not pivots:
+                return U, S, V
+            _, i0, j0 = min(pivots)
+            S[t], S[i0], U[t], U[i0] = S[i0], S[t], U[i0], U[t]
+            for row in S + V:
+                row[t], row[j0] = row[j0], row[t]
+            p = S[t][t]
             for i in range(t + 1, r):
-                if S[i][t]:
-                    q = S[i][t] // S[t][t]
-                    row_op(i, t, q)
-                    if S[i][t]:
-                        swap_rows(t, i)
-                        dirty = True
+                if q := S[i][t] // p:
+                    S[i] = [a - q * b for a, b in zip(S[i], S[t])]
+                    U[i] = [a - q * b for a, b in zip(U[i], U[t])]
             for j in range(t + 1, c):
-                if S[t][j]:
-                    q = S[t][j] // S[t][t]
-                    col_op(j, t, q)
-                    if S[t][j]:
-                        swap_cols(t, j)
-                        dirty = True
-        if S[t][t] < 0:
-            for j in range(c):
-                S[t][j] = -S[t][j]
-            for j in range(r):
-                U[t][j] = -U[t][j]
-        # enforce divisibility: S[t][t] must divide the trailing block
-        fixed = False
-        for i in range(t + 1, r):
-            for j in range(t + 1, c):
-                if S[i][j] % S[t][t] != 0:
-                    row_op(t, i, -1)  # add row i to row t, then redo this pivot
-                    fixed = True
-                    break
-            if fixed:
+                if q := S[t][j] // p:
+                    for row in S + V:
+                        row[j] -= q * row[t]
+            if any(S[i][t] for i in range(t + 1, r)) or any(S[t][t + 1 :]):
+                continue
+            bad = next((i for i in range(t + 1, r) if any(a % p for a in S[i][t + 1 :])), None)
+            if bad is None:
                 break
-        if not fixed:
-            t += 1
+            S[t] = [a + b for a, b in zip(S[t], S[bad])]
+            U[t] = [a + b for a, b in zip(U[t], U[bad])]
+        if S[t][t] < 0:
+            S[t] = [-a for a in S[t]]
+            U[t] = [-a for a in U[t]]
     return U, S, V
 
 
@@ -533,7 +500,7 @@ def quotient(G: FinAbGroup, H: Subgroup) -> Quotient:
     proj = Homomorphism(G, Q, [U[i] for i in keep])
     if kernel(proj).elements != H.elements:
         raise PostconditionError("quotient projection kernel mismatch")
-    if not proj.is_surjective():
+    if Q.order * H.order != G.order:  # with kernel H, the image has |G|/|H| elements
         raise PostconditionError("quotient projection not surjective")
     return Quotient(Q, proj)
 
@@ -644,6 +611,23 @@ def verify_complement(A: FinAbGroup, H: Subgroup, K: Subgroup) -> None:
         raise PostconditionError("H + K does not cover A")
 
 
+def _first_lifts(quo: Quotient, *, same_order: bool = False) -> list[GroupElement] | None:
+    """First preimage in lexicographic order of each generator e_j of A/H.
+
+    With ``same_order`` a preimage must also have the order d_j of e_j.
+    One pass over A; None when some e_j has no such preimage.
+    """
+    d = quo.group.orders
+    lifts: dict[int, GroupElement] = {}
+    for a in quo.projection.domain.elements():
+        if len(lifts) == len(d):
+            break
+        e = quo.projection(a).coords  # a residue vector, so e = e_j iff sum(e) == 1
+        if sum(e) == 1 and (not same_order or a.order() == d[e.index(1)]):
+            lifts.setdefault(e.index(1), a)
+    return [lifts[j] for j in range(len(d))] if len(lifts) == len(d) else None
+
+
 def find_complement(H: Subgroup, *, cap: int = 10**7) -> Subgroup | None:
     """Complement of H in its parent A, or None when H has none.
 
@@ -660,18 +644,10 @@ def find_complement(H: Subgroup, *, cap: int = 10**7) -> Subgroup | None:
     A = H.parent
     if 2 * A.order > cap:
         raise CapExceeded(f"2|A| = {2 * A.order} exceeds cap {cap}")
-    quo = quotient(A, H)
-    d = quo.group.orders
-    lifts: dict[int, GroupElement] = {}  # j -> first lift of e_j of order d_j
-    for a in A.elements():
-        if len(lifts) == len(d):
-            break
-        e = quo.projection(a).coords  # a residue vector, so e = e_j iff sum(e) == 1
-        if sum(e) == 1 and a.order() == d[e.index(1)]:
-            lifts.setdefault(e.index(1), a)
-    if len(lifts) < len(d):
+    lifts = _first_lifts(quotient(A, H), same_order=True)
+    if lifts is None:
         return None
-    K = Subgroup.from_generators(A, [lifts[j] for j in range(len(d))])
+    K = Subgroup.from_generators(A, lifts)
     verify_complement(A, H, K)
     return K
 
@@ -881,17 +857,7 @@ def complemented_shrink(H: Subgroup) -> tuple[Subgroup, Subgroup]:
         Hp, K = Subgroup.full(A), Subgroup.trivial(A)
         verify_complement(A, Hp, K)
         return Hp, K
-    quo = quotient(A, H)
-    lifts = []
-    for j in range(quo.group.ncoords):
-        e = [0] * quo.group.ncoords
-        e[j] = 1
-        target = quo.group.element(tuple(e))
-        for a in A.elements():
-            if quo.projection(a) == target:
-                lifts.append(a)
-                break
-    T = Subgroup.from_generators(A, lifts)
+    T = Subgroup.from_generators(A, _first_lifts(quotient(A, H)))
     if len(H.join(T).elements) != A.order:
         raise PostconditionError("lifted transversal subgroup does not cover A")
     Q = H.intersection(T)

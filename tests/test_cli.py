@@ -233,6 +233,45 @@ def test_main_split_cap(tmp_path, command, cap, code):
     assert main([command, "--config", path]) == code
 
 
+OBSTRUCT_PARAMS = {
+    "domain": [4],
+    "codomain": [2],
+    "matrix": [[1]],
+    "phase_table": [0, 1, 2, 3],
+    "phase_modulus": 4,
+    "function": {"kind": "random_bounded"},
+}
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("tolerance", "x"),
+        ("tolerance", -1e-9),
+        ("tolerance", math.nan),
+        ("tolerance", math.inf),
+        ("tolerance", True),
+        ("cap", True),
+        ("seed", False),
+    ],
+)
+def test_main_bad_scalar_field_exit_2(tmp_path, field, value):
+    config = cfg("obstruct", OBSTRUCT_PARAMS, seed=5)
+    config[field] = value
+    path = _write(tmp_path, "c.json", config)  # NaN and Infinity as JSON extensions
+    assert main(["obstruct", "--config", path, "--out", str(tmp_path / "r.json")]) == 2
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("tolerance, code", [("nan", 2), ("-1", 2), ("0", 0), ("1e-6", 0)])
+def test_main_tolerance_override(tmp_path, tolerance, code):
+    path = _write(tmp_path, "c.json", cfg("obstruct", OBSTRUCT_PARAMS, seed=5))
+    out = tmp_path / "r.json"
+    assert main(["obstruct", "--config", path, "--tolerance", tolerance, "--out", str(out)]) == code
+    if code == 0:
+        assert math.isfinite(json.loads(out.read_text())["outputs"]["margin"])
+
+
 def test_main_noncoprime_exit_4(tmp_path):
     path = _write(
         tmp_path,

@@ -1,6 +1,10 @@
 """Group arithmetic, primary decomposition, and the complement machinery."""
 
+import contextlib
 import random
+import signal
+from itertools import combinations
+from math import gcd, prod
 
 import pytest
 
@@ -145,12 +149,9 @@ def matmul(A, B):
     ]
 
 
-@pytest.mark.parametrize("seed", range(12))
-def test_snf_properties(seed):
-    rng = random.Random(seed)
-    r = rng.randint(1, 4)
-    c = rng.randint(1, 5)
-    M = [[rng.randint(-9, 9) for _ in range(c)] for _ in range(r)]
+def check_snf(M):
+    """U M V = S with U, V unimodular and S diagonal, d_i >= 0, d_i | d_(i+1)."""
+    r, c = len(M), len(M[0])
     U, S, V = smith_normal_form(M)
     assert matmul(matmul(U, M), V) == S
     assert abs(bareiss_det(U)) == 1
@@ -160,11 +161,77 @@ def test_snf_properties(seed):
         for j in range(c):
             if i != j:
                 assert S[i][j] == 0
+    assert all(d >= 0 for d in diag)
     for a, b in zip(diag, diag[1:]):
         if a != 0:
             assert b % a == 0
         else:
             assert b == 0
+    return diag
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_snf_properties(seed):
+    rng = random.Random(seed)
+    r = rng.randint(1, 4)
+    c = rng.randint(1, 5)
+    check_snf([[rng.randint(-9, 9) for _ in range(c)] for _ in range(r)])
+
+
+def _dense(rng, r, c):
+    return [[rng.randint(-50, 50) for _ in range(c)] for _ in range(r)]
+
+
+def _low_rank(seed, r, c, rank):
+    rng = random.Random(seed)
+    return matmul(_dense(rng, r, rank), _dense(rng, rank, c))
+
+
+# Dense matrices probe entry growth: an elimination that does not keep its
+# entries reduced can double their bit length at every pivot, and on the 6x6
+# matrices from seeds 6000 and 6001 such growth does not end.
+DENSE_SNF_CASES = {
+    "fault-6000": _dense(random.Random(6000), 6, 6),
+    "fault-6001": _dense(random.Random(6001), 6, 6),
+    **{f"6x6-{s}": _dense(random.Random(s), 6, 6) for s in range(30)},
+    **{f"5x8-{s}": _dense(random.Random(100 + s), 5, 8) for s in range(4)},
+    **{f"7x4-{s}": _dense(random.Random(200 + s), 7, 4) for s in range(4)},
+    "6x6-rank3": _low_rank(300, 6, 6, 3),
+    "5x8-rank2": _low_rank(301, 5, 8, 2),
+    "7x4-rank1": _low_rank(302, 7, 4, 1),
+    "6x6-zero-row": _dense(random.Random(303), 5, 6) + [[0] * 6],
+}
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Raise TimeoutError in the block once ``seconds`` of wall time pass."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"ran past its {seconds} s deadline")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.mark.parametrize("name", DENSE_SNF_CASES)
+def test_snf_dense_properties_and_determinantal_divisors(name):
+    M = DENSE_SNF_CASES[name]
+    with deadline(2.0):
+        diag = check_snf(M)
+    # theorem oracle: d_1 ... d_k is the gcd of all k x k minors
+    r, c = len(M), len(M[0])
+    for k in range(1, min(r, c) + 1):
+        g = 0
+        for rows in combinations(range(r), k):
+            for cols in combinations(range(c), k):
+                g = gcd(g, bareiss_det([[M[i][j] for j in cols] for i in rows]))
+        assert prod(diag[:k]) == g
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +250,20 @@ def test_hom_compose_and_inverse():
     inv = a.inverse()
     assert inv.compose(a).is_identity()
     assert a.compose(inv).is_identity()
+
+
+@pytest.mark.parametrize(
+    "b_orders,a_orders,onto",
+    # a cyclic group has no noncyclic image, so Z9 and Z8 reach neither target
+    [((4, 2), (4,), True), ((6,), (2, 3), True), ((9,), (3, 3), False), ((8,), (4, 2), False)],
+)
+def test_is_surjective_matches_image_order(b_orders, a_orders, onto):
+    from test_polymaps import all_homs
+
+    homs = all_homs(FinAbGroup(b_orders), FinAbGroup(a_orders))
+    verdicts = [h.is_surjective() for h in homs]
+    assert verdicts == [image(h).order == h.codomain.order for h in homs]
+    assert any(verdicts) == onto
 
 
 # ---------------------------------------------------------------------------
