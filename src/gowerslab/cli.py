@@ -23,6 +23,8 @@ import tempfile
 import time
 from fractions import Fraction
 
+import numpy as np
+
 from . import __version__
 from .errors import CapExceeded, ConfigError, CoprimalityError, PostconditionError
 from .groups import (
@@ -174,6 +176,23 @@ def _zvals(values) -> list:
     return [list(v.coords) for v in values]
 
 
+def _zrows(rows, count: int, Z: FinAbGroup, what: str) -> np.ndarray:
+    """``count`` values of Z, each a list of ncoords(Z) integers, reduced mod Z."""
+    if not (
+        isinstance(rows, list)
+        and len(rows) == count
+        and all(
+            isinstance(r, list) and len(r) == Z.ncoords and all(type(c) is int for c in r)
+            for r in rows
+        )
+    ):
+        raise ConfigError(
+            f"{what} ({count} expected), each a list of {Z.ncoords} integers"
+        )
+    reduced = [[c % m for c, m in zip(r, Z.orders)] for r in rows]
+    return np.array(reduced, dtype=np.int64).reshape(count, Z.ncoords)
+
+
 def _cocycle_from_config(params: dict, seed, cap) -> tuple[Cocycle, int, dict]:
     import random
 
@@ -181,6 +200,8 @@ def _cocycle_from_config(params: dict, seed, cap) -> tuple[Cocycle, int, dict]:
     y2 = _nilspace(_need(params, "y2", list))
     Z = _group(_need(params, "z", list))
     k = _need(params, "k", int)
+    if type(k) is not int or k < 0:  # bool is not an integer here
+        raise ConfigError("'k' must be an integer >= 0")
     dim = k + 1
     X = y1.product(y2)
     cubes = cube_set(X, dim).size
@@ -194,20 +215,11 @@ def _cocycle_from_config(params: dict, seed, cap) -> tuple[Cocycle, int, dict]:
             raise ConfigError("a seed is mandatory for the random cocycle family")
         rho, _, _ = random_cocycle(random.Random(seed), y1, y2, Z, dim)
     elif kind == "coboundary":
-        g = spec.get("g")
-        if not isinstance(g, list) or len(g) != X.group.order:
-            raise ConfigError("'g' must list one value per point of Y1 x Y2")
-        rho = coboundary(X, Z, dim, [tuple(v) for v in g])
+        g = _zrows(spec.get("g"), X.group.order, Z, "'g' must list one value per point of Y1 x Y2")
+        rho = coboundary(X, Z, dim, g)
     elif kind == "table":
-        vals = spec.get("values")
-        cs = cube_set(X, dim)
-        if not isinstance(vals, list) or len(vals) != len(cs.members):
-            raise ConfigError(
-                f"'values' must list one value per cube ({len(cs.members)} expected, "
-                "in sorted carrier order)"
-            )
-        table = {q: Z.element(tuple(v)) for q, v in zip(cs.members, vals)}
-        rho = Cocycle(X, Z, dim, table)
+        what = "'values' must list one value per cube, in sorted carrier order"
+        rho = Cocycle(X, Z, dim, _zrows(spec.get("values"), cubes, Z, what))
     else:
         raise ConfigError(f"unknown cocycle kind {kind!r}")
     return rho, y1.group.ncoords, meta
@@ -363,11 +375,10 @@ def _run_avg_split(params, seed, cap, tol):
     rho, split, meta = _cocycle_from_config(params, seed, cap)
     E = factor_average(rho, split)
     Ep = rooted_factor_average(rho, split)
-    members = rho.carrier.members
     outputs = {
-        "cube_count": len(members),
-        "e_values": _zvals(E.table[q] for q in members),
-        "eprime_values": _zvals(Ep[q] for q in members),
+        "cube_count": len(rho.carrier.members),
+        "e_values": E.array.tolist(),
+        "eprime_values": Ep.array.tolist(),
         "e_is_cocycle": True,
     }
     return meta, outputs, []
@@ -376,17 +387,13 @@ def _run_avg_split(params, seed, cap, tol):
 def _run_cocycle_split(params, seed, cap, tol):
     rho, split, meta = _cocycle_from_config(params, seed, cap)
     res = split_cocycle(rho, split)
-    members = rho.carrier.members
-    X = rho.nilspace
-    residual_max = max(
-        (max(v.coords, default=0) for v in res.residual.values()), default=0
-    )
+    residual = res.residual.array
     outputs = {
-        "cube_count": len(members),
-        "kappa_values": _zvals(res.kappa.table[q] for q in members),
-        "g": _zvals(res.g[x.coords] for x in X.group.elements()),
-        "residual_max": residual_max,
-        "residual_all_zero": all(v.is_zero() for v in res.residual.values()),
+        "cube_count": len(rho.carrier.members),
+        "kappa_values": res.kappa.array.tolist(),
+        "g": res.g.array.tolist(),
+        "residual_max": int(residual.max(initial=0)),
+        "residual_all_zero": not residual.any(),
     }
     return meta, outputs, []
 

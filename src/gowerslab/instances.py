@@ -15,6 +15,8 @@ import random
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
+
 from .groups import FinAbGroup, Homomorphism, Subgroup
 from .harmonics import GroupFunction
 from .nilcube import Cocycle, FilteredGroupNilspace, coboundary
@@ -202,19 +204,22 @@ def random_cocycle(
     the second projection is the coboundary of g2 o pi_2.
     """
     X = y1.product(y2)
-    G = X.group
-    s = y1.group.ncoords
+    G, G2 = X.group, y2.group
     g0 = {
         x.coords: Z.element(tuple(rng.randrange(m) for m in Z.orders))
         for x in G.elements()
     }
     g2 = {
         y.coords: Z.element(tuple(rng.randrange(m) for m in Z.orders))
-        for y in y2.group.elements()
+        for y in G2.elements()
     }
-    rho = coboundary(X, Z, dim, g0)
-    pull = {x: g2[x[s:]] for x in g0}
-    rho = rho.add(coboundary(X, Z, dim, pull))
+    g0a, g2a = (
+        np.array([v.coords for v in g.values()], dtype=np.int64).reshape(len(g), Z.ncoords)
+        for g in (g0, g2)
+    )
+    # sigma is additive in g, and x = (y1, y2) has row-major index
+    # |Y2| * index(y1) + index(y2)
+    rho = coboundary(X, Z, dim, g0a + g2a[np.arange(G.order) % G2.order])
     return rho, g0, g2
 
 

@@ -9,9 +9,22 @@ is how cube sets are enumerated here: one coefficient in Z_{m_j} per
 vertex-subset of size <= d_j, so enumeration is complete and duplicate
 free without filtering all |X|^(2^n) maps.
 
-Cubes are stored as tuples of element coordinate vectors indexed by the
-vertices of {0,1}^n in lexicographic order (0...0 first); the root of a
-cube is its value at vertex 0^n.
+Storage.  An element is its row-major int index (``FinAbGroup.index_of``).
+A cube set is the sorted ``(ncubes, 2^n)`` array of element indices at the
+vertices of {0,1}^n in lexicographic order (0...0 first); the root of a cube
+is its value at vertex 0^n.  A row-major index grows with the lexicographic
+order of the coordinates, so the rows sort as the cubes do as tuples of
+coordinate vectors.  A cube is found by its coefficient rank: the Moebius
+inversion of coordinate j mod m_j gives the polynomial coefficients, those
+of degree <= d_j are the digits of the rank, and a table is a cube exactly
+when those of degree > d_j vanish.  A cocycle, or any Z-valued function on
+cubes, is an ``(ncubes, ncoords(Z))`` array of residues in carrier order, so
+the checks below are gathers and compares against index maps that each
+``CubeSet`` builds once: the row of every cube under every coordinate
+permutation (n! entries per cube), and the row triples of every
+concatenation (three entries per pair of adjacent cubes).  Intermediate
+arrays are built in blocks of ``_BLOCK`` rows, so nothing else grows with
+the carrier.
 
 Cocycles are group-valued functions on C^{k+1}(X) that are additive under
 concatenation of adjacent cubes (along every coordinate) and invariant
@@ -34,10 +47,13 @@ arithmetic by ``split_cocycle``.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations, permutations, product as iproduct
-from math import comb, gcd
+from math import comb, factorial, gcd
+
+import numpy as np
 
 from .errors import CapExceeded, CoprimalityError, PostconditionError
 from .groups import FinAbGroup, GroupElement
@@ -46,6 +62,7 @@ __all__ = [
     "FilteredGroupNilspace",
     "CubeSet",
     "Cocycle",
+    "ValueTable",
     "SplitResult",
     "cube_set",
     "is_morphism",
@@ -57,6 +74,9 @@ __all__ = [
     "rooted_factor_average",
     "split_cocycle",
 ]
+
+# rows per block of cube lookups, concatenations and candidate morphism images
+_BLOCK = 16_384
 
 
 @lru_cache(maxsize=None)
@@ -112,6 +132,25 @@ def _faces(dim: int, k: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     return tuple(out)
 
 
+def _index_dtype(bound: int):
+    """The narrowest of int32 and int64 that holds 0 .. bound - 1."""
+    return np.int32 if bound <= np.iinfo(np.int32).max else np.int64
+
+
+def _coordinates(G: FinAbGroup) -> np.ndarray:
+    """(|G|, ncoords) array: row i holds the coordinates of element index i."""
+    return np.indices(G.orders).reshape(G.ncoords, G.order).T
+
+
+def _blockwise(fn, Q: np.ndarray) -> np.ndarray:
+    """fn applied to Q in blocks of at most ``_BLOCK`` rows, results concatenated."""
+    return np.concatenate([fn(Q[s : s + _BLOCK]) for s in range(0, max(len(Q), 1), _BLOCK)])
+
+
+def _moduli(Z: FinAbGroup) -> np.ndarray:
+    return np.array(Z.orders, dtype=np.int64)
+
+
 @dataclass(frozen=True)
 class FilteredGroupNilspace:
     """Product of cyclic factors (order, degree) with Host-Kra cubes."""
@@ -145,26 +184,14 @@ class FilteredGroupNilspace:
         return f"Nilspace[{inner or '1'}]"
 
 
-def _factor_cubes(m: int, d: int, n: int) -> list[tuple[int, ...]]:
-    """All degree-<=d polynomial vertex tables {0,1}^n -> Z_m."""
-    verts = _vertices(n)
-    monomials = []
-    for size in range(min(d, n) + 1):
-        for S in combinations(range(n), size):
-            monomials.append(tuple(1 if all(v[i] for i in S) else 0 for v in verts))
-    out = []
-    for coeffs in iproduct(range(m), repeat=len(monomials)):
-        out.append(
-            tuple(
-                sum(c * mono[vi] for c, mono in zip(coeffs, monomials)) % m
-                for vi in range(len(verts))
-            )
-        )
-    return out
-
-
 class CubeSet:
-    """The n-dimensional cube set of a filtered group nilspace."""
+    """The n-dimensional cube set of a filtered group nilspace.
+
+    ``members`` is the sorted ``(ncubes, 2^n)`` array of element indices;
+    ``position`` finds the rows of given vertex tables.  Ranking, membership
+    and the ``size`` formula need no enumeration, so a cube set too large
+    to enumerate can still test membership.
+    """
 
     def __init__(self, nilspace: FilteredGroupNilspace, dim: int, *, cap: int = 2_000_000):
         self.nilspace = nilspace
@@ -181,19 +208,100 @@ class CubeSet:
         return total
 
     @cached_property
-    def members(self) -> tuple[tuple, ...]:
+    def _digits(self) -> list[tuple[int, np.ndarray, np.ndarray]]:
+        """Per factor (m, d): m, and the vertex positions 1_S of the subsets S
+        with |S| <= d (the rank digits, in monomial order) and with |S| > d."""
+        n = self.dim
+        out = []
+        for m, d in self.nilspace.factors:
+            low = [
+                sum(1 << (n - 1 - i) for i in S)
+                for size in range(min(d, n) + 1)
+                for S in combinations(range(n), size)
+            ]
+            high = [v for v in range(2**n) if v.bit_count() > d]
+            out.append((m, np.array(low, dtype=np.intp), np.array(high, dtype=np.intp)))
+        return out
+
+    @cached_property
+    def _coords(self) -> np.ndarray:
+        """(ncoords, |X|): coordinate j of every element index."""
+        return np.ascontiguousarray(_coordinates(self.nilspace.group).T)
+
+    def _coefficients(self, Q: np.ndarray) -> np.ndarray:
+        """Moebius inversion of the rows of Q, unreduced, as (ncoords, 2^n, rows):
+        entry [j, 1_S, i] is sum_{T <= S} (-1)^(|S|-|T|) Q[i](1_T)_j."""
+        A = self._coords[:, Q.T]
+        cube = A.reshape((len(A),) + (2,) * self.dim + (len(Q),))
+        for i in range(self.dim):
+            lead = (slice(None),) * (1 + i)
+            cube[lead + (1,)] -= cube[lead + (0,)]
+        return A
+
+    def _rank(self, A: np.ndarray) -> np.ndarray:
+        """Coefficient rank of each column of A: the digits of factor 0 lead."""
+        rank = np.zeros(A.shape[-1], dtype=np.int64)
+        for j, (m, low, _) in enumerate(self._digits):
+            for pos in low:
+                rank = rank * m + A[j, pos] % m
+        return rank
+
+    def _is_cube(self, A: np.ndarray) -> np.ndarray:
+        ok = np.ones(A.shape[-1], dtype=bool)
+        for j, (m, _, high) in enumerate(self._digits):
+            if len(high):
+                ok &= ~(A[j, high] % m).any(axis=0)
+        return ok
+
+    def _ranks_of(self, Q: np.ndarray) -> np.ndarray:
+        """Coefficient rank of each row of Q, which must be cubes."""
+        return _blockwise(lambda B: self._rank(self._coefficients(B)), Q)
+
+    @cached_property
+    def members(self) -> np.ndarray:
         """All cubes, sorted; duplicate-free by the coefficient bijection."""
         if self.size > self.cap:
             raise CapExceeded(f"cube set of size {self.size} exceeds cap {self.cap}")
-        per_factor = [_factor_cubes(m, d, self.dim) for m, d in self.nilspace.factors]
         nverts = 2**self.dim
-        cubes = []
-        for choice in iproduct(*per_factor):
-            cubes.append(tuple(tuple(col[vi] for col in choice) for vi in range(nverts)))
-        cubes.sort()
-        if len(set(cubes)) != len(cubes) or len(cubes) != self.size:
+        dtype = _index_dtype(self.nilspace.group.order)
+        vertex = np.arange(nverts)
+        rows = np.zeros((1, nverts), dtype=dtype)
+        stride = self.nilspace.group.order
+        for m, low, _ in self._digits:
+            stride //= m
+            # monomial prod_{i in S} v_i at vertex v: 1 exactly when 1_S <= v bitwise
+            monomials = (np.bitwise_and.outer(low, vertex) == low[:, None]).astype(np.int64)
+            coeffs = np.indices((m,) * len(low)).reshape(len(low), -1).T
+            tables = ((coeffs @ monomials) % m * stride).astype(dtype)
+            rows = (rows[:, None, :] + tables[None, :, :]).reshape(-1, nverts)
+        rows = rows[np.lexsort(rows.T[::-1])]
+        if len(rows) != self.size or (rows[1:] == rows[:-1]).all(axis=1).any():
             raise PostconditionError("cube enumeration is not duplicate-free")
-        return tuple(cubes)
+        return rows
+
+    @cached_property
+    def _ranks(self) -> np.ndarray:
+        """Coefficient rank of every member, in carrier order."""
+        return self._ranks_of(self.members)
+
+    @cached_property
+    def _row_of_rank(self) -> np.ndarray:
+        rows = np.empty(self.size, dtype=np.int64)
+        rows[self._ranks] = np.arange(self.size)
+        return rows
+
+    def _are_cubes(self, Q: np.ndarray) -> np.ndarray:
+        """Whether each row of Q (element indices at the vertices) is a cube."""
+        return _blockwise(lambda B: self._is_cube(self._coefficients(B)), Q)
+
+    def position(self, Q: np.ndarray) -> np.ndarray:
+        """Row in ``members`` of each row of Q, or -1 where it is not a cube."""
+
+        def rows(B):
+            A = self._coefficients(B)
+            return np.where(self._is_cube(A), self._row_of_rank[self._rank(A)], -1)
+
+        return _blockwise(rows, Q)
 
     def contains(self, q) -> bool:
         """Membership by vanishing alternating sums over all (d_j+1)-faces."""
@@ -209,11 +317,60 @@ class CubeSet:
         return True
 
     @cached_property
-    def by_root(self) -> dict:
-        """Cubes grouped by their value at the base vertex 0^n."""
-        out: dict[tuple, list] = {}
-        for q in self.members:
-            out.setdefault(q[0], []).append(q)
+    def cubes(self) -> dict:
+        """Each cube as a tuple of vertex coordinate vectors, mapped to its row.
+
+        In carrier order.  This is the boundary format, for callers and
+        tables keyed by tuples; no computation in this module reads it.
+        """
+        coords = self._coords.T[self.members].tolist()
+        return {tuple(map(tuple, q)): i for i, q in enumerate(coords)}
+
+    @cached_property
+    def _permuted(self) -> np.ndarray:
+        """(n!, ncubes): the row of every cube with its vertex coordinates permuted."""
+        Q = self.members
+        rows = np.empty((factorial(self.dim), len(Q)), dtype=_index_dtype(self.size))
+        for i, p in enumerate(permutations(range(self.dim))):
+            rows[i] = self.position(Q[:, list(_perm_indices(self.dim, p))])
+        if (rows < 0).any():
+            raise PostconditionError("permutation left the cube set")
+        return rows
+
+    @cached_property
+    def _concatenations(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Per axis, the rows (q, q', q o q') of every concatenation of adjacent cubes.
+
+        q' runs over all cubes whose lower axis-face equals the upper
+        axis-face of q, found by bucketing the cubes by the rank of their
+        lower face among the (n-1)-cubes.
+        """
+        n, Q = self.dim, self.members
+        faces = CubeSet(self.nilspace, n - 1)
+        dtype = _index_dtype(self.size)
+        out = []
+        for axis in range(n):
+            lower, upper = (list(f) for f in _face_indices(n, axis))
+            lo = faces._ranks_of(Q[:, lower])
+            up = faces._ranks_of(Q[:, upper])
+            by_lower = np.argsort(lo, kind="stable")
+            count = np.bincount(lo, minlength=faces.size)
+            k = count[up]  # cube i is followed by by_lower[first[i] : first[i] + k[i]]
+            first = (np.cumsum(count) - count)[up]
+            end = np.cumsum(k)  # the pairs that start with cube i end at end[i]
+            total = int(end[-1])
+            q, qp, qq = (np.empty(total, dtype=dtype) for _ in range(3))
+            for s in range(0, total, _BLOCK):
+                block = slice(s, min(s + _BLOCK, total))
+                pair = np.arange(block.start, block.stop)
+                i = np.searchsorted(end, pair, side="right")
+                j = by_lower[first[i] + pair - (end[i] - k[i])]
+                joined = Q[i]
+                joined[:, upper] = Q[j][:, upper]
+                q[block], qp[block], qq[block] = i, j, self.position(joined)
+            if (qq < 0).any():
+                raise PostconditionError("concatenation left the cube set")
+            out.append((q, qp, qq))
         return out
 
 
@@ -227,6 +384,31 @@ def cube_set(X: FilteredGroupNilspace, n: int, *, cap: int = 2_000_000) -> CubeS
 # morphisms
 
 
+def _cube_pairs(X, Y, dims, cap) -> list[tuple[np.ndarray, CubeSet]]:
+    return [(cube_set(X, n, cap=cap).members, cube_set(Y, n, cap=cap)) for n in dims]
+
+
+def _preserving(T: np.ndarray, pairs) -> np.ndarray:
+    """Which rows of T (maps as tables of target element indices) send every
+    source cube of every (source cubes, target cube set) pair to a cube.
+
+    A row is dropped at its first failing block of cubes; each block holds
+    at most ``_BLOCK`` images.
+    """
+    alive = np.arange(len(T))
+    for QX, cy in pairs:
+        start = 0
+        while alive.size and start < len(QX):
+            stop = start + max(1, _BLOCK // alive.size)
+            images = T[alive][:, QX[start:stop]]
+            ok = cy._are_cubes(images.reshape(-1, QX.shape[1])).reshape(alive.size, -1).all(axis=1)
+            alive = alive[ok]
+            start = stop
+    mask = np.zeros(len(T), dtype=bool)
+    mask[alive] = True
+    return mask
+
+
 def is_morphism(table, X: FilteredGroupNilspace, Y: FilteredGroupNilspace, *, dims=None, cap: int = 2_000_000) -> bool:
     """Whether the map given by ``table`` sends cubes of X to cubes of Y.
 
@@ -237,28 +419,29 @@ def is_morphism(table, X: FilteredGroupNilspace, Y: FilteredGroupNilspace, *, di
     """
     if dims is None:
         dims = range(1, Y.step + 2)
-    GX = X.group
-    for n in dims:
-        cs_x = cube_set(X, n, cap=cap)
-        cs_y = cube_set(Y, n, cap=cap)
-        for q in cs_x.members:
-            fq = tuple(table[GX.index_of(v)] for v in q)
-            if not cs_y.contains(fq):
-                return False
-    return True
+    T = np.array([[Y.group.index_of(v) for v in table]], dtype=np.int64)
+    return bool(_preserving(T, _cube_pairs(X, Y, dims, cap))[0])
 
 
 def enumerate_morphisms(X: FilteredGroupNilspace, Y: FilteredGroupNilspace, *, cap: int = 10**6) -> list[tuple]:
-    """All morphisms X -> Y as value tables, at desk scale."""
+    """All morphisms X -> Y as value tables, at desk scale.
+
+    The |Y|^|X| candidate tables run in ``iproduct`` order, |Y|^r at a time
+    with |Y|^r <= ``_BLOCK``, and each block is checked at once.
+    """
     GX, GY = X.group, Y.group
     if GY.order**GX.order > cap:
         raise CapExceeded(f"|Y|^|X| = {GY.order}^{GX.order} exceeds cap {cap}")
-    points = [x.coords for x in GY.elements()]
-    out = []
-    for table in iproduct(points, repeat=GX.order):
-        if is_morphism(table, X, Y):
-            out.append(table)
-    return out
+    pairs = _cube_pairs(X, Y, range(1, Y.step + 2), 2_000_000)
+    r = 0
+    while r < GX.order and GY.order ** (r + 1) <= _BLOCK:
+        r += 1
+    tail = np.indices((GY.order,) * r).reshape(r, GY.order**r).T
+    found = []
+    for head in iproduct(range(GY.order), repeat=GX.order - r):
+        T = np.hstack([np.broadcast_to(np.array(head, dtype=tail.dtype), (len(tail), len(head))), tail])
+        found.append(T[_preserving(T, pairs)])
+    return [tuple(map(tuple, t)) for t in _coordinates(GY)[np.concatenate(found)].tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -283,97 +466,137 @@ def avg_coprime(values, count: int, Z: FinAbGroup) -> GroupElement:
     return GroupElement(Z, coords)
 
 
-@dataclass(frozen=True)
+class ValueTable(Mapping):
+    """Read-only view of a value array as a mapping key -> GroupElement.
+
+    Row i of ``array`` holds the coordinates of the value at the i-th key;
+    ``index()`` gives the dict from keys to rows, in row order, and is asked
+    for only when the view is read by key.
+    """
+
+    def __init__(self, codomain: FinAbGroup, array: np.ndarray, index):
+        self.codomain = codomain
+        self.array = array
+        self._index = index
+
+    @cached_property
+    def _rows(self) -> dict:
+        return self._index()
+
+    def __getitem__(self, key) -> GroupElement:
+        return GroupElement(self.codomain, tuple(self.array[self._rows[key]].tolist()))
+
+    def __iter__(self):
+        return iter(self._rows)
+
+    def __len__(self) -> int:
+        return len(self.array)
+
+    def values(self) -> list:
+        return [GroupElement(self.codomain, tuple(v)) for v in self.array.tolist()]
+
+    def items(self) -> list:
+        return list(zip(self._rows, self.values()))
+
+
+def _value_coords(v, Z: FinAbGroup) -> tuple[int, ...]:
+    return v.coords if isinstance(v, GroupElement) else Z.element(v).coords
+
+
 class Cocycle:
     """Z-valued function on C^dim(X), stored per cube.
 
-    The carrier is the full cube set; ``table`` maps each cube to a
-    GroupElement of ``codomain``.
+    The carrier is the full cube set; ``array`` holds the value at each cube
+    as ncoords(Z) residues, in carrier order.  ``table`` is the same data as
+    a mapping from cubes (tuples of vertex coordinate vectors) to
+    GroupElements of ``codomain``.  ``Cocycle`` accepts either form.
     """
 
-    nilspace: FilteredGroupNilspace
-    codomain: FinAbGroup
-    dim: int
-    table: dict
+    def __init__(self, nilspace: FilteredGroupNilspace, codomain: FinAbGroup, dim: int, table):
+        self.nilspace, self.codomain, self.dim = nilspace, codomain, dim
+        if isinstance(table, np.ndarray):
+            if table.shape != (self.carrier.size, codomain.ncoords):
+                raise ValueError(f"a cocycle array needs shape ({self.carrier.size}, {codomain.ncoords})")
+            self.array = table % _moduli(codomain)
+            return
+        rows = self.carrier.cubes
+        if len(table) != len(rows):
+            raise ValueError(f"a cocycle needs one value per cube ({len(rows)} expected)")
+        array = np.empty((len(rows), codomain.ncoords), dtype=np.int64)
+        for q, v in table.items():
+            if q not in rows:
+                raise ValueError(f"{q!r} is not a cube of the carrier")
+            array[rows[q]] = _value_coords(v, codomain)
+        self.array = array
+
+    @classmethod
+    def _on(cls, carrier: CubeSet, codomain: FinAbGroup, array: np.ndarray) -> "Cocycle":
+        """The cocycle with value rows ``array`` (reduced, carrier order) on ``carrier``."""
+        self = cls.__new__(cls)
+        self.nilspace, self.codomain, self.dim = carrier.nilspace, codomain, carrier.dim
+        self.carrier = carrier
+        self.array = array
+        return self
 
     @cached_property
     def carrier(self) -> CubeSet:
         return cube_set(self.nilspace, self.dim)
 
+    @cached_property
+    def table(self) -> ValueTable:
+        return ValueTable(self.codomain, self.array, lambda: self.carrier.cubes)
+
     def __call__(self, q) -> GroupElement:
         return self.table[q]
 
-    def add(self, other: "Cocycle") -> "Cocycle":
-        if (self.nilspace, self.codomain, self.dim) != (other.nilspace, other.codomain, other.dim):
-            raise ValueError("cocycles on different carriers")
-        return Cocycle(
-            self.nilspace,
-            self.codomain,
-            self.dim,
-            {q: v + other.table[q] for q, v in self.table.items()},
-        )
-
     def values_in_order(self) -> list:
         """Values listed by cube in sorted carrier order (the wire format)."""
-        return [self.table[q] for q in self.carrier.members]
+        return self.table.values()
 
 
-def _sigma(g: dict, q, Z: FinAbGroup, dim: int) -> GroupElement:
-    """Alternating vertex sum sigma_dim(g o q) = sum_v (-1)^|v| g(q(v))."""
-    total = Z.zero
-    for s, x in zip(_signs(dim), q):
-        gv = g[x]
-        total = total + (gv if s > 0 else -gv)
-    return total
+def _sigma(points: np.ndarray, Q: np.ndarray, dim: int, zmod: np.ndarray) -> np.ndarray:
+    """Alternating vertex sums sigma_dim(g o q) = sum_v (-1)^|v| g(q(v)), one per row q of Q.
+
+    ``points`` holds the value of g at each element index.
+    """
+    total = np.zeros((len(Q), points.shape[1]), dtype=np.int64)
+    for v, sign in enumerate(_signs(dim)):
+        if sign > 0:
+            total += points[Q[:, v]]
+        else:
+            total -= points[Q[:, v]]
+    return total % zmod
 
 
-def _as_point_map(g, X: FilteredGroupNilspace, Z: FinAbGroup) -> dict:
-    """Normalize a point function to dict coords -> GroupElement."""
+def _point_values(g, X: FilteredGroupNilspace, Z: FinAbGroup) -> np.ndarray:
+    """A point function as its (|X|, ncoords(Z)) value array in element order.
+
+    ``g`` is such an array, a dict from points (GroupElements or coordinate
+    tuples) to values, or a sequence of values in element order; a value is
+    a GroupElement or a coordinate sequence.
+    """
     G = X.group
-    if isinstance(g, dict):
-        out = {}
-        for k, v in g.items():
-            coords = k.coords if isinstance(k, GroupElement) else tuple(k)
-            out[coords] = v if isinstance(v, GroupElement) else Z.element(v)
-        if len(out) != G.order:
+    if isinstance(g, np.ndarray):
+        if g.shape != (G.order, Z.ncoords):
             raise ValueError("point function must be total on the group")
-        return out
-    vals = list(g)
-    if len(vals) != G.order:
+        return g % _moduli(Z)
+    if isinstance(g, dict):
+        rows = [G.index_of(k.coords if isinstance(k, GroupElement) else k) for k in g]
+        vals = g.values()
+    else:
+        vals = list(g)
+        rows = range(len(vals))
+    if len(vals) != G.order or len(set(rows)) != G.order:
         raise ValueError("point function must be total on the group")
-    return {
-        x.coords: (v if isinstance(v, GroupElement) else Z.element(v))
-        for x, v in zip(G.elements(), vals)
-    }
+    out = np.empty((G.order, Z.ncoords), dtype=np.int64)
+    out[list(rows)] = np.array([_value_coords(v, Z) for v in vals], dtype=np.int64).reshape(G.order, Z.ncoords)
+    return out
 
 
 def coboundary(X: FilteredGroupNilspace, Z: FinAbGroup, dim: int, g) -> Cocycle:
     """sigma_dim(g o q): the coboundary cocycle of a point function g."""
-    gmap = _as_point_map(g, X, Z)
     cs = cube_set(X, dim)
-    table = {q: _sigma(gmap, q, Z, dim) for q in cs.members}
-    return Cocycle(X, Z, dim, table)
-
-
-def _lower_upper(q, dim: int, axis: int):
-    li, ui = _face_indices(dim, axis)
-    return tuple(q[i] for i in li), tuple(q[i] for i in ui)
-
-
-def _concatenate(q, qp, dim: int, axis: int):
-    """Concatenation along the upper axis-face; q and qp must be adjacent."""
-    li, ui = _face_indices(dim, axis)
-    out = [None] * len(q)
-    for i in li:
-        out[i] = q[i]
-    for i in ui:
-        out[i] = qp[i]
-    return tuple(out)
-
-
-def _permute_cube(q, dim: int, perm):
-    """Cube v -> q(perm applied to v coordinates)."""
-    return tuple(q[i] for i in _perm_indices(dim, tuple(perm)))
+    return Cocycle._on(cs, Z, _sigma(_point_values(g, X, Z), cs.members, dim, _moduli(Z)))
 
 
 def is_cocycle(rho: Cocycle, *, raise_on_failure: bool = False) -> bool:
@@ -384,91 +607,68 @@ def is_cocycle(rho: Cocycle, *, raise_on_failure: bool = False) -> bool:
             raise PostconditionError(msg)
         return False
 
-    dim = rho.dim
-    members = rho.carrier.members
-    table = rho.table
-    for perm in permutations(range(dim)):
-        for q in members:
-            if table[_permute_cube(q, dim, perm)] != table[q]:
-                return fail("not invariant under coordinate permutations")
-    for axis in range(dim):
-        buckets: dict = {}
-        for q in members:
-            lower, _ = _lower_upper(q, dim, axis)
-            buckets.setdefault(lower, []).append(q)
-        for q in members:
-            _, upper = _lower_upper(q, dim, axis)
-            for qp in buckets.get(upper, ()):
-                qq = _concatenate(q, qp, dim, axis)
-                if qq not in table:
-                    raise PostconditionError("concatenation left the cube set")
-                if table[qq] != table[q] + table[qp]:
-                    return fail("not additive under concatenation")
+    cs, v = rho.carrier, rho.array
+    for rows in cs._permuted:
+        if not np.array_equal(v[rows], v):
+            return fail("not invariant under coordinate permutations")
+    zmod = _moduli(rho.codomain)
+    for q, qp, qq in cs._concatenations:
+        for s in range(0, len(q), _BLOCK):
+            block = slice(s, s + _BLOCK)
+            if ((v[qq[block]] - v[q[block]] - v[qp[block]]) % zmod).any():
+                return fail("not additive under concatenation")
     return True
 
 
-def _split_context(rho: Cocycle, split: int):
+def _second_factor(rho: Cocycle, split: int) -> FilteredGroupNilspace:
+    """Y2 of X = Y1 x Y2, once gcd(|Y1|, |Z|) = 1 is checked."""
     y1 = FilteredGroupNilspace(rho.nilspace.factors[:split])
-    y2 = FilteredGroupNilspace(rho.nilspace.factors[split:])
-    s = y1.group.ncoords
-    return y1, y2, s
+    if gcd(y1.group.order, rho.codomain.order) != 1:
+        raise CoprimalityError(
+            f"gcd(|Y1|={y1.group.order}, |Z|={rho.codomain.order}) != 1"
+        )
+    return FilteredGroupNilspace(rho.nilspace.factors[split:])
 
 
-def _join_cube(q1, q2):
-    return tuple(a + b for a, b in zip(q1, q2))
+def _average(values: np.ndarray, keys: np.ndarray, Z: FinAbGroup) -> np.ndarray:
+    """Coprime average of the value rows over each class of equal keys, per row."""
+    zmod = _moduli(Z)
+    _, cls, counts = np.unique(keys, return_inverse=True, return_counts=True)
+    sums = np.zeros((len(counts), values.shape[1]), dtype=np.int64)
+    np.add.at(sums, cls, values)
+    sizes, which = np.unique(counts, return_inverse=True)
+    inverse = np.array(
+        [[pow(int(c), -1, m) if m > 1 else 0 for m in Z.orders] for c in sizes], dtype=np.int64
+    ).reshape(len(sizes), Z.ncoords)
+    return ((sums % zmod) * inverse[which] % zmod)[cls]
 
 
 def factor_average(rho: Cocycle, split: int) -> Cocycle:
     """Coprime average of rho(q1' x q2) over all first-factor cubes q1'.
 
     The result is a cocycle and factors through the second projection
-    (both verified).
+    (both verified).  The cubes q1' x q2 sharing q2 are those whose
+    coefficient rank agrees mod |C^dim(Y2)|, as the digits of Y1 lead.
     """
-    y1, _, s = _split_context(rho, split)
-    if gcd(y1.group.order, rho.codomain.order) != 1:
-        raise CoprimalityError(
-            f"gcd(|Y1|={y1.group.order}, |Z|={rho.codomain.order}) != 1"
-        )
-    cubes1 = cube_set(y1, rho.dim).members
-    by_q2: dict = {}
-    table = {}
-    for q in rho.carrier.members:
-        q2 = tuple(v[s:] for v in q)
-        if q2 not in by_q2:
-            by_q2[q2] = avg_coprime(
-                (rho.table[_join_cube(q1p, q2)] for q1p in cubes1), len(cubes1), rho.codomain
-            )
-        table[q] = by_q2[q2]
-    out = Cocycle(rho.nilspace, rho.codomain, rho.dim, table)
+    y2 = _second_factor(rho, split)
+    q2 = rho.carrier._ranks % cube_set(y2, rho.dim).size
+    out = Cocycle._on(rho.carrier, rho.codomain, _average(rho.array, q2, rho.codomain))
     if not is_cocycle(out):
         raise PostconditionError("averaged table is not a cocycle")
     return out
 
 
-def rooted_factor_average(rho: Cocycle, split: int) -> dict:
+def rooted_factor_average(rho: Cocycle, split: int) -> ValueTable:
     """Coprime average of rho(q1' x q2) over first-factor cubes rooted at q1(0).
 
     Not necessarily a cocycle; returned as a raw per-cube table.
     """
-    y1, _, s = _split_context(rho, split)
-    if gcd(y1.group.order, rho.codomain.order) != 1:
-        raise CoprimalityError(
-            f"gcd(|Y1|={y1.group.order}, |Z|={rho.codomain.order}) != 1"
-        )
-    rooted = cube_set(y1, rho.dim).by_root
-    cache: dict = {}
-    out = {}
-    for q in rho.carrier.members:
-        q1root = q[0][:s]
-        q2 = tuple(v[s:] for v in q)
-        key = (q1root, q2)
-        if key not in cache:
-            family = rooted[q1root]
-            cache[key] = avg_coprime(
-                (rho.table[_join_cube(q1p, q2)] for q1p in family), len(family), rho.codomain
-            )
-        out[q] = cache[key]
-    return out
+    y2 = _second_factor(rho, split)
+    cs = rho.carrier
+    n2 = cube_set(y2, rho.dim).size
+    root1 = (cs.members[:, 0] // y2.group.order).astype(np.int64)
+    keys = root1 * n2 + cs._ranks % n2
+    return ValueTable(rho.codomain, _average(rho.array, keys, rho.codomain), lambda: cs.cubes)
 
 
 @dataclass(frozen=True)
@@ -476,12 +676,13 @@ class SplitResult:
     """rho = kappa + sigma(g o q): averaged part plus a coboundary.
 
     kappa is the factor average of rho and factors through the second
-    projection; residual holds rho - kappa - sigma(g o q) per cube.
+    projection; g maps each point (coordinate tuple) to its value, and
+    residual holds rho - kappa - sigma(g o q) per cube.
     """
 
     kappa: Cocycle
-    g: dict
-    residual: dict
+    g: ValueTable
+    residual: ValueTable
 
 
 def split_cocycle(rho: Cocycle, split: int) -> SplitResult:
@@ -497,19 +698,16 @@ def split_cocycle(rho: Cocycle, split: int) -> SplitResult:
         raise ValueError("input fails the cocycle checks")
     kappa = factor_average(rho, split)
     eprime = rooted_factor_average(rho, split)
-    g: dict = {}
-    for q in rho.carrier.members:
-        root = q[0]
-        val = eprime[q] - kappa.table[q]
-        if root in g:
-            if g[root] != val:
-                raise PostconditionError("root-independence violated")
-        else:
-            g[root] = val
-    Z = rho.codomain
-    residual = {}
-    for q in rho.carrier.members:
-        residual[q] = rho.table[q] - kappa.table[q] - _sigma(g, q, Z, rho.dim)
-    if any(not v.is_zero() for v in residual.values()):
+    Z, cs, G = rho.codomain, rho.carrier, rho.nilspace.group
+    zmod = _moduli(Z)
+    diff = (eprime.array - kappa.array) % zmod
+    roots = cs.members[:, 0]
+    g = np.zeros((G.order, Z.ncoords), dtype=np.int64)
+    g[roots] = diff
+    if not np.array_equal(g[roots], diff):
+        raise PostconditionError("root-independence violated")
+    residual = (rho.array - kappa.array - _sigma(g, cs.members, rho.dim, zmod)) % zmod
+    if residual.any():
         raise PostconditionError("split residual is nonzero")
-    return SplitResult(kappa, g, residual)
+    points = ValueTable(Z, g, lambda: {x.coords: i for i, x in enumerate(G.elements())})
+    return SplitResult(kappa, points, ValueTable(Z, residual, lambda: cs.cubes))

@@ -233,6 +233,28 @@ def test_main_split_cap(tmp_path, command, cap, code):
     assert main([command, "--config", path]) == code
 
 
+@pytest.mark.parametrize("command", ["avg-split", "cocycle-split"])
+@pytest.mark.parametrize(
+    "k, cocycle",
+    [
+        (1, {"kind": "table", "values": [1] * 216}),
+        (1, {"kind": "table", "values": [[0.5]] * 216}),
+        (1, {"kind": "table", "values": [[False]] * 216}),
+        (1, {"kind": "table", "values": [[0, 1]] * 216}),
+        (1, {"kind": "coboundary", "g": [1] * 6}),
+        (1, {"kind": "coboundary", "g": [[1.0]] * 6}),
+        (-1, {"kind": "random"}),
+        (True, {"kind": "random"}),
+    ],
+)
+def test_main_bad_cocycle_config_exit_2(tmp_path, command, k, cocycle):
+    # D1(Z2) x D1(Z3) at k = 1 carries 216 cubes and 6 points, Z3 one coordinate
+    params = {"y1": [[2, 1]], "y2": [[3, 1]], "z": [3], "k": k, "cocycle": cocycle}
+    path = _write(tmp_path, "c.json", cfg(command, params, seed=9))
+    assert main([command, "--config", path, "--out", str(tmp_path / "r.json")]) == 2
+    assert not (tmp_path / "r.json").exists()
+
+
 OBSTRUCT_PARAMS = {
     "domain": [4],
     "codomain": [2],

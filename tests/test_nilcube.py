@@ -1,7 +1,8 @@
 """Cube sets, morphisms, coprime averaging, and the cocycle split."""
 
 import random
-from itertools import product as iproduct
+from functools import lru_cache
+from itertools import permutations, product as iproduct
 
 import pytest
 
@@ -37,18 +38,97 @@ def all_maps(nilspace, n):
 
 
 # ---------------------------------------------------------------------------
+# oracles on tuple cubes: the dict-based cocycle check and the per-table
+# morphism search, which the array kernels must agree with
+
+
+@lru_cache(maxsize=None)
+def _face_positions(dim, axis):
+    verts = list(iproduct((0, 1), repeat=dim))
+    lower = [i for i, v in enumerate(verts) if v[axis] == 0]
+    upper = [i for i, v in enumerate(verts) if v[axis] == 1]
+    return lower, upper
+
+
+def _lower_upper(q, dim, axis):
+    li, ui = _face_positions(dim, axis)
+    return tuple(q[i] for i in li), tuple(q[i] for i in ui)
+
+
+def _concatenate(q, qp, dim, axis):
+    """Concatenation along the upper axis-face; q and qp must be adjacent."""
+    li, ui = _face_positions(dim, axis)
+    out = [None] * len(q)
+    for i in li:
+        out[i] = q[i]
+    for i in ui:
+        out[i] = qp[i]
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _perm_positions(dim, perm):
+    verts = list(iproduct((0, 1), repeat=dim))
+    index = {v: i for i, v in enumerate(verts)}
+    return tuple(index[tuple(v[perm[i]] for i in range(dim))] for v in verts)
+
+
+def _permute_cube(q, dim, perm):
+    """Cube v -> q(perm applied to v coordinates)."""
+    return tuple(q[i] for i in _perm_positions(dim, perm))
+
+
+def oracle_is_cocycle(table, dim):
+    """Permutation invariance and concatenation additivity of a dict cube -> GroupElement."""
+    members = list(table)
+    for perm in permutations(range(dim)):
+        for q in members:
+            if table[_permute_cube(q, dim, perm)] != table[q]:
+                return False
+    for axis in range(dim):
+        buckets = {}
+        for q in members:
+            lower, _ = _lower_upper(q, dim, axis)
+            buckets.setdefault(lower, []).append(q)
+        for q in members:
+            _, upper = _lower_upper(q, dim, axis)
+            for qp in buckets.get(upper, ()):
+                qq = _concatenate(q, qp, dim, axis)
+                assert qq in table, "concatenation left the cube set"
+                if table[qq] != table[q] + table[qp]:
+                    return False
+    return True
+
+
+def oracle_enumerate_morphisms(X, Y):
+    """Every table of |Y|^|X|, kept when it maps each cube to a face-sum cube."""
+    GX, GY = X.group, Y.group
+    points = [y.coords for y in GY.elements()]
+    checks = [(cube_set(X, n).cubes, cube_set(Y, n)) for n in range(1, Y.step + 2)]
+    out = []
+    for table in iproduct(points, repeat=GX.order):
+        if all(
+            cs_y.contains(tuple(table[GX.index_of(v)] for v in q))
+            for cubes, cs_y in checks
+            for q in cubes
+        ):
+            out.append(table)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # cube sets
 
 
 def test_zero_dimensional_cubes_are_points():
     cs = cube_set(D1Z3, 0)
-    assert set(cs.members) == {((0,),), ((1,),), ((2,),)}
+    assert set(cs.cubes) == {((0,),), ((1,),), ((2,),)}
 
 
 def test_parallelogram_law_degree_one():
     cs = cube_set(D1Z2, 2)
     assert len(cs.members) == 8
-    for q in cs.members:
+    for q in cs.cubes:
         assert (q[0][0] + q[3][0]) % 2 == (q[1][0] + q[2][0]) % 2
 
 
@@ -72,16 +152,16 @@ def test_membership_matches_enumeration(nilspace, n):
     # oracle: filter every vertex assignment through the face conditions
     cs = cube_set(nilspace, n)
     brute = [q for q in all_maps(nilspace, n) if cs.contains(q)]
-    assert set(brute) == set(cs.members)
-    assert len(cs.members) == len(set(cs.members))
+    assert set(brute) == set(cs.cubes)
+    assert len(cs.members) == len(set(cs.cubes))
 
 
 def test_cube_sets_closed_under_addition():
     cs = cube_set(FilteredGroupNilspace(((2, 1), (3, 1))), 2)
     G = cs.nilspace.group
-    members = set(cs.members)
-    for q1 in cs.members:
-        for q2 in cs.members:
+    members = set(cs.cubes)
+    for q1 in cs.cubes:
+        for q2 in cs.cubes:
             s = tuple(
                 tuple((a + b) % m for a, b, m in zip(v1, v2, G.orders))
                 for v1, v2 in zip(q1, q2)
@@ -90,12 +170,10 @@ def test_cube_sets_closed_under_addition():
 
 
 def test_concatenation_stays_in_cube_set():
-    from gowerslab.nilcube import _concatenate, _lower_upper
-
     cs = cube_set(D1Z3, 2)
-    members = set(cs.members)
-    for q in cs.members:
-        for qp in cs.members:
+    members = set(cs.cubes)
+    for q in cs.cubes:
+        for qp in cs.cubes:
             for axis in (0, 1):
                 _, up = _lower_upper(q, 2, axis)
                 lo, _ = _lower_upper(qp, 2, axis)
@@ -229,7 +307,7 @@ def test_is_cocycle_rejects_random_table():
     X = D1Z2.product(D1Z3)
     cs = cube_set(X, 2)
     rng = random.Random(23)
-    table = {q: Z3.element((rng.randrange(3),)) for q in cs.members}
+    table = {q: Z3.element((rng.randrange(3),)) for q in cs.cubes}
     assert not is_cocycle(Cocycle(X, Z3, 2, table))
 
 
@@ -257,7 +335,7 @@ def test_average_of_pullback_is_identity():
 def test_average_of_zero_is_zero():
     X = D1Z2.product(D1Z3)
     cs = cube_set(X, 2)
-    rho = Cocycle(X, Z3, 2, {q: Z3.zero for q in cs.members})
+    rho = Cocycle(X, Z3, 2, {q: Z3.zero for q in cs.cubes})
     E = factor_average(rho, 1)
     assert all(v.is_zero() for v in E.table.values())
     assert all(v.is_zero() for v in rooted_factor_average(rho, 1).values())
@@ -324,7 +402,7 @@ def test_average_rejects_non_coprime():
 def test_split_zero_cocycle():
     X = D1Z2.product(D1Z3)
     cs = cube_set(X, 2)
-    rho = Cocycle(X, Z3, 2, {q: Z3.zero for q in cs.members})
+    rho = Cocycle(X, Z3, 2, {q: Z3.zero for q in cs.cubes})
     res = split_cocycle(rho, 1)
     assert all(v.is_zero() for v in res.kappa.table.values())
     assert all(v.is_zero() for v in res.g.values())
@@ -366,7 +444,7 @@ def test_split_rejects_non_cocycle():
     X = D1Z2.product(D1Z3)
     cs = cube_set(X, 2)
     rng = random.Random(61)
-    table = {q: Z3.element((rng.randrange(3),)) for q in cs.members}
+    table = {q: Z3.element((rng.randrange(3),)) for q in cs.cubes}
     with pytest.raises(ValueError):
         split_cocycle(Cocycle(X, Z3, 2, table), 1)
 
@@ -384,14 +462,14 @@ def test_split_rejects_non_coprime():
 
 def test_reflection_maps_cubes_to_cubes():
     cs = cube_set(D1Z3, 2)
-    members = set(cs.members)
+    members = set(cs.cubes)
     verts = list(iproduct((0, 1), repeat=2))
     index = {v: i for i, v in enumerate(verts)}
     reflected_values = set()
     rng = random.Random(71)
     g = {x.coords: Z3.element((rng.randrange(3),)) for x in Z3.elements()}
     rho = coboundary(D1Z3, Z3, 2, g)
-    for q in cs.members:
+    for q in cs.cubes:
         refl = tuple(q[index[(1 - v[0], v[1])]] for v in verts)
         assert refl in members
         reflected_values.add((rho.table[q].coords, rho.table[refl].coords))
@@ -420,3 +498,61 @@ def test_morphisms_are_exactly_bounded_degree_polymaps(a_orders, b_orders, k):
         if d is not None and d <= k:
             polys.add(table)
     assert morphs == polys
+
+
+# ---------------------------------------------------------------------------
+# array kernels against the tuple oracles
+
+
+@pytest.mark.parametrize(
+    "y1,y2,dim",
+    [(D1Z2, D1Z3, 2), (D1Z2, D1Z3, 3), (D1Z2, D1Z3, 4), (D1Z2.product(D1Z2), D2Z3, 2)],
+)
+def test_is_cocycle_matches_oracle(y1, y2, dim):
+    rng = random.Random(7000 + dim)
+    X = y1.product(y2)
+    rho, _, _ = random_cocycle(rng, y1, y2, Z3, dim)
+    table = dict(rho.table.items())
+    assert is_cocycle(rho) and oracle_is_cocycle(table, dim)
+    # a single changed cube breaks every cocycle
+    for q in rng.sample(list(table), 3):
+        bad = dict(table)
+        bad[q] = bad[q] + Z3.element((rng.randrange(1, 3),))
+        assert not is_cocycle(Cocycle(X, Z3, dim, bad))
+        assert not oracle_is_cocycle(bad, dim)
+    for _ in range(2):
+        uniform = {q: Z3.element((rng.randrange(3),)) for q in table}
+        assert is_cocycle(Cocycle(X, Z3, dim, uniform)) == oracle_is_cocycle(uniform, dim)
+
+
+# the twelve light-band pairs of the cocycles benchmark workload, and D1(Z6) -> D1(Z2)
+ORACLE_MORPHISMS = [
+    (((2, 1),), ((2, 1),)),
+    (((2, 1),), ((3, 1),)),
+    (((2, 1),), ((2, 2),)),
+    (((2, 1),), ((4, 1),)),
+    (((3, 1),), ((2, 1),)),
+    (((2, 1),), ((2, 1), (2, 1))),
+    (((2, 1),), ((5, 1),)),
+    (((2, 1),), ((3, 2),)),
+    (((2, 1),), ((6, 1),)),
+    (((3, 1),), ((3, 1),)),
+    (((2, 1), (2, 1)), ((2, 1),)),
+    (((4, 1),), ((2, 1),)),
+    (((6, 1),), ((2, 1),)),
+]
+
+
+@pytest.mark.parametrize("x,y", ORACLE_MORPHISMS)
+def test_enumerate_morphisms_matches_per_table_oracle(x, y):
+    X, Y = FilteredGroupNilspace(x), FilteredGroupNilspace(y)
+    assert enumerate_morphisms(X, Y) == oracle_enumerate_morphisms(X, Y)
+
+
+def test_enumerate_morphisms_over_several_blocks():
+    # 4^8 = 65,536 candidate tables; the morphisms D1(Z8) -> D1(Z4) are the
+    # affine maps x -> a x + b
+    X = FilteredGroupNilspace(((8, 1),))
+    Y = FilteredGroupNilspace(((4, 1),))
+    affine = sorted(tuple(((a * x + b) % 4,) for x in range(8)) for a in range(4) for b in range(4))
+    assert enumerate_morphisms(X, Y) == affine
