@@ -97,22 +97,30 @@ def _need(params: dict, key: str, kind=None):
     if key not in params:
         raise ConfigError(f"missing required field 'params.{key}'")
     v = params[key]
-    if kind is not None and not isinstance(v, kind):
+    if kind is not None and not (type(v) is int if kind is int else isinstance(v, kind)):
         raise ConfigError(f"field 'params.{key}' has the wrong type")
     return v
 
 
+def _ints(v, length: int | None = None) -> bool:
+    """Whether v is a list (of the given length) of integers; bool is not an integer here."""
+    return (
+        isinstance(v, list)
+        and (length is None or len(v) == length)
+        and all(type(c) is int for c in v)
+    )
+
+
 def _group(spec) -> FinAbGroup:
-    if not isinstance(spec, list) or not all(isinstance(m, int) and m >= 1 for m in spec):
+    if not _ints(spec) or not all(m >= 1 for m in spec):
         raise ConfigError(f"group literal must be a list of orders, got {spec!r}")
     return FinAbGroup(tuple(spec))
 
 
 def _nilspace(spec) -> FilteredGroupNilspace:
-    try:
-        return FilteredGroupNilspace(tuple((int(m), int(d)) for m, d in spec))
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"nilspace literal must be a list of [order, degree] pairs: {e}")
+    if not all(_ints(f, 2) for f in spec):
+        raise ConfigError("nilspace literal must be a list of [order, degree] integer pairs")
+    return FilteredGroupNilspace(tuple(tuple(f) for f in spec))
 
 
 def _function(spec, G: FinAbGroup, rng_seed) -> GroupFunction:
@@ -125,22 +133,37 @@ def _function(spec, G: FinAbGroup, rng_seed) -> GroupFunction:
         return GroupFunction.ones(G)
     if kind == "values":
         vals = spec.get("values")
-        if not isinstance(vals, list) or len(vals) != G.order:
-            raise ConfigError("'values' must list one [re, im] pair per element")
+        if not (
+            isinstance(vals, list)
+            and len(vals) == G.order
+            and all(
+                isinstance(v, list)
+                and len(v) == 2
+                and all(type(c) in (int, float) and math.isfinite(c) for c in v)
+                for v in vals
+            )
+        ):
+            raise ConfigError("'values' must list one [re, im] pair of finite numbers per element")
         return GroupFunction(G, [complex(re, im) for re, im in vals])
     if kind == "phases":
         ph = spec.get("phases")
-        if not isinstance(ph, list) or len(ph) != G.order:
-            raise ConfigError("'phases' must list one [num, den] pair per element")
+        if not (
+            isinstance(ph, list)
+            and len(ph) == G.order
+            and all(_ints(p, 2) and p[1] != 0 for p in ph)
+        ):
+            raise ConfigError(
+                "'phases' must list one [num, den] pair of integers, den != 0, per element"
+            )
         return GroupFunction.from_phases(G, [Fraction(n, d) for n, d in ph])
     if kind == "character":
         t = spec.get("t", [0] * G.ncoords)
-        if not isinstance(t, list) or len(t) != G.ncoords:
+        if not _ints(t, G.ncoords):
             raise ConfigError("'t' must list one integer per group coordinate")
         return GroupFunction.character(G, t)
     if kind == "bilinear":
         l = spec.get("l")
-        if not isinstance(l, int) or l < 1:
+        if type(l) is not int or l < 1:
             raise ConfigError("'bilinear' needs a positive integer 'l'")
         f = bilinear_function(l)
         if f.group != G:
@@ -157,8 +180,8 @@ def _function(spec, G: FinAbGroup, rng_seed) -> GroupFunction:
 
 
 def _subgroup(G: FinAbGroup, gens_spec) -> Subgroup:
-    if not isinstance(gens_spec, list):
-        raise ConfigError("subgroup generators must be a list of coordinate lists")
+    if not isinstance(gens_spec, list) or not all(_ints(g, G.ncoords) for g in gens_spec):
+        raise ConfigError("subgroup generators must be a list of integer coordinate lists")
     try:
         return Subgroup.from_generators(G, [tuple(g) for g in gens_spec])
     except (TypeError, ValueError) as e:
@@ -166,6 +189,8 @@ def _subgroup(G: FinAbGroup, gens_spec) -> Subgroup:
 
 
 def _hom(domain: FinAbGroup, codomain: FinAbGroup, matrix) -> Homomorphism:
+    if not all(_ints(r) for r in matrix):
+        raise ConfigError("a homomorphism matrix must be a list of integer rows")
     try:
         return Homomorphism(domain, codomain, matrix)
     except (TypeError, ValueError) as e:
@@ -178,14 +203,7 @@ def _zvals(values) -> list:
 
 def _zrows(rows, count: int, Z: FinAbGroup, what: str) -> np.ndarray:
     """``count`` values of Z, each a list of ncoords(Z) integers, reduced mod Z."""
-    if not (
-        isinstance(rows, list)
-        and len(rows) == count
-        and all(
-            isinstance(r, list) and len(r) == Z.ncoords and all(type(c) is int for c in r)
-            for r in rows
-        )
-    ):
+    if not (isinstance(rows, list) and len(rows) == count and all(_ints(r, Z.ncoords) for r in rows)):
         raise ConfigError(
             f"{what} ({count} expected), each a list of {Z.ncoords} integers"
         )
@@ -200,7 +218,7 @@ def _cocycle_from_config(params: dict, seed, cap) -> tuple[Cocycle, int, dict]:
     y2 = _nilspace(_need(params, "y2", list))
     Z = _group(_need(params, "z", list))
     k = _need(params, "k", int)
-    if type(k) is not int or k < 0:  # bool is not an integer here
+    if k < 0:
         raise ConfigError("'k' must be an integer >= 0")
     dim = k + 1
     X = y1.product(y2)
@@ -253,6 +271,10 @@ def _run_cutnorm(params, seed, cap, tol):
     d = _need(params, "d", int)
     restarts = params.get("restarts", 8)
     iters = params.get("iters", 25)
+    if type(restarts) is not int or restarts < 0:
+        raise ConfigError("'restarts' must be an integer >= 0")
+    if type(iters) is not int or iters < 1:
+        raise ConfigError("'iters' must be an integer >= 1")
     if seed is None:
         raise ConfigError("a seed is mandatory for cut-norm maximization")
     f = _function(_need(params, "function", dict), G, seed)
@@ -325,9 +347,9 @@ def _phase_poly(params) -> PolyMap:
     B = _group(_need(params, "domain", list))
     N = _need(params, "phase_modulus", int)
     table = _need(params, "phase_table", list)
-    if len(table) != B.order:
-        raise ConfigError("'phase_table' must list one residue per domain element")
-    P = PolyMap(B, FinAbGroup((N,)), tuple((int(v),) for v in table))
+    if not _ints(table, B.order):
+        raise ConfigError("'phase_table' must list one integer residue per domain element")
+    P = PolyMap(B, FinAbGroup((N,)), tuple((v,) for v in table))
     if P.degree is None:
         raise ConfigError("the phase table is not polynomial of any degree")
     return P
@@ -360,6 +382,8 @@ def _run_obstruct(params, seed, cap, tol):
     pp = project_phase(phi, tau)
     f = _function(_need(params, "function", dict), A, seed)
     order = params.get("order")
+    if order is not None and type(order) is not int:
+        raise ConfigError("'order' must be an integer")
     rep = obstruction_check(f, pp, order=order, tol=tol)
     inputs = {
         "domain": list(phi.domain.orders),
@@ -635,7 +659,8 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 def _emit(record: dict, csv_rows: list, args) -> None:
-    text = json.dumps(record, indent=2, sort_keys=True) + "\n"
+    # a NaN or infinity is not JSON: the ValueError refuses the record (exit 2)
+    text = json.dumps(record, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if args.out:
         _atomic_write(args.out, text)
     else:

@@ -285,6 +285,65 @@ def test_main_bad_scalar_field_exit_2(tmp_path, field, value):
     assert not (tmp_path / "r.json").exists()
 
 
+def _norm_params(function, **extra):
+    return dict({"group": [2, 2], "order": 2, "function": function}, **extra)
+
+
+def _cut_params(**extra):
+    return dict({"group": [2, 2], "d": 1, "function": {"kind": "ones"}}, **extra)
+
+
+NAN_PAIRS = [[math.nan, 0.0], [1.0, 0.0], [1.0, 0.0], [1.0, 0.0]]
+INF_PAIRS = [[1.0, 0.0], [math.inf, 0.0], [1.0, 0.0], [1.0, 0.0]]
+
+
+@pytest.mark.parametrize(
+    "command, params",
+    [
+        # booleans in integer fields
+        ("norm", _norm_params({"kind": "ones"}, order=True)),
+        ("boxnorm", {"group": [2, 2], "split": True, "function": {"kind": "ones"}}),
+        ("cutnorm", _cut_params(d=True)),
+        ("norm", _norm_params({"kind": "ones"}, group=[True, 2])),
+        ("norm", _norm_params({"kind": "bilinear", "l": True})),
+        ("project", dict(OBSTRUCT_PARAMS, phase_modulus=True)),
+        ("obstruct", dict(OBSTRUCT_PARAMS, phase_table=[0, 0, 0, 0], order=True)),
+        ("obstruct", dict(OBSTRUCT_PARAMS, order=2.5)),
+        ("obstruct", dict(OBSTRUCT_PARAMS, order="3")),
+        ("project", dict(OBSTRUCT_PARAMS, phase_table=[0, 1.5, 2, 3])),
+        ("crosssection", {"domain": [9], "codomain": [3], "matrix": [[True]]}),
+        ("complement", {"group": [2, 4], "generators": [[1.0, 0]]}),
+        ("morphisms", {"x": [[2, True]], "y": [[2, 1]]}),
+        # malformed function specs
+        ("norm", _norm_params({"kind": "values", "values": [1, 0, 1, 0]})),
+        ("norm", _norm_params({"kind": "values", "values": [[1, 0, 0]] * 4})),
+        ("norm", _norm_params({"kind": "values", "values": [["a", 0]] * 4})),
+        ("norm", _norm_params({"kind": "values", "values": [[True, 0]] * 4})),
+        ("norm", _norm_params({"kind": "values", "values": NAN_PAIRS})),
+        ("boxnorm", {"group": [2, 2], "split": 1, "function": {"kind": "values", "values": NAN_PAIRS}}),
+        ("norm", _norm_params({"kind": "values", "values": INF_PAIRS})),
+        ("boxnorm", {"group": [2, 2], "split": 1, "function": {"kind": "values", "values": INF_PAIRS}}),
+        ("norm", _norm_params({"kind": "values", "values": [[1e308, 1e308]] * 4})),  # overflows to NaN
+        ("norm", _norm_params({"kind": "phases", "phases": [1, 2, 1, 2]})),
+        ("norm", _norm_params({"kind": "phases", "phases": [[1, 0]] + [[1, 2]] * 3})),
+        ("norm", _norm_params({"kind": "phases", "phases": [[0.5, 1]] + [[1, 2]] * 3})),
+        ("norm", _norm_params({"kind": "phases", "phases": [[True, 2]] + [[1, 2]] * 3})),
+        ("norm", _norm_params({"kind": "character", "t": ["a", 0]})),
+        ("norm", _norm_params({"kind": "character", "t": [True, 0]})),
+        ("norm", _norm_params({"kind": "character", "t": [0.5, 0]})),
+        # cut-norm iteration counts
+        ("cutnorm", _cut_params(restarts=-5)),
+        ("cutnorm", _cut_params(iters=0)),
+        ("cutnorm", _cut_params(restarts=True)),
+        ("cutnorm", _cut_params(iters=2.5)),
+    ],
+)
+def test_main_bad_norm_config_exit_2(tmp_path, command, params):
+    path = _write(tmp_path, "c.json", cfg(command, params, seed=3))  # NaN and Infinity as JSON extensions
+    assert main([command, "--config", path, "--out", str(tmp_path / "r.json")]) == 2
+    assert not (tmp_path / "r.json").exists()
+
+
 @pytest.mark.parametrize("tolerance, code", [("nan", 2), ("-1", 2), ("0", 0), ("1e-6", 0)])
 def test_main_tolerance_override(tmp_path, tolerance, code):
     path = _write(tmp_path, "c.json", cfg("obstruct", OBSTRUCT_PARAMS, seed=5))

@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +12,9 @@ import pytest
 from gowerslab.errors import PostconditionError
 from gowerslab.groups import FinAbGroup, Homomorphism
 from gowerslab.harmonics import (
+    ExactNorm,
     GroupFunction,
+    _add_table,
     box_norm_4cycle,
     correlation,
     cut_norm_lower,
@@ -67,6 +70,94 @@ def test_float_norm_matches_exact_norm():
         for order in (1, 2, 3):
             exact = gowers_norm_exact(f, order)
             assert abs(gowers_norm(f, order) - exact.value) < TOL
+
+
+def _exact_norm_oracle(f, order):
+    """The exact count by brute force: one bincount per (h_1, ..., h_order)."""
+    G = f.group
+    N = f.phase_denominator()
+    add = _add_table(G)
+    counts = np.zeros(N, dtype=np.int64)
+
+    def rec(D, k):
+        if k == 0:
+            counts_local = np.bincount(D, minlength=N)
+            counts[: len(counts_local)] += counts_local
+            return
+        for row in add:
+            rec((D[row] - D) % N, k - 1)
+
+    rec(f.phase_ints(N), order)
+    return ExactNorm(N, tuple(int(c) for c in counts), G.order ** (order + 1), order)
+
+
+EXACT_ORACLE_GROUPS = [
+    (),
+    (1,),
+    (2,),
+    (3,),
+    (5,),
+    (8,),
+    (12,),
+    (64,),
+    (2, 3),
+    (2, 2, 2),
+    (4, 4),
+    (3, 9),
+    (2, 4, 8),
+]
+
+
+@pytest.mark.parametrize("orders", EXACT_ORACLE_GROUPS, ids=lambda o: "x".join(map(str, o)) or "trivial")
+def test_exact_norm_matches_oracle(orders):
+    # every order 1-4 whose oracle makes at most 4096 bincounts, with each
+    # modulus; one phase is 1/N, so the denominator is exactly N (220 cases)
+    G = FinAbGroup(orders)
+    rng = random.Random(f"exact/{orders}")
+    for N in (1, 2, 6, 12, 360):
+        for order in (1, 2, 3, 4):
+            if G.order**order > 4096:
+                continue
+            phases = [Fraction(1, N)] + [Fraction(rng.randrange(N), N) for _ in range(G.order - 1)]
+            f = GroupFunction.from_phases(G, phases)
+            assert gowers_norm_exact(f, order) == _exact_norm_oracle(f, order), (N, order)
+
+
+@pytest.mark.parametrize("orders, N", [((2,) * 8, 360), ((8,), 1009 * 1013)])
+def test_exact_norm_matches_oracle_large_modulus(orders, N):
+    # N > |G|: the row differences are counted directly, on |G| = 256 in
+    # several blocks of rows, and with no N x N array for N near 10^6
+    G = FinAbGroup(orders)
+    rng = random.Random(N)
+    f = GroupFunction.from_phases(G, [Fraction(rng.randrange(N), N) for _ in range(G.order)])
+    assert f.phase_denominator() == N
+    assert gowers_norm_exact(f, 2) == _exact_norm_oracle(f, 2)
+
+
+def test_exact_norm_bilinear_l4_u3():
+    # |G| = 256, 2^32 counted tuples: every one lands on phase 0, so U^3 = 1
+    t0 = time.perf_counter()
+    e = gowers_norm_exact(bilinear_function(4), 3, cap=2**32)
+    elapsed = time.perf_counter() - t0
+    assert e.modulus == 2 and e.counts == (2**32, 0) and e.scale == 2**32
+    assert e.value == 1.0
+    assert elapsed < 2.0, f"exact U^3 of bilinear_function(4) took {elapsed:.2f}s"
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_exact_norm_value_matches_float_norm(seed):
+    # random phases mod N (N = 360 included) and a quadratic phase polynomial,
+    # U^1-U^3 on |G| <= 64, U^4 on |G| <= 16
+    rng = random.Random(800 + seed)
+    groups = ((2, 4, 8), (4, 4, 4), (64,), (3, 9), (2, 2, 2, 2), (12,))
+    G = FinAbGroup(groups[seed % len(groups)])
+    fs = [
+        random_unimodular_function(rng, G, denominator=N) for N in (2, 6, 12, 360)
+    ] + [phase(random_phase_polynomial(rng, G, 2))]
+    for f in fs:
+        for order in (1, 2, 3, 4) if G.order <= 16 else (1, 2, 3):
+            exact = gowers_norm_exact(f, order, cap=2**30).value
+            assert abs(exact - gowers_norm(f, order)) < TOL, (f.phase_denominator(), order)
 
 
 def test_exact_norm_requires_phases():
