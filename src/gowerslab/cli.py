@@ -278,7 +278,7 @@ def _run_cutnorm(params, seed, cap, tol):
     if seed is None:
         raise ConfigError("a seed is mandatory for cut-norm maximization")
     f = _function(_need(params, "function", dict), G, seed)
-    res = cut_norm_lower(f, d, restarts=restarts, iters=iters, seed=seed)
+    res = cut_norm_lower(f, d, restarts=restarts, iters=iters, seed=seed, cap=cap)
     witnesses = {
         ",".join(map(str, blk)): [[float(v.real), float(v.imag)] for v in w.reshape(-1)]
         for blk, w in res.witnesses.items()

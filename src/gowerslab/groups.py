@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import product as iproduct
 from math import gcd, prod
+from operator import index
 
 from .errors import CapExceeded, PostconditionError
 
@@ -69,6 +70,16 @@ def _lcm(a: int, b: int) -> int:
     return a * b // gcd(a, b)
 
 
+def _integer(x) -> int:
+    """x as an int; ValueError unless x is an integer (numpy's count, bools do not)."""
+    if isinstance(x, bool):
+        raise ValueError(f"expected an integer, got {x!r}")
+    try:
+        return index(x)
+    except TypeError:
+        raise ValueError(f"expected an integer, got {x!r}") from None
+
+
 @dataclass(frozen=True)
 class FinAbGroup:
     """Product of cyclic groups Z_{m_1} x ... x Z_{m_r}, orders m_j >= 1."""
@@ -76,7 +87,7 @@ class FinAbGroup:
     orders: tuple[int, ...]
 
     def __init__(self, orders):
-        orders = tuple(int(m) for m in orders)
+        orders = tuple(_integer(m) for m in orders)
         if any(m < 1 for m in orders):
             raise ValueError(f"cyclic orders must be >= 1, got {orders}")
         object.__setattr__(self, "orders", orders)
@@ -236,7 +247,7 @@ class Homomorphism:
         ):
             raise ValueError("matrix shape must be codomain.ncoords x domain.ncoords")
         for i, mi in enumerate(codomain.orders):
-            rows.append(tuple(int(e) % mi for e in matrix[i]))
+            rows.append(tuple(_integer(e) % mi for e in matrix[i]))
         for j, mj in enumerate(domain.orders):
             for i, mi in enumerate(codomain.orders):
                 if (mj * rows[i][j]) % mi != 0:

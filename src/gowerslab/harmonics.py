@@ -531,6 +531,7 @@ def cut_norm_lower(
     restarts: int = 8,
     iters: int = 25,
     seed: int = 0,
+    cap: int = 2**30,
 ) -> CutNormResult:
     """Certified lower bound for the (n, d)-cut norm, with witnesses.
 
@@ -540,12 +541,17 @@ def cut_norm_lower(
     Deterministic all-ones initialization plus ``restarts`` seeded random
     unimodular restarts; the best value and its witness family are
     returned.  The value never exceeds the true cut norm and every witness
-    is exactly 1-bounded.
+    is exactly 1-bounded.  ``cap`` bounds the predicted work, at most
+    (restarts + 1) * iters sweeps of C(n, d) block updates, each a product
+    of C(n, d) tensors of |G| entries, before any sweep runs.
     """
     G = f.group
     n = G.ncoords
     if not 1 <= d <= n - 1:
         raise ValueError("need 1 <= d <= n-1")
+    work = (restarts + 1) * iters * math.comb(n, d) ** 2 * G.order
+    if work > cap:
+        raise CapExceeded(f"predicted cut-norm work {work} exceeds cap {cap}")
     tensor = f.values.reshape(G.orders)
     blocks = list(combinations(range(n), d))
     rng = np.random.default_rng(seed)

@@ -14,17 +14,21 @@ A cube set is the sorted ``(ncubes, 2^n)`` array of element indices at the
 vertices of {0,1}^n in lexicographic order (0...0 first); the root of a cube
 is its value at vertex 0^n.  A row-major index grows with the lexicographic
 order of the coordinates, so the rows sort as the cubes do as tuples of
-coordinate vectors.  A cube is found by its coefficient rank: the Moebius
+coordinate vectors.  A cube is its coefficient digits: the Moebius
 inversion of coordinate j mod m_j gives the polynomial coefficients, those
-of degree <= d_j are the digits of the rank, and a table is a cube exactly
-when those of degree > d_j vanish.  A cocycle, or any Z-valued function on
-cubes, is an ``(ncubes, ncoords(Z))`` array of residues in carrier order, so
-the checks below are gathers and compares against index maps that each
-``CubeSet`` builds once: the row of every cube under every coordinate
-permutation (n! entries per cube), and the row triples of every
-concatenation (three entries per pair of adjacent cubes).  Intermediate
-arrays are built in blocks of ``_BLOCK`` rows, so nothing else grows with
-the carrier.
+of degree <= d_j are the digits, and a table is a cube exactly when those of
+degree > d_j vanish.  Its rank is its digits in mixed radix, and its row is
+found by rank.  Each ``CubeSet`` keeps the digit table of its members
+(built in blocks of ``_BLOCK`` rows) and derives its index maps from it by
+digit arithmetic: the row of every cube under every coordinate permutation
+(n! entries per cube, each row certified against the permuted vertex
+tables), and, per axis, the rows (q, q', q o q') of every concatenation of
+adjacent cubes, streamed in blocks of at most ``_BLOCK`` pairs, each block
+certified on the faces of its vertex tables, and never stored.  A cocycle,
+or any Z-valued function on cubes, is an ``(ncubes, ncoords(Z))`` array of
+residues in carrier order, so the checks below are gathers and compares
+against those maps, and nothing but the members, their digits and ranks and
+the permutation rows grows with the carrier.
 
 Cocycles are group-valued functions on C^{k+1}(X) that are additive under
 concatenation of adjacent cubes (along every coordinate) and invariant
@@ -51,12 +55,12 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations, permutations, product as iproduct
-from math import comb, factorial, gcd
+from math import comb, factorial, gcd, prod
 
 import numpy as np
 
 from .errors import CapExceeded, CoprimalityError, PostconditionError
-from .groups import FinAbGroup, GroupElement
+from .groups import FinAbGroup, GroupElement, _integer
 
 __all__ = [
     "FilteredGroupNilspace",
@@ -75,7 +79,7 @@ __all__ = [
     "split_cocycle",
 ]
 
-# rows per block of cube lookups, concatenations and candidate morphism images
+# rows per block of cube lookups and digits, concatenation pairs and candidate morphism images
 _BLOCK = 16_384
 
 
@@ -158,7 +162,7 @@ class FilteredGroupNilspace:
     factors: tuple[tuple[int, int], ...]
 
     def __init__(self, factors):
-        factors = tuple((int(m), int(d)) for m, d in factors)
+        factors = tuple((_integer(m), _integer(d)) for m, d in factors)
         if any(m < 1 or d < 1 for m, d in factors):
             raise ValueError("factors need order >= 1 and degree >= 1")
         object.__setattr__(self, "factors", factors)
@@ -190,7 +194,11 @@ class CubeSet:
     ``members`` is the sorted ``(ncubes, 2^n)`` array of element indices;
     ``position`` finds the rows of given vertex tables.  Ranking, membership
     and the ``size`` formula need no enumeration, so a cube set too large
-    to enumerate can still test membership.
+    to enumerate can still test membership.  The cocycle maps come from the
+    digit table of the members: ``_permuted`` holds the row of every
+    permuted cube, each permutation certified on the vertex tables, and
+    ``_concatenations`` streams the concatenation triples of one axis in
+    certified blocks without storing them.
     """
 
     def __init__(self, nilspace: FilteredGroupNilspace, dim: int, *, cap: int = 2_000_000):
@@ -224,6 +232,17 @@ class CubeSet:
         return out
 
     @cached_property
+    def _radix(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Per rank digit, leading digit first: its factor j, its vertex
+        position 1_S, its modulus m_j and its weight, the product of the
+        moduli of the digits after it."""
+        cols = [(j, pos, m) for j, (m, low, _) in enumerate(self._digits) for pos in low.tolist()]
+        mods = [m for _, _, m in cols]
+        table = [c + (prod(mods[t + 1 :]),) for t, c in enumerate(cols)]
+        j, pos, m, w = np.array(table, dtype=np.int64).reshape(len(table), 4).T
+        return j, pos, m, w
+
+    @cached_property
     def _coords(self) -> np.ndarray:
         """(ncoords, |X|): coordinate j of every element index."""
         return np.ascontiguousarray(_coordinates(self.nilspace.group).T)
@@ -238,13 +257,14 @@ class CubeSet:
             cube[lead + (1,)] -= cube[lead + (0,)]
         return A
 
+    def _rank_digits(self, A: np.ndarray) -> np.ndarray:
+        """(ndigits, columns): the rank digits of each column of A."""
+        j, pos, m, _ = self._radix
+        return A[j, pos] % m[:, None]
+
     def _rank(self, A: np.ndarray) -> np.ndarray:
         """Coefficient rank of each column of A: the digits of factor 0 lead."""
-        rank = np.zeros(A.shape[-1], dtype=np.int64)
-        for j, (m, low, _) in enumerate(self._digits):
-            for pos in low:
-                rank = rank * m + A[j, pos] % m
-        return rank
+        return self._radix[3] @ self._rank_digits(A)
 
     def _is_cube(self, A: np.ndarray) -> np.ndarray:
         ok = np.ones(A.shape[-1], dtype=bool)
@@ -252,10 +272,6 @@ class CubeSet:
             if len(high):
                 ok &= ~(A[j, high] % m).any(axis=0)
         return ok
-
-    def _ranks_of(self, Q: np.ndarray) -> np.ndarray:
-        """Coefficient rank of each row of Q, which must be cubes."""
-        return _blockwise(lambda B: self._rank(self._coefficients(B)), Q)
 
     @cached_property
     def members(self) -> np.ndarray:
@@ -280,13 +296,19 @@ class CubeSet:
         return rows
 
     @cached_property
+    def _digit_table(self) -> np.ndarray:
+        """(ncubes, ndigits): the rank digits of every member, in carrier order."""
+        dtype = np.min_scalar_type(int(self._radix[2].max(initial=1)) - 1)
+        return _blockwise(lambda B: self._rank_digits(self._coefficients(B)).T.astype(dtype), self.members)
+
+    @cached_property
     def _ranks(self) -> np.ndarray:
         """Coefficient rank of every member, in carrier order."""
-        return self._ranks_of(self.members)
+        return _blockwise(lambda D: D @ self._radix[3], self._digit_table)
 
     @cached_property
     def _row_of_rank(self) -> np.ndarray:
-        rows = np.empty(self.size, dtype=np.int64)
+        rows = np.empty(self.size, dtype=_index_dtype(self.size))
         rows[self._ranks] = np.arange(self.size)
         return rows
 
@@ -327,51 +349,78 @@ class CubeSet:
         return {tuple(map(tuple, q)): i for i, q in enumerate(coords)}
 
     @cached_property
-    def _permuted(self) -> np.ndarray:
-        """(n!, ncubes): the row of every cube with its vertex coordinates permuted."""
-        Q = self.members
-        rows = np.empty((factorial(self.dim), len(Q)), dtype=_index_dtype(self.size))
-        for i, p in enumerate(permutations(range(self.dim))):
-            rows[i] = self.position(Q[:, list(_perm_indices(self.dim, p))])
-        if (rows < 0).any():
-            raise PostconditionError("permutation left the cube set")
-        return rows
+    def _digit_column(self) -> dict:
+        """(factor j, vertex position 1_S) -> column of that digit in the digit table."""
+        j, pos, _, _ = self._radix
+        return {key: t for t, key in enumerate(zip(j.tolist(), pos.tolist()))}
 
     @cached_property
-    def _concatenations(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Per axis, the rows (q, q', q o q') of every concatenation of adjacent cubes.
+    def _permuted(self) -> np.ndarray:
+        """(n!, ncubes): the row of every cube with its vertex coordinates permuted.
 
-        q' runs over all cubes whose lower axis-face equals the upper
-        axis-face of q, found by bucketing the cubes by the rank of their
-        lower face among the (n-1)-cubes.
+        The cube q o p (vertex v to q(v[p[0]], ..., v[p[n-1]])) has the
+        digit c_q(S) at p(S), so its rank is the digit table times the
+        weights taken at p(S).  ``_perm_indices(n, p)`` sends 1_{p(S)} to
+        1_S, so scattering the weights through it gives them.
         """
-        n, Q = self.dim, self.members
-        faces = CubeSet(self.nilspace, n - 1)
-        dtype = _index_dtype(self.size)
-        out = []
-        for axis in range(n):
-            lower, upper = (list(f) for f in _face_indices(n, axis))
-            lo = faces._ranks_of(Q[:, lower])
-            up = faces._ranks_of(Q[:, upper])
-            by_lower = np.argsort(lo, kind="stable")
-            count = np.bincount(lo, minlength=faces.size)
-            k = count[up]  # cube i is followed by by_lower[first[i] : first[i] + k[i]]
-            first = (np.cumsum(count) - count)[up]
-            end = np.cumsum(k)  # the pairs that start with cube i end at end[i]
-            total = int(end[-1])
-            q, qp, qq = (np.empty(total, dtype=dtype) for _ in range(3))
-            for s in range(0, total, _BLOCK):
-                block = slice(s, min(s + _BLOCK, total))
-                pair = np.arange(block.start, block.stop)
-                i = np.searchsorted(end, pair, side="right")
-                j = by_lower[first[i] + pair - (end[i] - k[i])]
-                joined = Q[i]
-                joined[:, upper] = Q[j][:, upper]
-                q[block], qp[block], qq[block] = i, j, self.position(joined)
-            if (qq < 0).any():
-                raise PostconditionError("concatenation left the cube set")
-            out.append((q, qp, qq))
-        return out
+        n, Q, D = self.dim, self.members, self._digit_table
+        j, pos, _, w = self._radix
+        rows = np.empty((factorial(n), len(Q)), dtype=_index_dtype(self.size))
+        for r, p in enumerate(permutations(range(n))):
+            idx = _perm_indices(n, p)
+            weights = np.empty_like(w)
+            weights[[self._digit_column[a, idx[b]] for a, b in zip(j.tolist(), pos.tolist())]] = w
+            rows[r] = self._row_of_rank[_blockwise(lambda B: B @ weights, D)]
+            for s in range(0, len(Q), _BLOCK):
+                if not np.array_equal(Q[rows[r, s : s + _BLOCK]], Q[s : s + _BLOCK][:, idx]):
+                    raise PostconditionError("permutation left the cube set")
+        return rows
+
+    def _concatenations(self, axis: int):
+        """The rows (q, q', q o q') of every concatenation of adjacent cubes
+        along ``axis`` a, in blocks of at most ``_BLOCK`` pairs.
+
+        q' follows q exactly when c_q'(S) = c_q(S) + c_q(S u {a}) for every
+        S without a (the second term is 0 when |S u {a}| > d_j); the digits
+        of q' at the S with a in S are free.  q o q' has the digits c_q(S)
+        for S without a and c_q(S) + c_q'(S) for S with a, all mod m_j.
+        Each cube is paired with its followers in the order of their free
+        digits, and each block is certified on the vertex tables before it
+        is yielded.
+        """
+        n, Q, D = self.dim, self.members, self._digit_table
+        j, pos, m, w = self._radix
+        bit = 1 << (n - 1 - axis)
+        on, off = np.flatnonzero(pos & bit), np.flatnonzero(~pos & bit)
+        # the digit at S u {a} for each S without a, or -1 where |S u {a}| > d_j
+        up = [self._digit_column.get((a, b | bit), -1) for a, b in zip(j[off].tolist(), pos[off].tolist())]
+        up = np.array(up, dtype=np.intp)
+        shape = tuple(m[on].tolist())
+        free = np.indices(shape).reshape(len(on), prod(shape)).T
+        free_rank = free @ w[on]
+        # terms[i][c]: the rank term of digit on[i] of q o q' where c_q is c, per choice of free digits
+        terms = [w[t] * ((np.arange(m[t])[:, None] + free[:, i]) % m[t]) for i, t in enumerate(on)]
+        lower, upper = (list(f) for f in _face_indices(n, axis))
+        width = min(len(free), _BLOCK)
+        step = _BLOCK // width
+        for s in range(0, len(Q), step):
+            cubes = np.arange(s, min(s + step, len(Q)))
+            c = D[cubes].astype(np.int64)
+            follower = ((c[:, off] + np.where(up >= 0, c[:, up], 0)) % m[off]) @ w[off]
+            base = c[:, off] @ w[off]
+            first = Q[cubes][:, None]
+            for f in range(0, len(free), width):
+                fs = slice(f, f + width)
+                qp = self._row_of_rank[follower[:, None] + free_rank[fs]]
+                qq = self._row_of_rank[base[:, None] + sum(term[c[:, t], fs] for term, t in zip(terms, on))]
+                second, joined = Q[qp], Q[qq]
+                if not (
+                    (second[..., lower] == first[..., upper]).all()
+                    and (joined[..., lower] == first[..., lower]).all()
+                    and np.array_equal(joined[..., upper], second[..., upper])
+                ):
+                    raise PostconditionError("concatenation left the cube set")
+                yield np.repeat(cubes, qp.shape[1]), qp.ravel(), qq.ravel()
 
 
 def cube_set(X: FilteredGroupNilspace, n: int, *, cap: int = 2_000_000) -> CubeSet:
@@ -612,10 +661,9 @@ def is_cocycle(rho: Cocycle, *, raise_on_failure: bool = False) -> bool:
         if not np.array_equal(v[rows], v):
             return fail("not invariant under coordinate permutations")
     zmod = _moduli(rho.codomain)
-    for q, qp, qq in cs._concatenations:
-        for s in range(0, len(q), _BLOCK):
-            block = slice(s, s + _BLOCK)
-            if ((v[qq[block]] - v[q[block]] - v[qp[block]]) % zmod).any():
+    for axis in range(cs.dim):
+        for q, qp, qq in cs._concatenations(axis):
+            if ((v[qq] - v[q] - v[qp]) % zmod).any():
                 return fail("not additive under concatenation")
     return True
 

@@ -3,6 +3,7 @@
 import copy
 import json
 import math
+import time
 
 import pytest
 
@@ -231,6 +232,20 @@ def test_main_split_cap(tmp_path, command, cap, code):
     params = {"y1": [[2, 1]], "y2": [[3, 1]], "z": [3], "k": 1, "cocycle": {"kind": "random"}}
     path = _write(tmp_path, "c.json", cfg(command, params, seed=9, cap=cap))
     assert main([command, "--config", path]) == code
+
+
+def test_main_cutnorm_cap(tmp_path):
+    # (10^7 + 1) * 25 sweeps of C(2, 1)^2 * 4 entries each: refused before the first sweep
+    params = _cut_params(restarts=10_000_000)
+    path = _write(tmp_path, "c.json", cfg("cutnorm", params, seed=9, cap=10))
+    start = time.perf_counter()
+    assert main(["cutnorm", "--config", path]) == 3
+    assert time.perf_counter() - start < 1.0
+    # (8 + 1) * 25 * 4 * 4 = 3,600 predicted: runs at that cap, not below it
+    path = _write(tmp_path, "d.json", cfg("cutnorm", _cut_params(), seed=9, cap=3600))
+    assert main(["cutnorm", "--config", path, "--out", str(tmp_path / "r.json")]) == 0
+    path = _write(tmp_path, "e.json", cfg("cutnorm", _cut_params(), seed=9, cap=3599))
+    assert main(["cutnorm", "--config", path]) == 3
 
 
 @pytest.mark.parametrize("command", ["avg-split", "cocycle-split"])

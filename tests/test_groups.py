@@ -6,6 +6,7 @@ import signal
 from itertools import combinations
 from math import gcd, prod
 
+import numpy as np
 import pytest
 
 from gowerslab.errors import PostconditionError
@@ -29,6 +30,29 @@ from gowerslab.groups import (
 
 def closure_set(G, gens):
     return Subgroup.from_generators(G, gens).elements
+
+
+# ---------------------------------------------------------------------------
+# constructors refuse what is not an integer
+
+
+@pytest.mark.parametrize("orders", [(2.5, 3), (2.0, 3), (True, 3), (np.float64(3.0),), ("3",)])
+def test_group_orders_must_be_integers(orders):
+    with pytest.raises(ValueError):
+        FinAbGroup(orders)
+
+
+@pytest.mark.parametrize("entry", [1.5, 1.0, True, np.float64(1.0)])
+def test_homomorphism_entries_must_be_integers(entry):
+    with pytest.raises(ValueError):
+        Homomorphism(FinAbGroup((9,)), FinAbGroup((3,)), [[entry]])
+
+
+def test_constructors_accept_numpy_integers():
+    G = FinAbGroup((np.int64(2), np.uint8(3)))
+    assert G.orders == (2, 3) and all(type(m) is int for m in G.orders)
+    h = Homomorphism(FinAbGroup((9,)), FinAbGroup((3,)), [[np.int32(4)]])
+    assert h.matrix == ((1,),) and type(h.matrix[0][0]) is int
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,11 @@
 """Cube sets, morphisms, coprime averaging, and the cocycle split."""
 
 import random
+import tracemalloc
 from functools import lru_cache
 from itertools import permutations, product as iproduct
 
+import numpy as np
 import pytest
 
 from gowerslab.errors import CoprimalityError, PostconditionError
@@ -100,6 +102,37 @@ def oracle_is_cocycle(table, dim):
     return True
 
 
+def oracle_permuted(cs):
+    """(n!, ncubes): the row of every cube with its coordinates permuted, by rank lookup."""
+    Q = cs.members
+    return np.stack([cs.position(Q[:, list(_perm_positions(cs.dim, p))]) for p in permutations(range(cs.dim))])
+
+
+def oracle_concatenations(cs, axis):
+    """(3, npairs): the rows (q, q', q o q') of every concatenation along axis.
+
+    q' runs over all cubes whose lower axis-face equals the upper axis-face
+    of q, found by bucketing the cubes on the row of their lower face among
+    the (n-1)-cubes; q o q' is found by rank lookup of the joined table.
+    """
+    Q = cs.members
+    faces = cube_set(cs.nilspace, cs.dim - 1)
+    lower, upper = _face_positions(cs.dim, axis)
+    lo, up = faces.position(Q[:, lower]), faces.position(Q[:, upper])
+    by_lower = np.argsort(lo, kind="stable")
+    per_face = np.bincount(lo, minlength=faces.size)
+    count = per_face[up]  # cube i is followed by by_lower[first[i] : first[i] + count[i]]
+    first = (np.cumsum(per_face) - per_face)[up]
+    q = np.repeat(np.arange(len(Q)), count)
+    k = np.arange(len(q)) - np.repeat(np.cumsum(count) - count, count)
+    qp = by_lower[np.repeat(first, count) + k]
+    joined = Q[q]
+    joined[:, upper] = Q[qp][:, upper]
+    qq = cs.position(joined)
+    assert (qq >= 0).all(), "concatenation left the cube set"
+    return np.stack([q, qp, qq])
+
+
 def oracle_enumerate_morphisms(X, Y):
     """Every table of |Y|^|X|, kept when it maps each cube to a face-sum cube."""
     GX, GY = X.group, Y.group
@@ -179,6 +212,17 @@ def test_concatenation_stays_in_cube_set():
                 lo, _ = _lower_upper(qp, 2, axis)
                 if up == lo:
                     assert _concatenate(q, qp, 2, axis) in members
+
+
+@pytest.mark.parametrize("factors", [[(2.7, True)], [(2.7, 1)], [(2, True)], [(2, 1.0)], [(np.float64(2.0), 1)]])
+def test_nilspace_factors_must_be_integers(factors):
+    with pytest.raises(ValueError):
+        FilteredGroupNilspace(factors)
+
+
+def test_nilspace_accepts_numpy_integers():
+    X = FilteredGroupNilspace([(np.int64(2), np.int32(1))])
+    assert X.factors == ((2, 1),) and all(type(v) is int for v in X.factors[0])
 
 
 def test_cube_cap():
@@ -556,3 +600,58 @@ def test_enumerate_morphisms_over_several_blocks():
     Y = FilteredGroupNilspace(((4, 1),))
     affine = sorted(tuple(((a * x + b) % 4,) for x in range(8)) for a in range(4) for b in range(4))
     assert enumerate_morphisms(X, Y) == affine
+
+
+# the carriers on which the digit maps must equal the rank-lookup oracles
+ORACLE_CARRIERS = [
+    (((2, 1), (3, 1)), 0),
+    (((2, 1), (3, 1)), 1),
+    (((2, 1), (3, 1)), 2),
+    (((2, 1), (3, 1)), 3),
+    (((2, 1), (3, 1)), 4),
+    (((2, 1), (5, 1)), 3),
+    (((2, 2), (3, 1)), 2),
+    (((4, 2),), 3),
+    (((2, 3), (2, 1)), 3),
+    (((3, 2),), 3),
+    (((2, 1), (2, 1), (3, 1)), 3),
+    (((6, 1),), 2),
+    (((1, 1), (3, 1)), 2),
+    (((2, 1), (1, 2)), 3),
+]
+
+
+@pytest.mark.parametrize("factors,dim", ORACLE_CARRIERS)
+def test_cube_maps_match_oracle(factors, dim):
+    cs = cube_set(FilteredGroupNilspace(factors), dim)
+    assert np.array_equal(cs._permuted, oracle_permuted(cs))
+    for axis in range(dim):
+        stream = np.concatenate([np.stack(block) for block in cs._concatenations(axis)], axis=1)
+        assert all(len(block[0]) <= 16_384 for block in cs._concatenations(axis))
+        oracle = oracle_concatenations(cs, axis)
+        assert np.array_equal(stream[:, np.lexsort(stream[::-1])], oracle[:, np.lexsort(oracle[::-1])])
+
+
+def test_permuted_rows_follow_the_coordinate_permutation():
+    # on D1(Z3) at dim 3, permuting the cube v -> v_0 by p = (1, 2, 0) gives
+    # v -> v_{p[0]} = v_1 (the inverse permutation would give v_2)
+    cs = cube_set(D1Z3, 3)
+    verts = list(iproduct((0, 1), repeat=3))
+    row = cs.cubes[tuple((v[0],) for v in verts)]
+    r = list(permutations(range(3))).index((1, 2, 0))
+    assert cs.members[cs._permuted[r, row]].tolist() == [v[1] for v in verts]
+
+
+def test_is_cocycle_memory_is_bounded():
+    # D2(Z4) at dim 3: 16,384 cubes and 3 * 16,384 * 64 = 3,145,728 adjacent
+    # pairs, 38 MB as stored int32 triples; the check streams them
+    X = FilteredGroupNilspace(((4, 2),))
+    Z5 = FinAbGroup((5,))
+    rho = coboundary(X, Z5, 3, np.random.default_rng(5).integers(0, 5, size=(4, 1)))
+    tracemalloc.start()
+    try:
+        assert is_cocycle(rho)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
