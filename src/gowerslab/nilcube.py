@@ -350,7 +350,8 @@ class CubeSet:
 
     @cached_property
     def _digit_column(self) -> dict:
-        """(factor j, vertex position 1_S) -> column of that digit in the digit table."""
+        """(factor j, vertex position 1_S) -> column of that digit in the digit
+        table, in column order."""
         j, pos, _, _ = self._radix
         return {key: t for t, key in enumerate(zip(j.tolist(), pos.tolist()))}
 
@@ -363,13 +364,13 @@ class CubeSet:
         weights taken at p(S).  ``_perm_indices(n, p)`` sends 1_{p(S)} to
         1_S, so scattering the weights through it gives them.
         """
-        n, Q, D = self.dim, self.members, self._digit_table
-        j, pos, _, w = self._radix
+        n, Q, D, column = self.dim, self.members, self._digit_table, self._digit_column
+        w = self._radix[3]
         rows = np.empty((factorial(n), len(Q)), dtype=_index_dtype(self.size))
         for r, p in enumerate(permutations(range(n))):
             idx = _perm_indices(n, p)
             weights = np.empty_like(w)
-            weights[[self._digit_column[a, idx[b]] for a, b in zip(j.tolist(), pos.tolist())]] = w
+            weights[[column[a, idx[b]] for a, b in column]] = w
             rows[r] = self._row_of_rank[_blockwise(lambda B: B @ weights, D)]
             for s in range(0, len(Q), _BLOCK):
                 if not np.array_equal(Q[rows[r, s : s + _BLOCK]], Q[s : s + _BLOCK][:, idx]):
@@ -388,13 +389,12 @@ class CubeSet:
         digits, and each block is certified on the vertex tables before it
         is yielded.
         """
-        n, Q, D = self.dim, self.members, self._digit_table
-        j, pos, m, w = self._radix
+        n, Q, D, column = self.dim, self.members, self._digit_table, self._digit_column
+        _, pos, m, w = self._radix
         bit = 1 << (n - 1 - axis)
         on, off = np.flatnonzero(pos & bit), np.flatnonzero(~pos & bit)
         # the digit at S u {a} for each S without a, or -1 where |S u {a}| > d_j
-        up = [self._digit_column.get((a, b | bit), -1) for a, b in zip(j[off].tolist(), pos[off].tolist())]
-        up = np.array(up, dtype=np.intp)
+        up = np.array([column.get((a, b | bit), -1) for a, b in column if not b & bit], dtype=np.intp)
         shape = tuple(m[on].tolist())
         free = np.indices(shape).reshape(len(on), prod(shape)).T
         free_rank = free @ w[on]

@@ -626,8 +626,9 @@ def test_cube_maps_match_oracle(factors, dim):
     cs = cube_set(FilteredGroupNilspace(factors), dim)
     assert np.array_equal(cs._permuted, oracle_permuted(cs))
     for axis in range(dim):
-        stream = np.concatenate([np.stack(block) for block in cs._concatenations(axis)], axis=1)
-        assert all(len(block[0]) <= 16_384 for block in cs._concatenations(axis))
+        blocks = [np.stack(block) for block in cs._concatenations(axis)]
+        assert all(block.shape[1] <= 16_384 for block in blocks)
+        stream = np.concatenate(blocks, axis=1)
         oracle = oracle_concatenations(cs, axis)
         assert np.array_equal(stream[:, np.lexsort(stream[::-1])], oracle[:, np.lexsort(oracle[::-1])])
 
