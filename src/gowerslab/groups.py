@@ -122,7 +122,7 @@ class FinAbGroup:
         return GroupElement(self, (0,) * self.ncoords)
 
     def element(self, coords) -> "GroupElement":
-        coords = tuple(int(c) % m for c, m in zip(coords, self.orders, strict=True))
+        coords = tuple(_integer(c) % m for c, m in zip(coords, self.orders, strict=True))
         return GroupElement(self, coords)
 
     def elements(self):

@@ -29,7 +29,7 @@ from functools import cached_property
 from math import factorial
 
 from .errors import CapExceeded, PostconditionError
-from .groups import FinAbGroup, GroupElement, Homomorphism, _factorize, primary_decompose
+from .groups import FinAbGroup, GroupElement, Homomorphism, _factorize, _integer, primary_decompose
 
 __all__ = [
     "PolyMap",
@@ -71,7 +71,7 @@ class PolyMap:
 
     def __init__(self, domain, codomain, table):
         table = tuple(
-            tuple(int(c) % m for c, m in zip(row, codomain.orders, strict=True))
+            tuple(_integer(c) % m for c, m in zip(row, codomain.orders, strict=True))
             for row in table
         )
         if len(table) != domain.order:

@@ -234,6 +234,15 @@ def test_main_split_cap(tmp_path, command, cap, code):
     assert main([command, "--config", path]) == code
 
 
+def test_main_norm_cap_boundary(tmp_path):
+    # U^3 on Z12 costs 12^3 = 1,728 multiplies: runs at that cap, not below it
+    params = {"group": [12], "order": 3, "function": {"kind": "ones"}}
+    path = _write(tmp_path, "c.json", cfg("norm", params, cap=12**3))
+    assert main(["norm", "--config", path, "--out", str(tmp_path / "r.json")]) == 0
+    path = _write(tmp_path, "d.json", cfg("norm", params, cap=12**3 - 1))
+    assert main(["norm", "--config", path]) == 3
+
+
 def test_main_cutnorm_cap(tmp_path):
     # (10^7 + 1) * 25 sweeps of C(2, 1)^2 * 4 entries each: refused before the first sweep
     params = _cut_params(restarts=10_000_000)

@@ -48,6 +48,17 @@ def test_homomorphism_entries_must_be_integers(entry):
         Homomorphism(FinAbGroup((9,)), FinAbGroup((3,)), [[entry]])
 
 
+@pytest.mark.parametrize("coord", [1.7, 1.0, True, np.float64(1.0), "1"])
+def test_element_coords_must_be_integers(coord):
+    with pytest.raises(ValueError):
+        FinAbGroup((3,)).element((coord,))
+
+
+def test_element_accepts_numpy_integers():
+    x = FinAbGroup((3, 4)).element((np.int64(4), np.uint8(7)))
+    assert x.coords == (1, 3) and all(type(c) is int for c in x.coords)
+
+
 def test_constructors_accept_numpy_integers():
     G = FinAbGroup((np.int64(2), np.uint8(3)))
     assert G.orders == (2, 3) and all(type(m) is int for m in G.orders)

@@ -9,12 +9,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gowerslab.errors import PostconditionError
+from gowerslab import harmonics
+from gowerslab.errors import CapExceeded, PostconditionError
 from gowerslab.groups import FinAbGroup, Homomorphism
 from gowerslab.harmonics import (
     ExactNorm,
     GroupFunction,
     _add_table,
+    _characters,
     box_norm_4cycle,
     correlation,
     cut_norm_lower,
@@ -72,11 +74,110 @@ def test_float_norm_matches_exact_norm():
             assert abs(gowers_norm(f, order) - exact.value) < TOL
 
 
+def _direct_power_oracle(vals, order, add):
+    """||vals||_{U^order}^{2^order} by the multiplicative-derivative recursion, one gather per row."""
+    if order == 1:
+        return abs(complex(vals.mean())) ** 2
+    if order == 2:
+        corr = (vals[add] * np.conj(vals)[None, :]).mean(axis=1)
+        return float(np.mean(np.abs(corr) ** 2))
+    cv = np.conj(vals)
+    return float(np.mean([_direct_power_oracle(vals[row] * cv, order - 1, add) for row in add]))
+
+
+def _oracle_groups():
+    """The fixed cases and eight seeded groups, every one of order at most 64."""
+    rng = random.Random("power-oracle")
+    groups = [(), (1,), (2,) * 6, (2, 4, 8), (64,), (3, 9), (2, 3, 5)]
+    while len(groups) < 15:
+        orders = []
+        while rng.random() < 0.8:
+            m = rng.randint(1, 9)
+            if math.prod(orders) * m > 64:
+                break
+            orders.append(m)
+        if tuple(orders) not in groups:
+            groups.append(tuple(orders))
+    return groups
+
+
+@pytest.mark.parametrize("orders", _oracle_groups(), ids=lambda o: "x".join(map(str, o)) or "trivial")
+def test_norm_matches_direct_oracle(orders):
+    # orders 1-4 wherever |G|^order <= 2^24, on a bounded, a unimodular and
+    # two exact-phase functions; exact phases also against the integer count
+    G = FinAbGroup(orders)
+    rng = random.Random(f"power/{orders}")
+    unimodular = np.exp(2j * np.pi * np.array([rng.random() for _ in range(G.order)]))
+    fs = [
+        random_bounded_function(rng, G),
+        GroupFunction(G, unimodular),
+        random_unimodular_function(rng, G, denominator=12),
+        phase(random_phase_polynomial(rng, G, 2)),
+    ]
+    add = _add_table(G.orders)
+    for f in fs:
+        for order in (1, 2, 3, 4):
+            if G.order**order > 2**24:
+                continue
+            value = gowers_norm(f, order)
+            direct = max(_direct_power_oracle(f.values, order, add), 0.0) ** (1.0 / 2**order)
+            assert abs(value - direct) < 1e-12, (order, value, direct)
+            if f.is_exact():
+                exact = gowers_norm_exact(f, order, cap=G.order ** (order + 1)).value
+                assert abs(value - exact) < 1e-12, (order, value, exact)
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+def test_norm_is_independent_of_the_block_size(monkeypatch, block):
+    # blocks of one row and one character column up to whole tables
+    rng = random.Random(block)
+    cases = [(G, random_bounded_function(rng, G)) for G in map(FinAbGroup, [(), (5,), (2, 6), (2, 2, 4)])]
+    expected = [[gowers_norm(f, order) for order in (2, 3, 4)] for _, f in cases]
+    monkeypatch.setattr(harmonics, "_BLOCK", block)
+    for (G, f), values in zip(cases, expected):
+        for order, value in zip((2, 3, 4), values):
+            assert abs(gowers_norm(f, order) - value) < 1e-12, (G.orders, order)
+
+
+def test_character_matrix_is_exact():
+    # W[x, xi] = e(-x.xi) as a table of roots of unity of order exp(G)
+    G = FinAbGroup((2, 4, 6))
+    W = _characters(G.orders, 0, G.order)
+    for x in G.elements():
+        for xi in G.elements():
+            theta = sum(Fraction(a * b, m) for a, b, m in zip(x.coords, xi.coords, G.orders))
+            expected = cmath.exp(-2j * math.pi * float(theta % 1))
+            assert abs(W[G.index_of(x.coords), G.index_of(xi.coords)] - expected) < 1e-15
+
+
+def test_norm_cost_cap_boundary():
+    # the kernel makes |G|^order multiplies: 12^3 = 1,728 runs, 1,727 refuses
+    f = GroupFunction.ones(FinAbGroup((12,)))
+    assert abs(gowers_norm(f, 3, cap=12**3) - 1.0) < TOL
+    with pytest.raises(CapExceeded):
+        gowers_norm(f, 3, cap=12**3 - 1)
+
+
+def test_table_caches_are_bounded():
+    # U^3 on ten groups reads ten add tables and ten blocks of characters
+    for m in range(2, 12):
+        gowers_norm(GroupFunction.ones(FinAbGroup((m,))), 3)
+    assert _add_table.cache_info().currsize <= 8
+    assert _characters.cache_info().currsize <= 8
+
+
+def test_bilinear_l5_u3_and_box():
+    # |G| = 1,024: U^3 costs 2^30 multiplies, inside the default cap
+    f = bilinear_function(5)
+    assert abs(gowers_norm(f, 3) - 1.0) < TOL
+    assert abs(box_norm_4cycle(f, 5) - 2 ** (-5 / 4)) < TOL
+
+
 def _exact_norm_oracle(f, order):
     """The exact count by brute force: one bincount per (h_1, ..., h_order)."""
     G = f.group
     N = f.phase_denominator()
-    add = _add_table(G)
+    add = _add_table(G.orders)
     counts = np.zeros(N, dtype=np.int64)
 
     def rec(D, k):

@@ -4,6 +4,7 @@ import random
 from itertools import product as iproduct
 from math import comb
 
+import numpy as np
 import pytest
 
 from gowerslab.groups import FinAbGroup, Homomorphism, Subgroup
@@ -24,6 +25,21 @@ from gowerslab.polymaps import (
 Z3 = FinAbGroup((3,))
 Z6 = FinAbGroup((6,))
 Z9 = FinAbGroup((9,))
+
+
+# ---------------------------------------------------------------------------
+# value tables refuse what is not an integer
+
+
+@pytest.mark.parametrize("value", [1.5, 1.0, True, np.float64(1.0), "1"])
+def test_polymap_values_must_be_integers(value):
+    with pytest.raises(ValueError):
+        PolyMap(Z3, Z9, ((0,), (value,), (2,)))
+
+
+def test_polymap_accepts_numpy_integers():
+    P = PolyMap(Z3, Z9, ((np.int64(0),), (np.uint8(10),), (np.int32(-7),)))
+    assert P.table == ((0,), (1,), (2,)) and all(type(row[0]) is int for row in P.table)
 
 
 # ---------------------------------------------------------------------------
