@@ -16,9 +16,11 @@ algorithms below is verified exhaustively.  The module provides
     ``mtorsion_complemented_shrink`` - the same for general bounded torsion,
     one prime component at a time.
 
-All iteration orders are lexicographic, so every result is deterministic.
-Complements are not unique: ``find_complement`` returns the one generated
-by the first lexicographic lifts of the invariant-factor generators of A/H.
+Every result is deterministic.  Element scans run in lexicographic order;
+independent bases of subgroups are read off Smith normal forms of their
+generators, in invariant-factor order.  Complements are not unique:
+``find_complement`` returns the one generated by the first lexicographic
+lifts of the invariant-factor generators of A/H.
 """
 
 from __future__ import annotations
@@ -397,7 +399,7 @@ class Subgroup:
 
     @classmethod
     def full(cls, parent: FinAbGroup) -> "Subgroup":
-        return cls._from_elements(parent, frozenset(parent.elements()))
+        return cls(parent, tuple(reversed(parent.generators())), frozenset(parent.elements()))
 
     @cached_property
     def order(self) -> int:
@@ -663,68 +665,44 @@ def find_complement(H: Subgroup, *, cap: int = 10**7) -> Subgroup | None:
     return K
 
 
-# -- presented p-subgroups: independent-basis coordinates for a materialized
-#    subgroup, so the hull/enlarge recursion can run inside any subgroup.
+def _subgroup_basis(H: Subgroup) -> list[GroupElement]:
+    """Independent generators of H, of orders e_1 | e_2 | ..., from H.generators.
 
-
-def _maximal_cyclic_complement(elems: frozenset, x: GroupElement) -> tuple[list[GroupElement], frozenset]:
-    """Greedy complement of <x> inside a finite abelian p-group element set.
-
-    Requires ord(x) to equal the exponent of the subgroup; then a maximal
-    subgroup C with C * <x> = 0 is a complement.  Built greedily in
-    lexicographic order, so the result is deterministic.
+    H = Z^r / L for the relation lattice L of its generators h_1, ..., h_r.
+    In the Smith form U M V = S of M = [h_1 ... h_r | diag(orders)], the last
+    r columns of V span the kernel of M; their first r rows form an R with
+    L = R Z^r.  With U2 R V2 = diag(e), column i of U2^-1 is column i of
+    R V2 over e_i, so b_i = sum_j ((R V2)_{ji} / e_i) h_j has order e_i and
+    H is their direct sum; the e_i = 1 terms are 0.
     """
-    parent = x.group
-    ordx = x.order()
-    xmult = []
-    y = x
-    while not y.is_zero():
-        xmult.append(y)
-        y = y + x
-    c_gens: list[GroupElement] = []
-    c_els: frozenset = frozenset({parent.zero})
-    dstar = {m + c for m in xmult for c in c_els}
-    for a in sorted(elems):
-        if a.is_zero() or a in c_els:
-            continue
-        ok = True
-        ja = a
-        while not ja.is_zero():
-            if ja in dstar:
-                ok = False
-                break
-            ja = ja + a
-        if ok:
-            c_gens.append(a)
-            c_els = _closure(parent, c_gens)
-            dstar = {m + c for m in xmult for c in c_els}
-    if len(c_els) * ordx != len(elems):
-        raise PostconditionError("maximal-order cyclic subgroup failed to split off")
-    return c_gens, c_els
-
-
-def _pgroup_basis(parent: FinAbGroup, elems: frozenset) -> list[GroupElement]:
-    """Independent generators of a materialized abelian p-group subgroup."""
-    if len(elems) == 1:
+    A, gens = H.parent, H.generators
+    r, n = len(gens), A.ncoords
+    if r == 0 or n == 0:  # no generators, or the group of no coordinates
         return []
-    x = min(elems, key=lambda e: (-e.order(), e.coords))
-    _, c_els = _maximal_cyclic_complement(elems, x)
-    return [x] + _pgroup_basis(parent, c_els)
+    M = [[g.coords[i] for g in gens] + [A.orders[i] * (k == i) for k in range(n)] for i in range(n)]
+    R = [row[n:] for row in smith_normal_form(M)[2][:r]]
+    _, E, V2 = smith_normal_form(R)
+    basis = []
+    for i in range(r):
+        if E[i][i] != 1:
+            col = (sum(a * v[i] for a, v in zip(row, V2)) // E[i][i] for row in R)
+            basis.append(sum((c * h for c, h in zip(col, gens)), A.zero))
+    return basis
 
 
 class _PresentedSubgroup:
     """A subgroup of A rewritten as a product of cyclic groups.
 
-    basis b_1, ..., b_l are independent generators; the view group is
-    Z_{ord b_1} x ... x Z_{ord b_l} and coordinates translate both ways.
+    The view group is Z_{ord b_1} x ... x Z_{ord b_l} for the basis b_i of
+    ``_subgroup_basis``.  Two dicts, checked to biject onto the subgroup,
+    translate coordinates both ways, so the hull/enlarge recursion can run
+    inside any subgroup.
     """
 
     def __init__(self, sub: Subgroup):
         self.parent = sub.parent
-        self.basis = _pgroup_basis(sub.parent, sub.elements)
+        self.basis = _subgroup_basis(sub)
         self.group = FinAbGroup(tuple(b.order() for b in self.basis))
-        if self.group.order != sub.order:
-            raise PostconditionError("basis does not span the subgroup")
         self._to_parent: dict[tuple, GroupElement] = {}
         self._to_view: dict[GroupElement, tuple] = {}
         for coords in iproduct(*(range(m) for m in self.group.orders)):
@@ -733,6 +711,8 @@ class _PresentedSubgroup:
                 e = e + c * b
             self._to_parent[coords] = e
             self._to_view[e] = coords
+        if self.group.order != sub.order or self._to_view.keys() != sub.elements:
+            raise PostconditionError("basis is not an independent generating set of the subgroup")
 
     def view_coords(self, x: GroupElement) -> GroupElement:
         return GroupElement(self.group, self._to_view[x])
@@ -762,15 +742,19 @@ def complemented_hull(x: GroupElement) -> tuple[Subgroup, Subgroup]:
     """Complemented subgroup H of order <= p^(n^2) containing x, in a p-group.
 
     Runs the peeling loop: strip p-th roots, split coordinates into the
-    block where x is a unit mod p and the rest, split off a maximal cyclic
-    subgroup of the unit block, and recurse on a p-th root of the rest.
-    Returns (H, K) with K a verified complement of H.
+    block where x is a unit mod p and the rest, split off the cyclic
+    subgroup of its unit part, and recurse on a p-th root of the rest.  The
+    unit part has the largest block order m_{j0} (j0 the first such
+    coordinate), so the e_j of the other block coordinates complement it:
+    a multiple of it in their span vanishes at j0, so is 0, and the orders
+    multiply to |block|.  Returns (H, K) with K a verified complement of H.
     """
     A = x.group
     p, n = A.pgroup_data()
     if A.order == 1:
         t = Subgroup.trivial(A)
         return t, t
+    e = [A.element([int(i == j) for i in range(A.ncoords)]) for j in range(A.ncoords)]
     h_gens: list[GroupElement] = []
     k_gens: list[GroupElement] = []
     active = [j for j in range(A.ncoords) if A.orders[j] > 1]
@@ -785,12 +769,8 @@ def complemented_hull(x: GroupElement) -> tuple[Subgroup, Subgroup]:
         rest_idx = [j for j in active if j not in unit_idx]
         part = A.element(tuple(y.coords[j] if j in unit_idx else 0 for j in range(A.ncoords)))
         h_gens.append(part)
-        block = frozenset(
-            A.element(tuple(c[unit_idx.index(j)] if j in unit_idx else 0 for j in range(A.ncoords)))
-            for c in iproduct(*(range(A.orders[j]) for j in unit_idx))
-        )
-        c_gens, _ = _maximal_cyclic_complement(block, part)
-        k_gens.extend(c_gens)
+        j0 = max(unit_idx, key=lambda j: (A.orders[j], -j))
+        k_gens.extend(e[j] for j in reversed(unit_idx) if j != j0)
         rest = A.element(tuple(y.coords[j] if j in rest_idx else 0 for j in range(A.ncoords)))
         active = rest_idx
         if rest.is_zero():
@@ -798,10 +778,7 @@ def complemented_hull(x: GroupElement) -> tuple[Subgroup, Subgroup]:
         # all coordinates of the rest are multiples of p: take a p-th root
         y = GroupElement(A, tuple(c // p for c in rest.coords))
     # the untouched block goes entirely into the complement
-    for j in active:
-        e = [0] * A.ncoords
-        e[j] = 1
-        k_gens.append(A.element(tuple(e)))
+    k_gens.extend(e[j] for j in active)
     H = Subgroup.from_generators(A, h_gens)
     K = Subgroup.from_generators(A, k_gens)
     if x not in H:
@@ -846,7 +823,7 @@ def _enlarge_rec(A: FinAbGroup, gens: list[GroupElement]) -> tuple[Subgroup, Sub
     k = x - g
     if k.is_zero():
         return Gp, K
-    view = _PresentedSubgroup(Subgroup._from_elements(A, K.elements))
+    view = _PresentedSubgroup(K)
     c_v, kp_v = complemented_hull(view.view_coords(k))
     C = view.pull_subgroup(c_v)
     Kp = view.pull_subgroup(kp_v)
@@ -874,7 +851,7 @@ def complemented_shrink(H: Subgroup) -> tuple[Subgroup, Subgroup]:
     Q = H.intersection(T)
 
     view = _PresentedSubgroup(H)
-    q_gens_v = [view.view_coords(b) for b in _pgroup_basis(A, Q.elements)]
+    q_gens_v = [view.view_coords(b) for b in _subgroup_basis(Q)]
     Qp_v, K_v = complemented_enlarge(Subgroup.from_generators(view.group, q_gens_v))
     Qp = view.pull_subgroup(Qp_v)
     K = view.pull_subgroup(K_v)

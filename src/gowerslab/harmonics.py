@@ -199,7 +199,9 @@ class GroupFunction:
         """x -> f(x + a)."""
         if a.group != self.group:
             raise ValueError("translation by an element of a different group")
-        row = _add_table(self.group.orders)[self.group.index_of(a.coords)]
+        row = np.zeros(self.group.order, dtype=np.int64)  # row[x] = index of x + a
+        for dj, m, aj in zip(_digits(self.group.orders).T, self.group.orders, a.coords):
+            row = row * m + (dj + aj) % m
         ph = None
         if self.phases is not None:
             ph = [self.phases[i] for i in row]
@@ -362,10 +364,10 @@ def gowers_norm_exact(f: GroupFunction, order: int, *, cap: int = 2**24) -> Exac
         raise CapExceeded(f"|G|^(order+1) exceeds cap {cap}")
     N = f.phase_denominator()
     P = f.phase_ints(N)
-    add = _add_table(G.orders)
     if order == 1:
         tables = [P[None, :]]
     else:
+        add = _add_table(G.orders)
         tables = ((D[add] - D) % N for D in _derivatives(P, order - 2, add, N))
     if N <= G.order:
         gram = sum(_histogram_gram(M, N) for M in tables)

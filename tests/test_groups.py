@@ -14,6 +14,7 @@ from gowerslab.groups import (
     FinAbGroup,
     Homomorphism,
     Subgroup,
+    _subgroup_basis,
     complemented_enlarge,
     complemented_hull,
     complemented_shrink,
@@ -613,3 +614,69 @@ def test_hull_every_element_exhaustive(orders):
         H, K = complemented_hull(x)
         assert x in H and H.order <= p ** (n * n)
         verify_complement(G, H, K)
+
+
+# ---------------------------------------------------------------------------
+# subgroup bases and hull complements: theorems against the greedy searches
+
+
+def _maximal_cyclic_complement(elems, x):
+    """Greedy complement of <x> inside a p-group element set with ord(x) its exponent.
+
+    A maximal subgroup C with C * <x> = 0 is a complement; C is built from
+    the elements in lexicographic order.
+    """
+    G = x.group
+    xmult = [k * x for k in range(1, x.order())]
+    c_gens, c_els = [], frozenset({G.zero})
+    dstar = {m + c for m in xmult for c in c_els}
+    for a in sorted(elems):
+        if a in c_els or any(k * a in dstar for k in range(1, a.order())):
+            continue
+        c_gens.append(a)
+        c_els = closure_set(G, c_gens)
+        dstar = {m + c for m in xmult for c in c_els}
+    assert len(c_els) * x.order() == len(elems)
+    return c_gens, c_els
+
+
+def _pgroup_basis(G, elems):
+    """Independent generators of a p-group element set: split off a cyclic subgroup of largest order."""
+    if len(elems) == 1:
+        return []
+    x = min(elems, key=lambda e: (-e.order(), e.coords))
+    return [x] + _pgroup_basis(G, _maximal_cyclic_complement(elems, x)[1])
+
+
+@pytest.mark.parametrize("orders", [(1,), (3, 1, 4), (2, 2, 2), (8, 9, 10), ()])
+def test_full_subgroup_matches_element_scan(orders):
+    G = FinAbGroup(orders)
+    assert Subgroup.full(G) == Subgroup._from_elements(G, frozenset(G.elements()))
+
+
+@pytest.mark.parametrize("orders", [(4, 2), (8,), (9, 3), (2, 2, 2), (4, 4), (3, 9), (), (1,), (1, 3)])
+def test_subgroup_basis_matches_greedy_oracle(orders):
+    G = FinAbGroup(orders)
+    for H in all_subgroups(G):
+        basis = _subgroup_basis(H)
+        assert closure_set(G, basis) == H.elements
+        assert prod(b.order() for b in basis) == H.order
+        assert sorted(b.order() for b in basis) == sorted(b.order() for b in _pgroup_basis(G, H.elements))
+
+
+@pytest.mark.parametrize("orders", [(2, 4), (9, 3), (9, 9), (4, 8, 2), (2, 8, 4)])
+def test_hull_complement_matches_greedy_oracle(orders):
+    # for x without a p-th root, the first complement generators of the hull
+    # are those the greedy search finds for the unit part of x in its block
+    G = FinAbGroup(orders)
+    p, _ = G.pgroup_data()
+    for x in G.elements():
+        units = [j for j, c in enumerate(x.coords) if c % p]
+        if not units:
+            continue
+        part = G.element([c if j in units else 0 for j, c in enumerate(x.coords)])
+        block = [y for y in G.elements() if all(c == 0 for j, c in enumerate(y.coords) if j not in units)]
+        c_gens, c_els = _maximal_cyclic_complement(block, part)
+        _, K = complemented_hull(x)
+        assert list(K.generators[: len(c_gens)]) == c_gens
+        assert closure_set(G, K.generators[: len(c_gens)]) == c_els

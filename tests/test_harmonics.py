@@ -166,6 +166,17 @@ def test_table_caches_are_bounded():
     assert _characters.cache_info().currsize <= 8
 
 
+def test_translate_and_order_one_build_no_add_table():
+    # the table has |G|^2 entries (128 MB on Z_4096); neither call reads it
+    _add_table.cache_clear()
+    G = FinAbGroup((4093,))
+    f = random_unimodular_function(random.Random(4093), G, denominator=12)
+    g = f.translate(G.element((5,)))
+    assert g.phases[:3] == f.phases[5:8] and g.phases[-5] == f.phases[0]
+    assert gowers_norm_exact(f, 1).order == 1
+    assert _add_table.cache_info().currsize == 0
+
+
 def test_bilinear_l5_u3_and_box():
     # |G| = 1,024: U^3 costs 2^30 multiplies, inside the default cap
     f = bilinear_function(5)
@@ -207,6 +218,22 @@ EXACT_ORACLE_GROUPS = [
     (3, 9),
     (2, 4, 8),
 ]
+
+
+@pytest.mark.parametrize(
+    "orders",
+    sorted(set(_oracle_groups()) | set(EXACT_ORACLE_GROUPS)),
+    ids=lambda o: "x".join(map(str, o)) or "trivial",
+)
+def test_translate_matches_add_table_row(orders):
+    G = FinAbGroup(orders)
+    f = random_unimodular_function(random.Random(f"translate/{orders}"), G, denominator=12)
+    add = _add_table(G.orders)
+    for a in G.elements():
+        row = add[G.index_of(a.coords)]
+        g = f.translate(a)
+        assert np.array_equal(g.values, f.values[row])
+        assert g.phases == tuple(f.phases[i] for i in row)
 
 
 @pytest.mark.parametrize("orders", EXACT_ORACLE_GROUPS, ids=lambda o: "x".join(map(str, o)) or "trivial")
