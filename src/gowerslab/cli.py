@@ -22,6 +22,8 @@ import sys
 import tempfile
 import time
 from fractions import Fraction
+from itertools import chain
+from json.encoder import encode_basestring_ascii as _string
 
 import numpy as np
 
@@ -203,12 +205,18 @@ def _zvals(values) -> list:
 
 def _zrows(rows, count: int, Z: FinAbGroup, what: str) -> np.ndarray:
     """``count`` values of Z, each a list of ncoords(Z) integers, reduced mod Z."""
-    if not (isinstance(rows, list) and len(rows) == count and all(_ints(r, Z.ncoords) for r in rows)):
+    ok = isinstance(rows, list) and len(rows) == count and set(map(type, rows)) <= {list}
+    ok = ok and set(map(len, rows)) <= {Z.ncoords}
+    flat = list(chain.from_iterable(rows)) if ok else []
+    if not (ok and set(map(type, flat)) <= {int}):  # bool is not an integer here
         raise ConfigError(
             f"{what} ({count} expected), each a list of {Z.ncoords} integers"
         )
-    reduced = [[c % m for c, m in zip(r, Z.orders)] for r in rows]
-    return np.array(reduced, dtype=np.int64).reshape(count, Z.ncoords)
+    try:
+        values = np.array(flat, dtype=np.int64)
+    except OverflowError:  # beyond int64: reduce as Python ints
+        values = np.array(flat, dtype=object)
+    return (values.reshape(count, Z.ncoords) % np.array(Z.orders, dtype=values.dtype)).astype(np.int64)
 
 
 def _cocycle_from_config(params: dict, seed, cap) -> tuple[Cocycle, int, dict]:
@@ -658,9 +666,67 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
+def _scalar(v) -> str:
+    """A JSON scalar as ``json.dumps`` writes it; NaN and infinities raise ValueError."""
+    if isinstance(v, str):
+        return _string(v)
+    if v is None:
+        return "null"
+    if v is True:
+        return "true"
+    if v is False:
+        return "false"
+    if isinstance(v, int):
+        return int.__repr__(v)
+    if isinstance(v, float):
+        if math.isfinite(v):
+            return float.__repr__(v)
+        raise ValueError(f"Out of range float values are not JSON compliant: {v!r}")
+    raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
+
+
+def _dumps(v, indent: str = "") -> str:
+    """``json.dumps(v, indent=2, sort_keys=True, allow_nan=False)``, byte for byte.
+
+    With an indent the standard library falls back to its pure-Python
+    encoder, one call per value.  Here a list of scalars is one join and a
+    table of equal-length rows of plain ints is one %-template per row.
+    """
+    if isinstance(v, dict):
+        if not v:
+            return "{}"
+        inner = indent + "  "
+        body = (",\n" + inner).join(
+            f"{_string(k if isinstance(k, str) else _scalar(k))}: {_dumps(x, inner)}"
+            for k, x in sorted(v.items())
+        )
+        return "{\n" + inner + body + "\n" + indent + "}"
+    if not isinstance(v, (list, tuple)):
+        return _scalar(v)
+    if not v:
+        return "[]"
+    inner = indent + "  "
+    sep = ",\n" + inner
+    types = set(map(type, v))
+    if types <= _SCALARS:
+        body = sep.join(map(_scalar, v))
+    elif types <= {list, tuple} and len(widths := set(map(len, v))) == 1 and (
+        set(map(type, chain.from_iterable(v))) == {int}  # bools are not written with %d
+    ):
+        cell = ",\n" + inner + "  "
+        row = "[\n" + inner + "  " + cell.join(["%d"] * widths.pop()) + "\n" + inner + "]"
+        body = sep.join(map(row.__mod__, map(tuple, v)))
+    else:
+        body = sep.join([_dumps(x, inner) for x in v])
+    return "[\n" + inner + body + "\n" + indent + "]"
+
+
 def _emit(record: dict, csv_rows: list, args) -> None:
     # a NaN or infinity is not JSON: the ValueError refuses the record (exit 2)
-    text = json.dumps(record, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    text = _dumps(record) + "\n"
     if args.out:
         _atomic_write(args.out, text)
     else:

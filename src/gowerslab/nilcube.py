@@ -648,24 +648,38 @@ def coboundary(X: FilteredGroupNilspace, Z: FinAbGroup, dim: int, g) -> Cocycle:
     return Cocycle._on(cs, Z, _sigma(_point_values(g, X, Z), cs.members, dim, _moduli(Z)))
 
 
-def is_cocycle(rho: Cocycle, *, raise_on_failure: bool = False) -> bool:
-    """Concatenation additivity along every coordinate + permutation invariance."""
+def _cocycle_failures(cs: CubeSet, arrays, zmod: np.ndarray) -> list:
+    """Why each value array on ``cs`` fails the cocycle checks, or None where it passes.
 
-    def fail(msg):
-        if raise_on_failure:
-            raise PostconditionError(msg)
-        return False
+    The arrays are checked with their columns side by side, on one pass of
+    the permutation rows and of the concatenation stream, which stops early
+    only once every array has failed.
+    """
+    v = np.hstack(arrays)
+    mods = np.tile(zmod, len(arrays))
+    failures = [None] * len(arrays)
 
-    cs, v = rho.carrier, rho.array
+    def note(bad_columns, msg):
+        for i in np.flatnonzero(bad_columns.reshape(len(arrays), -1).any(axis=1)).tolist():
+            failures[i] = failures[i] or msg
+        return all(failures)
+
     for rows in cs._permuted:
-        if not np.array_equal(v[rows], v):
-            return fail("not invariant under coordinate permutations")
-    zmod = _moduli(rho.codomain)
+        if note((v[rows] != v).any(axis=0), "not invariant under coordinate permutations"):
+            return failures
     for axis in range(cs.dim):
         for q, qp, qq in cs._concatenations(axis):
-            if ((v[qq] - v[q] - v[qp]) % zmod).any():
-                return fail("not additive under concatenation")
-    return True
+            if note(((v[qq] - v[q] - v[qp]) % mods).any(axis=0), "not additive under concatenation"):
+                return failures
+    return failures
+
+
+def is_cocycle(rho: Cocycle, *, raise_on_failure: bool = False) -> bool:
+    """Concatenation additivity along every coordinate + permutation invariance."""
+    failure = _cocycle_failures(rho.carrier, [rho.array], _moduli(rho.codomain))[0]
+    if failure and raise_on_failure:
+        raise PostconditionError(failure)
+    return failure is None
 
 
 def _second_factor(rho: Cocycle, split: int) -> FilteredGroupNilspace:
@@ -698,12 +712,17 @@ def factor_average(rho: Cocycle, split: int) -> Cocycle:
     (both verified).  The cubes q1' x q2 sharing q2 are those whose
     coefficient rank agrees mod |C^dim(Y2)|, as the digits of Y1 lead.
     """
-    y2 = _second_factor(rho, split)
-    q2 = rho.carrier._ranks % cube_set(y2, rho.dim).size
-    out = Cocycle._on(rho.carrier, rho.codomain, _average(rho.array, q2, rho.codomain))
+    out = _factor_average(rho, split)
     if not is_cocycle(out):
         raise PostconditionError("averaged table is not a cocycle")
     return out
+
+
+def _factor_average(rho: Cocycle, split: int) -> Cocycle:
+    """``factor_average`` before its cocycle check."""
+    y2 = _second_factor(rho, split)
+    q2 = rho.carrier._ranks % cube_set(y2, rho.dim).size
+    return Cocycle._on(rho.carrier, rho.codomain, _average(rho.array, q2, rho.codomain))
 
 
 def rooted_factor_average(rho: Cocycle, split: int) -> ValueTable:
@@ -740,14 +759,25 @@ def split_cocycle(rho: Cocycle, split: int) -> SplitResult:
     rho is a cocycle; kappa is a cocycle factoring through the second
     projection; the average difference agrees on all cubes sharing a root
     (which defines g); and the residual rho - kappa - sigma(g o q)
-    vanishes on every cube.
+    vanishes on every cube.  rho and kappa are checked on one pass of the
+    carrier's maps; an input that is not a cocycle is refused with a
+    ValueError before any other failure is reported.
     """
-    if not is_cocycle(rho):
-        raise ValueError("input fails the cocycle checks")
-    kappa = factor_average(rho, split)
-    eprime = rooted_factor_average(rho, split)
+    not_cocycle = ValueError("input fails the cocycle checks")
+    try:
+        kappa = _factor_average(rho, split)
+    except CoprimalityError:
+        if not is_cocycle(rho):
+            raise not_cocycle from None
+        raise
     Z, cs, G = rho.codomain, rho.carrier, rho.nilspace.group
     zmod = _moduli(Z)
+    rho_failure, kappa_failure = _cocycle_failures(cs, [rho.array, kappa.array], zmod)
+    if rho_failure:
+        raise not_cocycle
+    if kappa_failure:
+        raise PostconditionError("averaged table is not a cocycle")
+    eprime = rooted_factor_average(rho, split)
     diff = (eprime.array - kappa.array) % zmod
     roots = cs.members[:, 0]
     g = np.zeros((G.order, Z.ncoords), dtype=np.int64)

@@ -3,9 +3,12 @@
 import copy
 import json
 import math
+import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gowerslab.cli import golden_suite, main, run
 from gowerslab.errors import ConfigError
@@ -472,3 +475,211 @@ def test_cocycle_table_wire_format_round_trip():
     rec2, _ = run(cfg("cocycle-split", params_g))
     assert rec["outputs"]["kappa_values"] == rec2["outputs"]["kappa_values"]
     assert rec["outputs"]["g"] == rec2["outputs"]["g"]
+
+
+# ---------------------------------------------------------------------------
+# cocycle values from configs, and the split's exit codes
+
+SPLIT_PARAMS = {"y1": [[2, 1]], "y2": [[3, 1]], "z": [3], "k": 1}
+
+
+def _split_outputs(tmp_path, command, params, name="r.json"):
+    path = _write(tmp_path, name + ".cfg", cfg(command, params, seed=11))
+    out = tmp_path / name
+    assert main([command, "--config", path, "--out", str(out)]) == 0
+    return json.loads(out.read_text())["outputs"]
+
+
+def test_values_beyond_int64_reduce_mod_z(tmp_path):
+    # Z3 x Z5 is coprime to |Y1| = 2; the first point's value is given unreduced
+    params = dict(SPLIT_PARAMS, z=[3, 5])
+    big = [[2**70, -1]] + [[0, 0]] * 5
+    reduced = [[2**70 % 3, -1 % 5]] + [[0, 0]] * 5
+    for command in ("avg-split", "cocycle-split"):
+        a = _split_outputs(tmp_path, command, dict(params, cocycle={"kind": "coboundary", "g": big}))
+        b = _split_outputs(tmp_path, command, dict(params, cocycle={"kind": "coboundary", "g": reduced}), "s.json")
+        assert a == b
+
+
+def test_table_values_beyond_int64_reduce_mod_z(tmp_path):
+    values = _split_outputs(tmp_path, "avg-split", dict(SPLIT_PARAMS, cocycle={"kind": "random"}))["e_values"]
+    shifted = [[v + (i % 3 - 1) * 3 * 2**80] for i, (v,) in enumerate(values)]
+    a = _split_outputs(tmp_path, "avg-split", dict(SPLIT_PARAMS, cocycle={"kind": "table", "values": shifted}))
+    assert a["e_values"] == values
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        [[True]] + [[0]] * 5,
+        [[2**70]] + [[0.0]] + [[0]] * 4,
+        [[1.5]] + [[0]] * 5,
+        [[0, 0]] + [[0]] * 5,
+        [[]] + [[0]] * 5,
+        [[0]] * 5,
+        [[0]] * 5 + [0],
+        {"0": [0]},
+    ],
+)
+def test_bad_point_values_exit_2(tmp_path, g):
+    params = dict(SPLIT_PARAMS, cocycle={"kind": "coboundary", "g": g})
+    path = _write(tmp_path, "c.json", cfg("cocycle-split", params))
+    assert main(["cocycle-split", "--config", path, "--out", str(tmp_path / "r.json")]) == 2
+    assert not (tmp_path / "r.json").exists()
+
+
+def _random_table(rng, count):
+    return {"kind": "table", "values": [[rng.randrange(3)] for _ in range(count)]}
+
+
+@pytest.mark.parametrize(
+    "y1, cubes",
+    [([[2, 1]], 216), ([[3, 1]], 729)],  # |Y1| = 3 also breaks coprimality with Z3
+)
+def test_split_of_non_cocycle_table_exit_2(tmp_path, y1, cubes):
+    params = dict(SPLIT_PARAMS, y1=y1, cocycle=_random_table(random.Random(cubes), cubes))
+    path = _write(tmp_path, "c.json", cfg("cocycle-split", params))
+    assert main(["cocycle-split", "--config", path, "--out", str(tmp_path / "r.json")]) == 2
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_split_with_a_bad_average_exit_4(tmp_path, monkeypatch):
+    import gowerslab.nilcube as nilcube
+
+    average = nilcube._average
+    monkeypatch.setattr(nilcube, "_average", lambda *a: (average(*a) + 1) % 3)
+    path = _write(tmp_path, "c.json", cfg("cocycle-split", dict(SPLIT_PARAMS, cocycle={"kind": "random"}), seed=2))
+    assert main(["cocycle-split", "--config", path, "--out", str(tmp_path / "r.json")]) == 4
+    assert not (tmp_path / "r.json").exists()
+
+
+# ---------------------------------------------------------------------------
+# the record emitter: json.dumps(indent=2, sort_keys=True) byte for byte
+
+ONE_PER_COMMAND = [
+    cfg("norm", {"group": [6], "order": 3, "function": {"kind": "random_unimodular"}}, seed=1),
+    cfg("cutnorm", {"group": [2, 3], "d": 1, "function": {"kind": "random_bounded"}}, seed=4),
+    cfg("boxnorm", {"group": [2, 2, 2, 2], "split": 2, "function": {"kind": "bilinear", "l": 2}}),
+    cfg("complement", {"group": [3, 27], "generators": [[1, 3]]}),
+    cfg("shrink", {"group": [3, 27], "generators": [[1, 0], [0, 3]]}),
+    cfg("crosssection", {"domain": [9], "codomain": [3], "matrix": [[1]]}),
+    cfg("project", {k: v for k, v in OBSTRUCT_PARAMS.items() if k != "function"}),
+    cfg("obstruct", OBSTRUCT_PARAMS, seed=5),
+    # D1(Z2) x D1(Z5) at k = 2: 10,000 cubes
+    cfg("avg-split", {"y1": [[2, 1]], "y2": [[5, 1]], "z": [5], "k": 2, "cocycle": {"kind": "random"}}, seed=3),
+    cfg("cocycle-split", dict(SPLIT_PARAMS, cocycle={"kind": "random"}), seed=9),
+    cfg("morphisms", {"x": [[2, 1]], "y": [[2, 1], [2, 1]]}),
+    cfg("decompose", {"group": [12, 18]}),
+]
+
+
+def test_one_config_per_command_covers_every_command():
+    from gowerslab.cli import COMMANDS
+
+    assert sorted(c["command"] for c in ONE_PER_COMMAND) == sorted(COMMANDS)
+
+
+@pytest.mark.parametrize("config", ONE_PER_COMMAND, ids=lambda c: c["command"])
+def test_record_file_is_the_indented_sorted_json(tmp_path, config):
+    command = config["command"]
+    path = _write(tmp_path, "c.json", config)
+    out = tmp_path / "r.json"
+    assert main([command, "--config", path, "--out", str(out), "--csv"]) == 0
+    text = out.read_text()
+    record = json.loads(text)
+    assert text == json.dumps(record, indent=2, sort_keys=True) + "\n"
+    # the csv rows are written as before: one per norm value, from the record's fields
+    norm_rows = {
+        "norm": ("gowers", 3, "value"),
+        "cutnorm": ("cut", 1, "value"),
+        "boxnorm": ("box4", 2, "value"),
+        "obstruct": ("obstruction", record["inputs"].get("order"), "norm"),
+    }
+    lines = ["instance_id,kind,k,value,runtime_ms"]
+    if command in norm_rows:
+        kind, k, field = norm_rows[command]
+        value = record["outputs"][field]
+        lines.append(f"{record['config_digest'][:12]},{kind},{k},{value!r},{record['runtime_ms']:.3f}")
+    assert (tmp_path / "r.json.csv").read_text() == "\n".join(lines) + "\n"
+    if command == "avg-split":
+        assert record["outputs"]["cube_count"] == 10_000
+    if command == "morphisms":
+        assert record["outputs"]["count"] > 0
+
+
+def _dumps_outcome(tree):
+    try:
+        return json.dumps(tree, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:
+        return ValueError
+
+
+def _dumps_outcome_ours(tree):
+    from gowerslab.cli import _dumps
+
+    try:
+        return _dumps(tree)
+    except ValueError:
+        return ValueError
+
+
+_TEXT = st.text() | st.sampled_from(["", "\x00", "\x1f\x7f", "é", " ", "😀", "\ud800", '"\\/'])
+_INTS = st.integers() | st.integers(-(2**100), 2**100) | st.sampled_from([2**100, -(2**100), 2**63, -(2**63) - 1])
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([0.0, -0.0, 5e-324, 1e300, -1e300])
+_SCALAR = st.none() | st.booleans() | _INTS | _FLOATS | _TEXT
+
+
+@st.composite
+def _int_rows(draw, extra=st.nothing()):
+    """A table of equal-length int rows, sometimes with one cell swapped for ``extra``."""
+    width = draw(st.integers(0, 3))
+    rows = draw(st.lists(st.lists(_INTS, min_size=width, max_size=width), min_size=1, max_size=6))
+    if width and draw(st.booleans()):
+        cell = draw(extra | st.booleans())
+        rows[draw(st.integers(0, len(rows) - 1))][draw(st.integers(0, width - 1))] = cell
+    return rows
+
+
+def _trees(scalars):
+    return st.recursive(
+        scalars | _int_rows(),
+        lambda inner: st.lists(inner, max_size=5)
+        | st.lists(inner, max_size=4).map(tuple)
+        | st.dictionaries(_TEXT, inner, max_size=5),
+        max_leaves=40,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(_trees(_SCALAR))
+def test_emitter_matches_json_dumps(tree):
+    from gowerslab.cli import _dumps
+
+    assert _dumps(tree) == json.dumps(tree, indent=2, sort_keys=True, allow_nan=False)
+
+
+_ANY_FLOAT = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+@settings(max_examples=200, deadline=None)
+@given(_trees(_SCALAR | _ANY_FLOAT) | _int_rows(extra=_ANY_FLOAT))
+def test_emitter_refuses_what_json_dumps_refuses(tree):
+    assert _dumps_outcome_ours(tree) == _dumps_outcome(tree)
+
+
+@pytest.mark.parametrize(
+    "tree",
+    [math.nan, [1.0, math.inf], {"a": {"b": [-math.inf]}}, [[1, 2], [3, math.nan]], {"k": (math.nan,)}],
+)
+def test_emitter_refuses_nan_and_infinity(tree):
+    from gowerslab.cli import _dumps
+
+    with pytest.raises(ValueError):
+        _dumps(tree)
+
+
+def test_emitter_writes_non_string_keys_as_json_does():
+    from gowerslab.cli import _dumps
+
+    for tree in ({1: "a", 2: [True]}, {2.5: None, -1.0: 0}, {None: 1}, {True: 1, False: 0}):
+        assert _dumps(tree) == json.dumps(tree, indent=2, sort_keys=True, allow_nan=False)

@@ -500,6 +500,55 @@ def test_split_rejects_non_coprime():
         split_cocycle(rho, 1)
 
 
+def test_split_refuses_non_cocycle_before_non_coprime():
+    X = D1Z3.product(D1Z3)
+    rng = random.Random(71)
+    table = {q: Z3.element((rng.randrange(3),)) for q in cube_set(X, 2).cubes}
+    with pytest.raises(ValueError, match="input fails the cocycle checks"):
+        split_cocycle(Cocycle(X, Z3, 2, table), 1)
+
+
+def test_split_reports_a_bad_average_as_postcondition(monkeypatch):
+    import gowerslab.nilcube as nilcube
+
+    average = nilcube._average
+    monkeypatch.setattr(nilcube, "_average", lambda *a: (average(*a) + 1) % 3)
+    rho, _, _ = random_cocycle(random.Random(73), D1Z2, D1Z3, Z3, 2)
+    with pytest.raises(PostconditionError, match="averaged table is not a cocycle"):
+        split_cocycle(rho, 1)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_stacked_cocycle_checks_match_single_checks(dim):
+    from gowerslab.nilcube import _cocycle_failures
+
+    rng = random.Random(7100 + dim)
+    X = D1Z2.product(D1Z3)
+    cs = cube_set(X, dim)
+    zmod = np.array([3])
+    good = random_cocycle(rng, D1Z2, D1Z3, Z3, dim)[0].array
+    # a change on one cube that some permutation moves breaks invariance; a nonzero
+    # constant is invariant but not additive
+    moved = np.flatnonzero((cs._permuted != np.arange(len(good))).any(axis=0))
+    changed = good.copy()
+    changed[rng.choice(moved.tolist())] += 1
+    constant = np.ones_like(good)
+    arrays = [good, changed % 3, constant, good]
+    single = [_cocycle_failures(cs, [a], zmod)[0] for a in arrays]
+    assert single == [
+        None,
+        "not invariant under coordinate permutations",
+        "not additive under concatenation",
+        None,
+    ]
+    assert _cocycle_failures(cs, arrays, zmod) == single
+    for a, failure in zip(arrays, single):
+        assert is_cocycle(Cocycle._on(cs, Z3, a)) == (failure is None)
+        if failure:
+            with pytest.raises(PostconditionError, match=failure):
+                is_cocycle(Cocycle._on(cs, Z3, a), raise_on_failure=True)
+
+
 # ---------------------------------------------------------------------------
 # reflections: logged, no sign convention asserted
 
