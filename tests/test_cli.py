@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gowerslab.cli import golden_suite, main, run
+from gowerslab.cli import _dumps, golden_suite, main, run
 from gowerslab.errors import ConfigError
 
 
@@ -607,18 +607,13 @@ def test_record_file_is_the_indented_sorted_json(tmp_path, config):
         assert record["outputs"]["count"] > 0
 
 
-def _dumps_outcome(tree):
+def _json_dumps(tree):
+    return json.dumps(tree, indent=2, sort_keys=True, allow_nan=False)
+
+
+def _outcome(dumps, tree):
     try:
-        return json.dumps(tree, indent=2, sort_keys=True, allow_nan=False)
-    except ValueError:
-        return ValueError
-
-
-def _dumps_outcome_ours(tree):
-    from gowerslab.cli import _dumps
-
-    try:
-        return _dumps(tree)
+        return dumps(tree)
     except ValueError:
         return ValueError
 
@@ -653,9 +648,7 @@ def _trees(scalars):
 @settings(max_examples=300, deadline=None)
 @given(_trees(_SCALAR))
 def test_emitter_matches_json_dumps(tree):
-    from gowerslab.cli import _dumps
-
-    assert _dumps(tree) == json.dumps(tree, indent=2, sort_keys=True, allow_nan=False)
+    assert _dumps(tree) == _json_dumps(tree)
 
 
 _ANY_FLOAT = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf])
@@ -664,7 +657,7 @@ _ANY_FLOAT = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf])
 @settings(max_examples=200, deadline=None)
 @given(_trees(_SCALAR | _ANY_FLOAT) | _int_rows(extra=_ANY_FLOAT))
 def test_emitter_refuses_what_json_dumps_refuses(tree):
-    assert _dumps_outcome_ours(tree) == _dumps_outcome(tree)
+    assert _outcome(_dumps, tree) == _outcome(_json_dumps, tree)
 
 
 @pytest.mark.parametrize(
@@ -672,14 +665,10 @@ def test_emitter_refuses_what_json_dumps_refuses(tree):
     [math.nan, [1.0, math.inf], {"a": {"b": [-math.inf]}}, [[1, 2], [3, math.nan]], {"k": (math.nan,)}],
 )
 def test_emitter_refuses_nan_and_infinity(tree):
-    from gowerslab.cli import _dumps
-
     with pytest.raises(ValueError):
         _dumps(tree)
 
 
 def test_emitter_writes_non_string_keys_as_json_does():
-    from gowerslab.cli import _dumps
-
     for tree in ({1: "a", 2: [True]}, {2.5: None, -1.0: 0}, {None: 1}, {True: 1, False: 0}):
-        assert _dumps(tree) == json.dumps(tree, indent=2, sort_keys=True, allow_nan=False)
+        assert _dumps(tree) == _json_dumps(tree)
