@@ -573,6 +573,8 @@ def box_norm_4cycle(f: GroupFunction, split: int) -> float:
 
 @dataclass(frozen=True)
 class CutNormResult:
+    """Best value and witness family; ``sweeps`` is how many the winning restart ran."""
+
     value: float
     witnesses: dict
     restarts: int
@@ -599,6 +601,13 @@ def cut_norm_lower(
     is exactly 1-bounded.  ``cap`` bounds the predicted work, at most
     (restarts + 1) * iters sweeps of C(n, d) block updates, each a product
     of C(n, d) tensors of |G| entries, before any sweep runs.
+
+    The restarts run side by side on a leading restart axis, in chunks of
+    at most max(1, _BLOCK // |G|) restarts, so about _BLOCK entries at a
+    time.  Each restart does the same float operations in the same order
+    as when run alone, and stops at its own first sweep that gains less
+    than 1e-13, so value and witnesses are identical to running the
+    restarts one by one.
     """
     G = f.group
     n = G.ncoords
@@ -609,50 +618,49 @@ def cut_norm_lower(
         raise CapExceeded(f"predicted cut-norm work {work} exceeds cap {cap}")
     tensor = f.values.reshape(G.orders)
     blocks = list(combinations(range(n), d))
+    shapes = [tuple(G.orders[i] for i in blk) for blk in blocks]
+    # a witness broadcast against the tensor behind the restart axis, and the axes its update sums
+    spread = [(-1,) + tuple(G.orders[i] if i in blk else 1 for i in range(n)) for blk in blocks]
+    axes = [tuple(1 + i for i in range(n) if i not in blk) for blk in blocks]
     rng = np.random.default_rng(seed)
-
-    def expand(u, block):
-        shape = [1] * n
-        for i, ax in enumerate(block):
-            shape[ax] = u.shape[i]
-        return u.reshape(shape)
-
-    def objective(ws):
-        t = tensor
-        for blk in blocks:
-            t = t * np.conj(expand(ws[blk], blk))
-        return abs(complex(t.mean()))
-
-    best_val = -1.0
-    best_ws = None
-    for r in range(restarts + 1):
-        ws = {}
-        for blk in blocks:
-            shape = tuple(G.orders[i] for i in blk)
-            if r == 0:
-                ws[blk] = np.ones(shape, dtype=np.complex128)
-            else:
-                ws[blk] = np.exp(2j * np.pi * rng.random(shape))
-        prev = -1.0
-        sweeps_done = 0
+    chunk = max(1, _BLOCK // G.order)
+    best_val, best_ws, best_sweeps = -1.0, None, 0
+    for first in range(0, restarts + 1, chunk):
+        starts = [
+            [np.ones(s, dtype=np.complex128) if r == 0 else np.exp(2j * np.pi * rng.random(s)) for s in shapes]
+            for r in range(first, min(first + chunk, restarts + 1))
+        ]
+        R = len(starts)
+        ws = [np.stack(col) for col in zip(*starts)]
+        conj_ws = [np.conj(w).reshape(sp) for w, sp in zip(ws, spread)]
+        prev = [-1.0] * R
+        sweeps = [0] * R
+        active = np.ones(R, dtype=bool)
         for _ in range(iters):
-            for blk in blocks:
-                t = tensor
-                for other in blocks:
-                    if other != blk:
-                        t = t * np.conj(expand(ws[other], other))
-                axes = tuple(i for i in range(n) if i not in blk)
-                s = t.sum(axis=axes) if axes else t
-                mag = np.abs(s)
-                new_u = np.where(mag > 1e-15, s / np.where(mag > 1e-15, mag, 1.0), ws[blk])
-                ws[blk] = new_u
-            val = objective(ws)
-            sweeps_done += 1
-            if val - prev < 1e-13:
-                prev = val
+            if not active.any():
                 break
-            prev = val
-        if prev > best_val:
-            best_val = prev
-            best_ws = {blk: ws[blk].copy() for blk in blocks}
-    return CutNormResult(best_val, best_ws, restarts, iters)
+            live = active.reshape((R,) + (1,) * d)
+            for j in range(len(blocks)):
+                t = tensor
+                for k, cw in enumerate(conj_ws):
+                    if k != j:
+                        t = t * cw
+                s = t.sum(axis=axes[j])
+                mag = np.abs(s)
+                big = mag > 1e-15
+                ws[j] = np.where(live & big, s / np.where(big, mag, 1.0), ws[j])
+                conj_ws[j] = np.conj(ws[j]).reshape(spread[j])
+            t = tensor
+            for cw in conj_ws:
+                t = t * cw
+            for r in np.flatnonzero(active):
+                val = abs(complex(t[r].mean()))
+                sweeps[r] += 1
+                if val - prev[r] < 1e-13:
+                    active[r] = False
+                prev[r] = val
+        for r in range(R):
+            if prev[r] > best_val:
+                best_val, best_sweeps = prev[r], sweeps[r]
+                best_ws = {blk: w[r].copy() for blk, w in zip(blocks, ws)}
+    return CutNormResult(best_val, best_ws, restarts, best_sweeps)

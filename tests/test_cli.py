@@ -1,6 +1,7 @@
 """Config execution, result records, exit codes, and the golden suite."""
 
 import copy
+import hashlib
 import json
 import math
 import random
@@ -244,6 +245,25 @@ def test_main_norm_cap_boundary(tmp_path):
     assert main(["norm", "--config", path, "--out", str(tmp_path / "r.json")]) == 0
     path = _write(tmp_path, "d.json", cfg("norm", params, cap=12**3 - 1))
     assert main(["norm", "--config", path]) == 3
+
+
+@pytest.mark.parametrize(
+    "group, d, seed, value_hex, witness_sha256",
+    [
+        ([2, 3, 4, 2], 2, 21, "0x1.a4204410acd20p-1", "d306f87f9b454dda900389e67e32577a291ef9d240083a2c57eb7108773c410c"),
+        ([3, 3, 3, 3], 1, 34, "0x1.b1b8ce96f6cc8p-2", "ecc48712281d7f3f2967f867c44ca9349ab900341cee7b6360ffd8b63873558d"),
+    ],
+)
+def test_main_cutnorm_record_is_pinned(tmp_path, group, d, seed, value_hex, witness_sha256):
+    # the value bit for bit and a digest of every witness float, as the record writes them
+    params = {"group": group, "d": d, "function": {"kind": "random_unimodular"}}
+    path = _write(tmp_path, "c.json", cfg("cutnorm", params, seed=seed))
+    out = tmp_path / "r.json"
+    assert main(["cutnorm", "--config", path, "--out", str(out)]) == 0
+    outputs = json.loads(out.read_text())["outputs"]
+    assert outputs["value"].hex() == value_hex
+    witnesses = json.dumps(outputs["witnesses"], sort_keys=True).encode()
+    assert hashlib.sha256(witnesses).hexdigest() == witness_sha256
 
 
 def test_main_cutnorm_cap(tmp_path):

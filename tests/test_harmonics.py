@@ -5,6 +5,7 @@ import math
 import random
 import time
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -529,6 +530,7 @@ def test_cut_norm_ones_converges_immediately():
     f = GroupFunction.ones(FinAbGroup((2, 3)))
     res = cut_norm_lower(f, 1, restarts=0, seed=1)
     assert abs(res.value - 1.0) < TOL
+    assert res.sweeps == 2  # the first sweep rises from -1 to 1, the second gains nothing
 
 
 def test_cut_norm_recovers_product_function():
@@ -562,12 +564,124 @@ def test_cut_norm_monotone_per_sweep():
     r1 = cut_norm_lower(f, 1, restarts=0, iters=1, seed=5)
     r2 = cut_norm_lower(f, 1, restarts=0, iters=8, seed=5)
     assert r2.value >= r1.value - 1e-12
+    assert r1.sweeps == 1 and 1 <= r2.sweeps <= 8
 
 
 def test_cut_norm_invalid_d():
     f = GroupFunction.ones(FinAbGroup((2, 3)))
     with pytest.raises(ValueError):
         cut_norm_lower(f, 2)
+
+
+def _cut_norm_oracle(f, d, *, restarts, iters, seed):
+    """The restarts one after another: value, witnesses, the winner's sweeps, every restart's sweeps."""
+    G = f.group
+    n = G.ncoords
+    tensor = f.values.reshape(G.orders)
+    blocks = list(combinations(range(n), d))
+    rng = np.random.default_rng(seed)
+
+    def expand(u, block):
+        shape = [1] * n
+        for i, ax in enumerate(block):
+            shape[ax] = u.shape[i]
+        return u.reshape(shape)
+
+    def objective(ws):
+        t = tensor
+        for blk in blocks:
+            t = t * np.conj(expand(ws[blk], blk))
+        return abs(complex(t.mean()))
+
+    best_val, best_ws, best_sweeps, sweeps = -1.0, None, 0, []
+    for r in range(restarts + 1):
+        ws = {}
+        for blk in blocks:
+            shape = tuple(G.orders[i] for i in blk)
+            if r == 0:
+                ws[blk] = np.ones(shape, dtype=np.complex128)
+            else:
+                ws[blk] = np.exp(2j * np.pi * rng.random(shape))
+        prev = -1.0
+        sweeps.append(0)
+        for _ in range(iters):
+            for blk in blocks:
+                t = tensor
+                for other in blocks:
+                    if other != blk:
+                        t = t * np.conj(expand(ws[other], other))
+                axes = tuple(i for i in range(n) if i not in blk)
+                s = t.sum(axis=axes)
+                mag = np.abs(s)
+                ws[blk] = np.where(mag > 1e-15, s / np.where(mag > 1e-15, mag, 1.0), ws[blk])
+            val = objective(ws)
+            sweeps[-1] += 1
+            if val - prev < 1e-13:
+                prev = val
+                break
+            prev = val
+        if prev > best_val:
+            best_val, best_sweeps = prev, sweeps[-1]
+            best_ws = {blk: ws[blk].copy() for blk in blocks}
+    return best_val, best_ws, best_sweeps, sweeps
+
+
+def _assert_same_cut(res, value, witnesses):
+    assert res.value == value, (res.value.hex(), value.hex())
+    assert res.witnesses.keys() == witnesses.keys()
+    for blk, w in witnesses.items():
+        assert np.array_equal(res.witnesses[blk], w), blk
+
+
+def _product_function(rng, G):
+    """prod_j u_j(x_j) with random unit phases u_j: the cut norm is 1."""
+    factors = [np.exp(2j * np.pi * np.array([rng.random() for _ in range(m)])) for m in G.orders]
+    values = np.ones(1, dtype=np.complex128)
+    for u in factors:
+        values = (values[:, None] * u[None, :]).reshape(-1)
+    return GroupFunction(G, values)
+
+
+@pytest.mark.parametrize("orders", [(2, 3), (2, 2, 2), (4, 4, 4), (2, 3, 4, 2), (3, 3, 3, 3), (2, 2, 2, 2, 2)])
+def test_cut_norm_matches_the_one_by_one_oracle_exactly(orders):
+    # ones and a product function converge in a sweep or two, random functions run on
+    G = FinAbGroup(orders)
+    rng = random.Random(sum(orders) * len(orders))
+    functions = [
+        GroupFunction.ones(G),
+        _product_function(rng, G),
+        random_bounded_function(rng, G),
+        random_unimodular_function(rng, G),
+    ]
+    uneven = False
+    n = len(orders)
+    for d in range(1, n if n < 5 else 3):
+        for fi, f in enumerate(functions):
+            for restarts in (0, 1, 8):
+                for iters in (1, 5, 25):
+                    seed = 100 * fi + 10 * restarts + iters
+                    value, witnesses, winner, sweeps = _cut_norm_oracle(f, d, restarts=restarts, iters=iters, seed=seed)
+                    res = cut_norm_lower(f, d, restarts=restarts, iters=iters, seed=seed)
+                    _assert_same_cut(res, value, witnesses)
+                    assert res.sweeps == winner
+                    uneven |= len(set(sweeps)) > 1
+    assert uneven  # some restarts stopped while others ran on
+
+
+@pytest.mark.parametrize("block", [1, 7, 64])
+def test_cut_norm_is_independent_of_the_block_size(monkeypatch, block):
+    # chunks of one restart up to all nine side by side
+    rng = random.Random(block)
+    cases = [
+        (random_bounded_function(rng, FinAbGroup(orders)), d)
+        for orders, d in [((2, 3), 1), ((2, 2, 2), 1), ((2, 2, 2), 2), ((2, 2, 2, 2), 2)]
+    ]
+    expected = [cut_norm_lower(f, d, seed=block) for f, d in cases]
+    monkeypatch.setattr(harmonics, "_BLOCK", block)
+    for (f, d), res in zip(cases, expected):
+        again = cut_norm_lower(f, d, seed=block)
+        _assert_same_cut(again, res.value, res.witnesses)
+        assert again.sweeps == res.sweeps
 
 
 # ---------------------------------------------------------------------------
