@@ -1,8 +1,10 @@
 """Finite abelian groups presented as products of cyclic groups.
 
-Everything is exact and desk-scale: elements are residue vectors, subgroups
-materialize their element sets, and every complement returned by the
-algorithms below is verified exhaustively.  The module provides
+Everything is exact and desk-scale: elements are residue vectors, a group
+indexes its elements in row-major (lexicographic) order, a subgroup is a
+boolean membership mask over those indices, a homomorphism tabulates the
+index of every image, and every complement returned by the algorithms below
+is verified exhaustively, as array operations.  The module provides
 
   * ``FinAbGroup`` / ``GroupElement`` / ``Homomorphism`` / ``Subgroup``,
   * primary (Sylow) decomposition with an explicit isomorphism pair,
@@ -30,6 +32,8 @@ from functools import cached_property
 from itertools import product as iproduct
 from math import gcd, prod
 from operator import index
+
+import numpy as np
 
 from .errors import CapExceeded, PostconditionError
 
@@ -70,6 +74,11 @@ def _factorize(n: int) -> dict[int, int]:
 
 def _lcm(a: int, b: int) -> int:
     return a * b // gcd(a, b)
+
+
+# about as many entries live at once in one step of a streamed array computation
+# (here the sums of verify_complement, in harmonics the norm kernels)
+_BLOCK = 2**17
 
 
 def _integer(x) -> int:
@@ -118,6 +127,20 @@ class FinAbGroup:
             for p in _factorize(o):
                 counts[p] = counts.get(p, 0) + 1
         return max(counts.values(), default=0)
+
+    @cached_property
+    def moduli(self) -> np.ndarray:
+        return np.array(self.orders, dtype=np.int64)
+
+    @cached_property
+    def radix(self) -> np.ndarray:
+        """Weights w with index = coords @ w: w_j is the product of the orders after j."""
+        return np.array([prod(self.orders[j + 1 :]) for j in range(self.ncoords)], dtype=np.int64)
+
+    @cached_property
+    def coords_array(self) -> np.ndarray:
+        """The |A| x n int64 residues of every element, in row-major (lexicographic) order."""
+        return np.indices(self.orders, dtype=np.int64).reshape(self.ncoords, self.order).T
 
     @property
     def zero(self) -> "GroupElement":
@@ -302,10 +325,16 @@ class Homomorphism:
             for j in range(n)
         )
 
+    @cached_property
+    def image_index(self) -> np.ndarray:
+        """Index in the codomain of the image of every domain element, in index order."""
+        A, B = self.domain, self.codomain
+        M = np.array(self.matrix, dtype=np.int64).reshape(B.ncoords, A.ncoords)
+        return (A.coords_array @ M.T) % B.moduli @ B.radix
+
     def is_surjective(self) -> bool:
-        """Whether the images tau(e_j) of the domain generators generate the codomain."""
-        gens = [self(e) for e in self.domain.generators()]
-        return len(_closure(self.codomain, gens)) == self.codomain.order
+        """Whether every element of the codomain is an image."""
+        return bool(np.bincount(self.image_index, minlength=self.codomain.order).all())
 
     def is_bijective(self) -> bool:
         return self.domain.order == self.codomain.order and self.is_surjective()
@@ -314,96 +343,91 @@ class Homomorphism:
         """Inverse of a bijective homomorphism (preimages of generators)."""
         if not self.is_bijective():
             raise ValueError("not bijective")
-        lookup = {self(x).coords: x.coords for x in self.domain.elements()}
-        cols = []
-        for j in range(self.codomain.ncoords):
-            e = [0] * self.codomain.ncoords
-            e[j] = 1 % self.codomain.orders[j]
-            cols.append(lookup[tuple(e)])
-        mat = [[cols[j][i] for j in range(self.codomain.ncoords)] for i in range(self.domain.ncoords)]
-        inv = Homomorphism(self.codomain, self.domain, mat)
+        A, B = self.domain, self.codomain
+        preimage = np.empty(B.order, dtype=np.int64)
+        preimage[self.image_index] = np.arange(A.order)
+        # column j is the preimage of e_j, of index w_j, or of 0 when m_j = 1
+        cols = A.coords_array[preimage[(B.moduli > 1) * B.radix]]
+        inv = Homomorphism(B, A, cols.T.tolist())
         if not inv.compose(self).is_identity() or not self.compose(inv).is_identity():
             raise PostconditionError("inverse verification failed")
         return inv
 
 
 def kernel(h: Homomorphism) -> "Subgroup":
-    elems = frozenset(x for x in h.domain.elements() if h(x).is_zero())
-    return Subgroup._from_elements(h.domain, elems)
+    return Subgroup._from_mask(h.domain, h.image_index == 0)
 
 
 def image(h: Homomorphism) -> "Subgroup":
-    elems = frozenset(h(x) for x in h.domain.elements())
-    return Subgroup._from_elements(h.codomain, elems)
+    hit = np.zeros(h.codomain.order, dtype=bool)
+    hit[h.image_index] = True
+    return Subgroup._from_mask(h.codomain, hit)
 
 
 # ---------------------------------------------------------------------------
 # subgroups
 
 
-def _closure(parent: FinAbGroup, gens) -> frozenset:
-    """Subgroup generated by ``gens``: closure under addition.
+def _span(parent: FinAbGroup, gens, mask: np.ndarray | None = None) -> np.ndarray:
+    """Membership mask of the subgroup generated by ``gens`` and the members of ``mask`` (or 0).
 
-    Coordinate-tuple arithmetic internally; the per-generator step adds all
-    multiples of the generator to the current span.
+    With d the least k >= 1 such that k*g lies in the span S, adding g
+    makes S the disjoint union of the cosets S + k*g, 0 <= k < d: one
+    broadcast of the coordinates of S against g, 2g, ..., (d - 1)g.
     """
-    orders = parent.orders
-    zero = (0,) * len(orders)
-    elems = {zero}
+    m, w = parent.moduli, parent.radix
+    if mask is None:
+        mask, span = np.zeros(parent.order, dtype=bool), np.zeros((1, parent.ncoords), dtype=np.int64)
+        mask[0] = True
+    else:
+        mask, span = mask.copy(), parent.coords_array[mask]
     for g in gens:
         if g.group != parent:
             raise ValueError("generator not in the parent group")
-        gc = g.coords
-        if gc in elems:
-            continue
-        multiples = []
-        x = gc
-        while any(x):
-            multiples.append(x)
-            x = tuple((a + b) % m for a, b, m in zip(x, gc, orders))
-        elems |= {
-            tuple((a + b) % m for a, b, m in zip(e, mu, orders))
-            for e in list(elems)
-            for mu in multiples
-        }
-    return frozenset(GroupElement(parent, c) for c in elems)
+        multiples = np.arange(1, g.order() + 1)[:, None] * np.array(g.coords, dtype=np.int64) % m
+        d = 1 + int(mask[multiples @ w].argmax())  # the last multiple is 0, always in S
+        if d > 1:
+            new = ((span[None] + multiples[: d - 1, None]) % m).reshape(-1, parent.ncoords)
+            mask[new @ w] = True
+            span = np.concatenate((span, new))
+    return mask
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Subgroup:
+    """A subgroup of ``parent``: its generators and its membership mask over the parent's indices."""
+
     parent: FinAbGroup
     generators: tuple[GroupElement, ...]
-    elements: frozenset
+    mask: np.ndarray
 
     @classmethod
     def from_generators(cls, parent: FinAbGroup, gens) -> "Subgroup":
         gens = tuple(parent.element(g) if not isinstance(g, GroupElement) else g for g in gens)
-        return cls(parent, gens, _closure(parent, gens))
+        return cls(parent, gens, _span(parent, gens))
 
     @classmethod
-    def _from_elements(cls, parent: FinAbGroup, elems: frozenset) -> "Subgroup":
-        # reduce to a small deterministic generating list
-        gens: list[GroupElement] = []
-        span = {parent.zero}
-        for e in sorted(elems):
-            if e not in span:
-                gens.append(e)
-                span = set(_closure(parent, gens))
-        if span != set(elems):
+    def _from_mask(cls, parent: FinAbGroup, target: np.ndarray) -> "Subgroup":
+        """The subgroup with members ``target``; each generator is the least member not yet spanned."""
+        members, gens, mask = np.flatnonzero(target), [], _span(parent, ())
+        while len(rest := members[~mask[members]]):
+            gens.append(GroupElement(parent, parent.coords_at(int(rest[0]))))
+            mask = _span(parent, gens[-1:], mask)
+        if np.count_nonzero(mask) != len(members):
             raise ValueError("element set is not closed under the group operation")
-        return cls(parent, tuple(gens), frozenset(elems))
+        return cls(parent, tuple(gens), mask)
 
     @classmethod
     def trivial(cls, parent: FinAbGroup) -> "Subgroup":
-        return cls(parent, (), frozenset({parent.zero}))
+        return cls(parent, (), _span(parent, ()))
 
     @classmethod
     def full(cls, parent: FinAbGroup) -> "Subgroup":
-        return cls(parent, tuple(reversed(parent.generators())), frozenset(parent.elements()))
+        return cls(parent, tuple(reversed(parent.generators())), np.ones(parent.order, dtype=bool))
 
     @cached_property
     def order(self) -> int:
-        return len(self.elements)
+        return int(np.count_nonzero(self.mask))
 
     @cached_property
     def index(self) -> int:
@@ -411,19 +435,37 @@ class Subgroup:
 
     @cached_property
     def sorted_elements(self) -> tuple[GroupElement, ...]:
-        return tuple(sorted(self.elements))
+        """The members as ``GroupElement``s in lexicographic order, built on first use."""
+        A = self.parent
+        return tuple(GroupElement(A, tuple(c)) for c in A.coords_array[self.mask].tolist())
 
-    def __contains__(self, x: GroupElement) -> bool:
-        return x in self.elements
+    @cached_property
+    def elements(self) -> frozenset:
+        return frozenset(self.sorted_elements)
+
+    def __contains__(self, x) -> bool:
+        A = self.parent
+        return isinstance(x, GroupElement) and x.group == A and bool(self.mask[A.index_of(x.coords)])
+
+    def __eq__(self, other) -> bool:
+        same = isinstance(other, Subgroup) and (self.parent, self.generators) == (other.parent, other.generators)
+        return same and np.array_equal(self.mask, other.mask)
+
+    def __hash__(self):
+        return hash((self.parent, self.generators, self.mask.tobytes()))
+
+    def issubset(self, other: "Subgroup") -> bool:
+        return self.parent == other.parent and not np.any(self.mask & ~other.mask)
 
     def intersection(self, other: "Subgroup") -> "Subgroup":
-        return Subgroup._from_elements(self.parent, self.elements & other.elements)
+        return Subgroup._from_mask(self.parent, self.mask & other.mask)
 
     def join(self, other: "Subgroup") -> "Subgroup":
-        return Subgroup.from_generators(self.parent, self.generators + other.generators)
+        mask = _span(self.parent, other.generators, self.mask)
+        return Subgroup(self.parent, self.generators + other.generators, mask)
 
     def __repr__(self):
-        return f"Subgroup(order={len(self.elements)} of {self.parent!r})"
+        return f"Subgroup(order={self.order} of {self.parent!r})"
 
 
 # ---------------------------------------------------------------------------
@@ -511,7 +553,7 @@ def quotient(G: FinAbGroup, H: Subgroup) -> Quotient:
     keep = [i for i, d in enumerate(divisors) if d != 1]
     Q = FinAbGroup(tuple(divisors[i] for i in keep))
     proj = Homomorphism(G, Q, [U[i] for i in keep])
-    if kernel(proj).elements != H.elements:
+    if not np.array_equal(proj.image_index == 0, H.mask):
         raise PostconditionError("quotient projection kernel mismatch")
     if Q.order * H.order != G.order:  # with kernel H, the image has |G|/|H| elements
         raise PostconditionError("quotient projection not surjective")
@@ -606,21 +648,27 @@ def primary_decompose(G: FinAbGroup) -> PrimaryDecomposition:
 
 
 def verify_complement(A: FinAbGroup, H: Subgroup, K: Subgroup) -> None:
-    """Exhaustively check A = H (+) K: unique decomposition of every element."""
+    """Exhaustively check A = H (+) K: unique decomposition of every element.
+
+    Every sum h + k is formed, in blocks of about _BLOCK sums, and counted
+    per element of A; each element must be hit exactly once.
+    """
     if H.parent != A or K.parent != A:
         raise ValueError("subgroups of a different group")
     if H.order * K.order != A.order:
         raise PostconditionError(f"|H|*|K| = {H.order}*{K.order} != |A| = {A.order}")
-    if H.elements & K.elements != {A.zero}:
+    if np.count_nonzero(H.mask & K.mask) != 1:
         raise PostconditionError("H and K intersect nontrivially")
-    seen = set()
-    for h in H.elements:
-        for k in K.elements:
-            s = h + k
-            if s in seen:
-                raise PostconditionError("decomposition h + k is not unique")
-            seen.add(s)
-    if len(seen) != A.order:
+    m, w = A.moduli, A.radix
+    hs, ks = A.coords_array[H.mask], A.coords_array[K.mask]
+    step = max(1, _BLOCK // len(ks))
+    hits = np.zeros(A.order, dtype=np.int64)
+    for s in range(0, len(hs), step):
+        sums = (hs[s : s + step, None] + ks[None]) % m @ w
+        hits += np.bincount(sums.ravel(), minlength=A.order)
+    if hits.max() > 1:
+        raise PostconditionError("decomposition h + k is not unique")
+    if hits.min() == 0:
         raise PostconditionError("H + K does not cover A")
 
 
@@ -628,17 +676,20 @@ def _first_lifts(quo: Quotient, *, same_order: bool = False) -> list[GroupElemen
     """First preimage in lexicographic order of each generator e_j of A/H.
 
     With ``same_order`` a preimage must also have the order d_j of e_j.
-    One pass over A; None when some e_j has no such preimage.
+    Read off the projection's image table; None when some e_j has no such
+    preimage.
     """
-    d = quo.group.orders
-    lifts: dict[int, GroupElement] = {}
-    for a in quo.projection.domain.elements():
-        if len(lifts) == len(d):
-            break
-        e = quo.projection(a).coords  # a residue vector, so e = e_j iff sum(e) == 1
-        if sum(e) == 1 and (not same_order or a.order() == d[e.index(1)]):
-            lifts.setdefault(e.index(1), a)
-    return [lifts[j] for j in range(len(d))] if len(lifts) == len(d) else None
+    Q, A = quo.group, quo.projection.domain
+    lifts = []
+    for d, w in zip(Q.orders, Q.radix.tolist()):  # every d_j > 1, so e_j has index w_j
+        cand = np.flatnonzero(quo.projection.image_index == w)
+        if same_order:
+            orders = np.lcm.reduce(A.moduli // np.gcd(A.coords_array[cand], A.moduli), axis=1, initial=1)
+            cand = cand[orders == d]
+        if not len(cand):
+            return None
+        lifts.append(GroupElement(A, A.coords_at(int(cand[0]))))
+    return lifts
 
 
 def find_complement(H: Subgroup, *, cap: int = 10**7) -> Subgroup | None:
@@ -694,36 +745,38 @@ class _PresentedSubgroup:
     """A subgroup of A rewritten as a product of cyclic groups.
 
     The view group is Z_{ord b_1} x ... x Z_{ord b_l} for the basis b_i of
-    ``_subgroup_basis``.  Two dicts, checked to biject onto the subgroup,
-    translate coordinates both ways, so the hull/enlarge recursion can run
-    inside any subgroup.
+    ``_subgroup_basis``.  Two index arrays translate both ways: view to
+    parent is (view coords @ basis) mod the orders, parent to view holds -1
+    off the subgroup.  The first is checked to biject onto the subgroup, so
+    the hull/enlarge recursion can run inside any subgroup.
     """
 
     def __init__(self, sub: Subgroup):
-        self.parent = sub.parent
+        A = self.parent = sub.parent
         self.basis = _subgroup_basis(sub)
         self.group = FinAbGroup(tuple(b.order() for b in self.basis))
-        self._to_parent: dict[tuple, GroupElement] = {}
-        self._to_view: dict[GroupElement, tuple] = {}
-        for coords in iproduct(*(range(m) for m in self.group.orders)):
-            e = sub.parent.zero
-            for c, b in zip(coords, self.basis):
-                e = e + c * b
-            self._to_parent[coords] = e
-            self._to_view[e] = coords
-        if self.group.order != sub.order or self._to_view.keys() != sub.elements:
+        B = np.array([b.coords for b in self.basis], dtype=np.int64).reshape(len(self.basis), A.ncoords)
+        self._to_parent = (self.group.coords_array @ B) % A.moduli @ A.radix
+        self._to_view = np.full(A.order, -1, dtype=np.int64)
+        self._to_view[self._to_parent] = np.arange(self.group.order)
+        if self.group.order != sub.order or not np.array_equal(self._to_view >= 0, sub.mask):
             raise PostconditionError("basis is not an independent generating set of the subgroup")
 
     def view_coords(self, x: GroupElement) -> GroupElement:
-        return GroupElement(self.group, self._to_view[x])
+        v = int(self._to_view[self.parent.index_of(x.coords)])
+        if v < 0:
+            raise ValueError("element not in the subgroup")
+        return GroupElement(self.group, self.group.coords_at(v))
 
     def parent_element(self, v: GroupElement) -> GroupElement:
-        return self._to_parent[v.coords]
+        i = int(self._to_parent[self.group.index_of(v.coords)])
+        return GroupElement(self.parent, self.parent.coords_at(i))
 
     def pull_subgroup(self, sub_in_view: Subgroup) -> Subgroup:
-        gens = [self.parent_element(g) for g in sub_in_view.generators]
-        elems = frozenset(self.parent_element(e) for e in sub_in_view.elements)
-        return Subgroup(self.parent, tuple(gens), elems)
+        gens = tuple(self.parent_element(g) for g in sub_in_view.generators)
+        mask = np.zeros(self.parent.order, dtype=bool)
+        mask[self._to_parent[sub_in_view.mask]] = True
+        return Subgroup(self.parent, gens, mask)
 
 
 def _strip_pth_roots(A: FinAbGroup, x: GroupElement, p: int) -> GroupElement:
@@ -800,7 +853,7 @@ def complemented_enlarge(H: Subgroup) -> tuple[Subgroup, Subgroup]:
     p, n = A.pgroup_data()
     r = len(H.generators)
     Hp, K = _enlarge_rec(A, list(H.generators))
-    if not H.elements <= Hp.elements:
+    if not H.issubset(Hp):
         raise PostconditionError("enlarged subgroup does not contain H")
     if Hp.order > p ** (n * n * max(r, 1)) and Hp.order > 1:
         raise PostconditionError("enlarged subgroup exceeds the p^(n^2 r) bound")
@@ -813,14 +866,11 @@ def _enlarge_rec(A: FinAbGroup, gens: list[GroupElement]) -> tuple[Subgroup, Sub
         return Subgroup.trivial(A), Subgroup.full(A)
     Gp, K = _enlarge_rec(A, gens[:-1])
     x = gens[-1]
-    g = None
-    for k in K.sorted_elements:
-        if (x - k) in Gp.elements:
-            g = x - k
-            break
-    if g is None:
+    ks = A.coords_array[K.mask]  # in sorted order
+    hits = Gp.mask[(np.array(x.coords, dtype=np.int64) - ks) % A.moduli @ A.radix]
+    if not hits.any():
         raise PostconditionError("element does not decompose along the claimed split")
-    k = x - g
+    k = GroupElement(A, tuple(ks[np.argmax(hits)].tolist()))  # the first k of K with x - k in Gp
     if k.is_zero():
         return Gp, K
     view = _PresentedSubgroup(K)
@@ -846,7 +896,7 @@ def complemented_shrink(H: Subgroup) -> tuple[Subgroup, Subgroup]:
         verify_complement(A, Hp, K)
         return Hp, K
     T = Subgroup.from_generators(A, _first_lifts(quotient(A, H)))
-    if len(H.join(T).elements) != A.order:
+    if H.join(T).order != A.order:
         raise PostconditionError("lifted transversal subgroup does not cover A")
     Q = H.intersection(T)
 
@@ -862,7 +912,7 @@ def complemented_shrink(H: Subgroup) -> tuple[Subgroup, Subgroup]:
         raise PostconditionError(
             f"index {Hp.index} exceeds r^(n^2+n) = {r ** (n * n + n)}"
         )
-    if not Hp.elements <= H.elements:
+    if not Hp.issubset(H):
         raise PostconditionError("shrunk subgroup is not contained in H")
     verify_complement(A, Hp, complement)
     return Hp, complement
@@ -887,7 +937,7 @@ def mtorsion_complemented_shrink(H: Subgroup) -> tuple[Subgroup, Subgroup]:
         k_gens.extend(dec.embed(p, g) for g in K_p.generators)
     Hp = Subgroup.from_generators(A, hp_gens)
     K = Subgroup.from_generators(A, k_gens)
-    if not Hp.elements <= H.elements:
+    if not Hp.issubset(H):
         raise PostconditionError("shrunk subgroup is not contained in H")
     verify_complement(A, Hp, K)
     return Hp, K

@@ -44,7 +44,7 @@ from itertools import combinations, product as iproduct
 import numpy as np
 
 from .errors import CapExceeded, PostconditionError
-from .groups import FinAbGroup, GroupElement, Homomorphism, kernel
+from .groups import _BLOCK, FinAbGroup, GroupElement, Homomorphism, kernel
 from .polymaps import PolyMap
 
 __all__ = [
@@ -67,19 +67,6 @@ __all__ = [
 
 _TOL = 1e-9
 
-_BLOCK = 2**17
-
-
-def _digits(orders: tuple[int, ...]) -> np.ndarray:
-    """X[x, j] = coordinate j of the element x, in row-major element order."""
-    n = math.prod(orders)
-    rem = np.arange(n)
-    digits = []
-    for m in reversed(orders):
-        digits.append(rem % m)
-        rem //= m
-    return np.array(digits[::-1], dtype=np.int64).reshape(len(orders), n).T
-
 
 # Both caches are keyed on the cyclic orders and keep the last eight tables:
 # an add table has |G|^2 entries, a block of characters about _BLOCK.
@@ -90,7 +77,7 @@ def _add_table(orders: tuple[int, ...]) -> np.ndarray:
     """Index table T[h, x] = index of h + x, in row-major element order."""
     n = math.prod(orders)
     out = np.zeros((n, n), dtype=np.int64)
-    for dj, m in zip(_digits(orders).T, orders):
+    for dj, m in zip(FinAbGroup(orders).coords_array.T, orders):
         out = out * m + (dj[:, None] + dj[None, :]) % m
     out.flags.writeable = False
     return out
@@ -104,7 +91,7 @@ def _characters(orders: tuple[int, ...], start: int, stop: int) -> np.ndarray:
     then a root of unity of that order.
     """
     E = math.lcm(*orders)
-    X = _digits(orders)
+    X = FinAbGroup(orders).coords_array
     phase = X @ (X[start:stop] * (E // np.array(orders, dtype=np.int64))).T % E
     out = np.exp(-2j * np.pi * np.arange(E) / E)[phase]
     out.flags.writeable = False
@@ -200,7 +187,7 @@ class GroupFunction:
         if a.group != self.group:
             raise ValueError("translation by an element of a different group")
         row = np.zeros(self.group.order, dtype=np.int64)  # row[x] = index of x + a
-        for dj, m, aj in zip(_digits(self.group.orders).T, self.group.orders, a.coords):
+        for dj, m, aj in zip(self.group.coords_array.T, self.group.orders, a.coords):
             row = row * m + (dj + aj) % m
         ph = None
         if self.phases is not None:
@@ -441,10 +428,9 @@ def project_phase(phi: PolyMap, tau: Homomorphism) -> ProjectedPhase:
         raise ValueError("phi is not polynomial of any degree")
     B, A = tau.domain, tau.codomain
     N = phi.codomain.orders[0]
-    counts = [[0] * N for _ in range(A.order)]
-    for y in B.elements():
-        xi = A.index_of(tau(y).coords)
-        counts[xi][phi.table[B.index_of(y.coords)][0]] += 1
+    phases = np.array([v for (v,) in phi.table], dtype=np.int64)
+    hist = np.bincount(tau.image_index * N + phases, minlength=A.order * N)
+    counts = hist.reshape(A.order, N).tolist()
     fiber = B.order // A.order
     if any(sum(c) != fiber for c in counts):
         raise PostconditionError("fibers of a surjective homomorphism have equal size")
@@ -613,6 +599,10 @@ def cut_norm_lower(
     n = G.ncoords
     if not 1 <= d <= n - 1:
         raise ValueError("need 1 <= d <= n-1")
+    if iters < 1:
+        raise ValueError(f"need iters >= 1, got {iters}")
+    if restarts < 0:
+        raise ValueError(f"need restarts >= 0, got {restarts}")
     work = (restarts + 1) * iters * math.comb(n, d) ** 2 * G.order
     if work > cap:
         raise CapExceeded(f"predicted cut-norm work {work} exceeds cap {cap}")

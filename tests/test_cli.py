@@ -266,6 +266,64 @@ def test_main_cutnorm_record_is_pinned(tmp_path, group, d, seed, value_hex, witn
     assert hashlib.sha256(witnesses).hexdigest() == witness_sha256
 
 
+# one config per group command (complement: found, none plus a hull, none plus
+# an enlarge; shrink: a p-group and mixed torsion), each pinned by the SHA-256
+# of its record without runtime_ms
+GROUP_RECORDS = {
+    "complement-found": (
+        cfg("complement", {"group": [4, 8, 9, 3, 5, 5], "generators": [[1, 2, 0, 0, 0, 0], [0, 0, 3, 1, 0, 0]]}),
+        "deb317d0bf4b658127ba787fec187de7217f834d4567adc8464f78aa979dd285",
+    ),
+    "complement-hull": (
+        cfg("complement", {"group": [3, 27], "generators": [[1, 3]]}),
+        "2d29345c507b467d34465a24f4214c35e7d5b599b2eb105d1b60184cc340fd2f",
+    ),
+    "complement-enlarge": (
+        cfg("complement", {"group": [3, 27, 9, 9], "generators": [[1, 3, 0, 0], [0, 9, 3, 0]]}),
+        "b8df2bca41d33bf1b475985cef97d1f29625afc841f727f20718cfcbb1bb0652",
+    ),
+    "shrink-pgroup": (
+        cfg("shrink", {"group": [2, 4, 8], "generators": [[1, 1, 1], [1, 0, 7]]}),
+        "6e704ca4057008d12023123879f6ea3534574a7c1e85d903d42c1c3120ecd212",
+    ),
+    "shrink-mixed": (
+        cfg("shrink", {"group": [6, 12, 4, 5], "generators": [[1, 2, 3, 1], [2, 5, 1, 0]]}),
+        "aeee9e3f4545e67ca229cb7c54ecfb714549b6213304f32bd5d4591c8b83318a",
+    ),
+    "decompose": (
+        cfg("decompose", {"group": [8, 9, 10]}),
+        "bd471b1a41c49515130592d39a093451ebc930bd7434eb4dedaee4ecab0c9f20",
+    ),
+    "crosssection": (
+        cfg("crosssection", {"domain": [27, 3], "codomain": [9], "matrix": [[1, 3]]}),
+        "c7a6a5c40ad4abd628c6fc73d222c7df1d51fbb10df51a81343f1573f7991759",
+    ),
+    "project": (
+        cfg(
+            "project",
+            {
+                "domain": [4, 8],
+                "codomain": [4],
+                "matrix": [[1, 1]],
+                "phase_modulus": 4,
+                "phase_table": [(a * b + b * b) % 4 for a in range(4) for b in range(8)],
+            },
+        ),
+        "766cb654da3b5ea085b4cd95dacae4459793999b7329c6db6b4c5262a5526ed1",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(GROUP_RECORDS))
+def test_main_group_record_is_pinned(tmp_path, name):
+    config, digest = GROUP_RECORDS[name]
+    out = tmp_path / "r.json"
+    assert main([config["command"], "--config", _write(tmp_path, "c.json", config), "--out", str(out)]) == 0
+    record = json.loads(out.read_text())
+    del record["runtime_ms"]
+    assert hashlib.sha256(json.dumps(record, sort_keys=True).encode()).hexdigest() == digest
+
+
 def test_main_cutnorm_cap(tmp_path):
     # (10^7 + 1) * 25 sweeps of C(2, 1)^2 * 4 entries each: refused before the first sweep
     params = _cut_params(restarts=10_000_000)

@@ -3,17 +3,21 @@
 import contextlib
 import random
 import signal
-from itertools import combinations
+import time
+from itertools import combinations, product as iproduct
 from math import gcd, prod
 
 import numpy as np
 import pytest
 
+from gowerslab import groups
 from gowerslab.errors import PostconditionError
 from gowerslab.groups import (
     FinAbGroup,
+    GroupElement,
     Homomorphism,
     Subgroup,
+    _PresentedSubgroup,
     _subgroup_basis,
     complemented_enlarge,
     complemented_hull,
@@ -651,7 +655,8 @@ def _pgroup_basis(G, elems):
 @pytest.mark.parametrize("orders", [(1,), (3, 1, 4), (2, 2, 2), (8, 9, 10), ()])
 def test_full_subgroup_matches_element_scan(orders):
     G = FinAbGroup(orders)
-    assert Subgroup.full(G) == Subgroup._from_elements(G, frozenset(G.elements()))
+    F = Subgroup.full(G)
+    assert (F.generators, F.elements) == _from_elements(G, frozenset(G.elements()))
 
 
 @pytest.mark.parametrize("orders", [(4, 2), (8,), (9, 3), (2, 2, 2), (4, 4), (3, 9), (), (1,), (1, 3)])
@@ -680,3 +685,234 @@ def test_hull_complement_matches_greedy_oracle(orders):
         _, K = complemented_hull(x)
         assert list(K.generators[: len(c_gens)]) == c_gens
         assert closure_set(G, K.generators[: len(c_gens)]) == c_els
+
+
+# ---------------------------------------------------------------------------
+# membership masks and image tables against the frozenset code they replaced
+
+
+def _closure(parent, gens):
+    """Subgroup generated by ``gens``: all multiples of each generator added to the span."""
+    orders = parent.orders
+    elems = {(0,) * len(orders)}
+    for g in gens:
+        gc = g.coords
+        if gc in elems:
+            continue
+        multiples = []
+        x = gc
+        while any(x):
+            multiples.append(x)
+            x = tuple((a + b) % m for a, b, m in zip(x, gc, orders))
+        elems |= {tuple((a + b) % m for a, b, m in zip(e, mu, orders)) for e in list(elems) for mu in multiples}
+    return frozenset(GroupElement(parent, c) for c in elems)
+
+
+def _from_elements(parent, elems):
+    """(generators, elements) of a subgroup's element set: each smallest element not yet spanned."""
+    gens, span = [], {parent.zero}
+    for e in sorted(elems):
+        if e not in span:
+            gens.append(e)
+            span = set(_closure(parent, gens))
+    if span != set(elems):
+        raise ValueError("element set is not closed under the group operation")
+    return tuple(gens), frozenset(elems)
+
+
+def _kernel(h):
+    return _from_elements(h.domain, frozenset(x for x in h.domain.elements() if h(x).is_zero()))
+
+
+def _image(h):
+    return _from_elements(h.codomain, frozenset(h(x) for x in h.domain.elements()))
+
+
+def _verify_complement(A, H, K):
+    """The pairwise check: every sum h + k hashed into one set."""
+    if H.parent != A or K.parent != A:
+        raise ValueError("subgroups of a different group")
+    hs, ks = frozenset(H.elements), frozenset(K.elements)
+    if len(hs) * len(ks) != A.order:
+        raise PostconditionError(f"|H|*|K| = {len(hs)}*{len(ks)} != |A| = {A.order}")
+    if hs & ks != {A.zero}:
+        raise PostconditionError("H and K intersect nontrivially")
+    seen = set()
+    for h in hs:
+        for k in ks:
+            s = h + k
+            if s in seen:
+                raise PostconditionError("decomposition h + k is not unique")
+            seen.add(s)
+    if len(seen) != A.order:
+        raise PostconditionError("H + K does not cover A")
+
+
+class _DictPresentedSubgroup:
+    """The view of a subgroup as two dicts, every view element summed from the basis."""
+
+    def __init__(self, sub):
+        self.basis = _subgroup_basis(sub)
+        self.group = FinAbGroup(tuple(b.order() for b in self.basis))
+        self.to_parent, self.to_view = {}, {}
+        for coords in iproduct(*(range(m) for m in self.group.orders)):
+            e = sub.parent.zero
+            for c, b in zip(coords, self.basis):
+                e = e + c * b
+            self.to_parent[coords] = e
+            self.to_view[e] = coords
+        if self.group.order != sub.order or self.to_view.keys() != frozenset(sub.elements):
+            raise PostconditionError("basis is not an independent generating set of the subgroup")
+
+
+MASK_ORACLE_GROUPS = [(4, 2), (8,), (9, 3), (2, 2, 2), (4, 4), (3, 9), (2, 3, 4), (), (1,), (1, 3)]
+
+
+def _as_map(H):
+    """The map onto H from the product of the orders of its generators, generator i to h_i."""
+    F = FinAbGroup(tuple(g.order() for g in H.generators))
+    return Homomorphism(F, H.parent, [[g.coords[i] for g in H.generators] for i in range(H.parent.ncoords)])
+
+
+@pytest.mark.parametrize("orders", MASK_ORACLE_GROUPS)
+def test_subgroup_masks_match_frozenset_oracles(orders):
+    G = FinAbGroup(orders)
+    subs = all_subgroups(G)
+    rng = random.Random(str(orders))
+    elems = sorted(G.elements())
+    for _ in range(30):
+        gens = rng.choices(elems, k=rng.randint(0, 3))
+        assert Subgroup.from_generators(G, gens).elements == _closure(G, gens)
+    for H in subs:
+        assert H.elements == _closure(G, H.generators)
+        h, proj = _as_map(H), quotient(G, H).projection
+        for S, oracle in ((image(h), _image(h)), (kernel(h), _kernel(h)), (kernel(proj), _kernel(proj))):
+            assert (S.generators, S.elements) == oracle
+        for K in subs:
+            S = H.intersection(K)
+            assert (S.generators, S.elements) == _from_elements(G, frozenset(H.elements) & frozenset(K.elements))
+            J = H.join(K)
+            assert J.generators == H.generators + K.generators
+            assert J.elements == _closure(G, J.generators)
+            assert H.issubset(K) == (frozenset(H.elements) <= frozenset(K.elements))
+
+
+def test_from_mask_refuses_a_set_that_is_not_a_subgroup():
+    G = FinAbGroup((3,))
+    with pytest.raises(ValueError, match="not closed"):
+        Subgroup._from_mask(G, np.array([True, True, False]))
+    with pytest.raises(ValueError, match="not closed"):
+        _from_elements(G, frozenset({G.zero, G.element((1,))}))
+
+
+def _complement_pairs():
+    """Seeded (A, H, K) triples: every pair of subgroups of small groups, and
+    random zero-containing member sets whose sizes multiply to |A|."""
+    out = []
+    for orders in [(4, 2), (9, 3), (2, 3, 4), (8,), (1,), ()]:
+        G = FinAbGroup(orders)
+        subs = all_subgroups(G)
+        out += [(G, H, K) for H in subs for K in subs]
+    rng = random.Random(1401)
+    for orders in [(8,), (4, 2), (2, 3, 2), (6, 4)]:
+        G = FinAbGroup(orders)
+        sizes = [a for a in range(1, G.order + 1) if G.order % a == 0]
+        for _ in range(40):
+            masks = []
+            for size in (a := rng.choice(sizes), G.order // a):
+                mask = np.zeros(G.order, dtype=bool)
+                mask[[0] + rng.sample(range(1, G.order), size - 1)] = True
+                masks.append(mask)
+            out.append((G, Subgroup(G, (), masks[0]), Subgroup(G, (), masks[1])))
+    G, other = FinAbGroup((4, 2)), FinAbGroup((8,))
+    out.append((G, Subgroup.trivial(other), Subgroup.full(G)))
+    return out
+
+
+def _verdict(check, A, H, K):
+    try:
+        check(A, H, K)
+    except (PostconditionError, ValueError) as e:
+        return type(e).__name__, str(e)
+    return None
+
+
+@pytest.mark.parametrize("block", [None, 1, 7])
+def test_verify_complement_matches_pairwise_oracle(monkeypatch, block):
+    if block is not None:
+        monkeypatch.setattr(groups, "_BLOCK", block)
+    verdicts = [(_verdict(verify_complement, *t), _verdict(_verify_complement, *t)) for t in _complement_pairs()]
+    assert all(new == old for new, old in verdicts)
+    kinds = {old[1].split(" =")[0] if old else None for _, old in verdicts}
+    assert kinds == {
+        None,
+        "|H|*|K|",
+        "H and K intersect nontrivially",
+        "decomposition h + k is not unique",
+        "subgroups of a different group",
+    }
+
+
+@pytest.mark.parametrize("block", [1, 7])
+def test_block_size_changes_no_complement(monkeypatch, block):
+    G = FinAbGroup((4, 8, 9, 3, 5, 5))
+    H = Subgroup.from_generators(G, [(1, 2, 0, 0, 0, 0), (0, 0, 3, 1, 0, 0)])
+    before = find_complement(H), mtorsion_complemented_shrink(H)
+    monkeypatch.setattr(groups, "_BLOCK", block)
+    assert (find_complement(H), mtorsion_complemented_shrink(H)) == before
+
+
+@pytest.mark.parametrize("orders", MASK_ORACLE_GROUPS)
+def test_presented_subgroup_matches_dict_oracle(orders):
+    G = FinAbGroup(orders)
+    for H in all_subgroups(G):
+        view, oracle = _PresentedSubgroup(H), _DictPresentedSubgroup(H)
+        assert view.basis == oracle.basis and view.group == oracle.group
+        assert {x: view.view_coords(x).coords for x in H.elements} == oracle.to_view
+        assert {c: view.parent_element(GroupElement(view.group, c)) for c in oracle.to_parent} == oracle.to_parent
+        for S in all_subgroups(view.group):
+            P = view.pull_subgroup(S)
+            assert P.generators == tuple(oracle.to_parent[g.coords] for g in S.generators)
+            assert P.elements == frozenset(oracle.to_parent[v.coords] for v in S.elements)
+
+
+def test_elements_are_built_on_demand_from_the_mask():
+    G = FinAbGroup((4, 2))
+    H = Subgroup.from_generators(G, [(2, 1)])
+    assert G.element((2, 1)) in H and G.element((2, 0)) not in H
+    assert (2, 1) not in H and FinAbGroup((8,)).zero not in H
+    assert "elements" not in vars(H) and "sorted_elements" not in vars(H)
+    assert H.order == 2 and H.sorted_elements == (G.zero, G.element((2, 1)))
+    assert H.elements == frozenset(H.sorted_elements)
+
+
+# ---------------------------------------------------------------------------
+# scale: group algebra near |A| = 10^6
+
+
+def _coords(S):
+    return [g.coords for g in S.generators]
+
+
+def test_mtorsion_shrink_order_972000_under_3s():
+    t0 = time.perf_counter()
+    A = FinAbGroup((4, 8, 9, 27, 5, 25))
+    Hp, K = mtorsion_complemented_shrink(Subgroup.from_generators(A, [(2, 4, 3, 9, 1, 5), (0, 2, 0, 3, 0, 5)]))
+    assert time.perf_counter() - t0 < 3.0
+    assert _coords(Hp) == [(0, 0, 0, 0, 1, 0)]
+    assert _coords(K) == [
+        (2, 0, 0, 0, 0, 0), (0, 6, 0, 0, 0, 0), (1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0), (0, 0, 6, 0, 0, 0),
+        (0, 0, 0, 24, 0, 0), (0, 0, 1, 0, 0, 0), (0, 0, 0, 1, 0, 0), (0, 0, 0, 0, 0, 20), (0, 0, 0, 0, 0, 1),
+    ]
+    assert (Hp.order, K.order) == (5, 194400)
+
+
+def test_z27_cubed_enlarge_and_shrink_under_half_a_second():
+    t0 = time.perf_counter()
+    A = FinAbGroup((27, 27, 27))
+    H = Subgroup.from_generators(A, [(1, 3, 9), (0, 9, 3)])
+    E, EK = complemented_enlarge(H)
+    S, SK = complemented_shrink(H)
+    assert time.perf_counter() - t0 < 0.5
+    assert (_coords(E), _coords(EK)) == ([(1, 0, 0), (0, 19, 0), (0, 0, 25)], [])
+    assert (_coords(S), _coords(SK)) == ([(1, 3, 9)], [(0, 18, 24), (0, 3, 1), (0, 1, 0)])

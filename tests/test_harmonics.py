@@ -573,6 +573,21 @@ def test_cut_norm_invalid_d():
         cut_norm_lower(f, 2)
 
 
+@pytest.mark.parametrize("iters", [0, -1])
+def test_cut_norm_refuses_iters_below_one(iters):
+    # no sweep would run, leaving value -1.0 and no witnesses
+    f = GroupFunction.ones(FinAbGroup((2, 3)))
+    with pytest.raises(ValueError, match="iters"):
+        cut_norm_lower(f, 1, iters=iters)
+
+
+@pytest.mark.parametrize("restarts", [-1, -3])
+def test_cut_norm_refuses_negative_restarts(restarts):
+    f = GroupFunction.ones(FinAbGroup((2, 3)))
+    with pytest.raises(ValueError, match="restarts"):
+        cut_norm_lower(f, 1, restarts=restarts)
+
+
 def _cut_norm_oracle(f, d, *, restarts, iters, seed):
     """The restarts one after another: value, witnesses, the winner's sweeps, every restart's sweeps."""
     G = f.group
