@@ -216,7 +216,13 @@ def _zrows(rows, count: int, Z: FinAbGroup, what: str) -> np.ndarray:
         values = np.array(flat, dtype=np.int64)
     except OverflowError:  # beyond int64: reduce as Python ints
         values = np.array(flat, dtype=object)
-    return (values.reshape(count, Z.ncoords) % np.array(Z.orders, dtype=values.dtype)).astype(np.int64)
+    return (values.reshape(count, Z.ncoords) % Z.moduli.astype(values.dtype)).astype(np.int64)
+
+
+def _capped(cost: int, cap: int, what: str) -> None:
+    """Refuse a run whose cost exceeds the cap, before anything of that size is built."""
+    if cost > cap:
+        raise CapExceeded(f"{what} = {cost} exceeds cap {cap}")
 
 
 def _cocycle_from_config(params: dict, seed, cap) -> tuple[Cocycle, int, dict]:
@@ -231,8 +237,7 @@ def _cocycle_from_config(params: dict, seed, cap) -> tuple[Cocycle, int, dict]:
     dim = k + 1
     X = y1.product(y2)
     cubes = cube_set(X, dim).size
-    if cubes > cap:
-        raise CapExceeded(f"cube set of size {cubes} exceeds cap {cap}")
+    _capped(cubes, cap, "cube set size")
     spec = _need(params, "cocycle", dict)
     kind = spec.get("kind")
     meta: dict = {"y1": list(y1.factors), "y2": list(y2.factors), "z": list(Z.orders), "k": k}
@@ -298,6 +303,7 @@ def _run_cutnorm(params, seed, cap, tol):
 
 def _run_complement(params, seed, cap, tol):
     G = _group(_need(params, "group", list))
+    _capped(2 * G.order, cap, "2|A|")  # find_complement's cost, compared before H's mask exists
     H = _subgroup(G, _need(params, "generators", list))
     K = find_complement(H, cap=cap)
     inputs = {"group": list(G.orders), "generators": [list(g.coords) for g in H.generators], "subgroup_order": H.order}
@@ -322,6 +328,7 @@ def _run_complement(params, seed, cap, tol):
 
 def _run_shrink(params, seed, cap, tol):
     G = _group(_need(params, "group", list))
+    _capped(G.order, cap, "|A|")
     H = _subgroup(G, _need(params, "generators", list))
     Hp, K = mtorsion_complemented_shrink(H)
     inputs = {"group": list(G.orders), "generators": [list(g.coords) for g in H.generators], "index": H.index}
@@ -338,6 +345,7 @@ def _run_shrink(params, seed, cap, tol):
 def _run_crosssection(params, seed, cap, tol):
     B = _group(_need(params, "domain", list))
     A = _group(_need(params, "codomain", list))
+    _capped(B.order, cap, "|B|")
     tau = _hom(B, A, _need(params, "matrix", list))
     if not tau.is_surjective():
         raise ConfigError("the homomorphism is not surjective")
@@ -345,7 +353,7 @@ def _run_crosssection(params, seed, cap, tol):
     inputs = {"domain": list(B.orders), "codomain": list(A.orders), "matrix": [list(r) for r in tau.matrix]}
     outputs = {
         "degree": iota.degree,
-        "table": [list(r) for r in iota.table],
+        "table": iota.values.tolist(),
         "torsions": [A.torsion, B.torsion],
     }
     return inputs, outputs, []

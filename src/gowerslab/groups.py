@@ -290,6 +290,12 @@ class Homomorphism:
         return cls(G, G, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     @classmethod
+    def elementary(cls, G: FinAbGroup, i: int, j: int, c: int) -> "Homomorphism":
+        """The endomorphism of G whose matrix is the identity with entry (i, j) set to c."""
+        n = G.ncoords
+        return cls(G, G, [[c if (a, b) == (i, j) else int(a == b) for b in range(n)] for a in range(n)])
+
+    @classmethod
     def zero(cls, domain: FinAbGroup, codomain: FinAbGroup) -> "Homomorphism":
         return cls(domain, codomain, [[0] * domain.ncoords] * codomain.ncoords)
 
@@ -325,12 +331,15 @@ class Homomorphism:
             for j in range(n)
         )
 
+    def images(self, X: np.ndarray) -> np.ndarray:
+        """The images of the rows of X, coordinate vectors of the domain, as coordinate rows."""
+        M = np.array(self.matrix, dtype=np.int64).reshape(self.codomain.ncoords, self.domain.ncoords)
+        return X @ M.T % self.codomain.moduli
+
     @cached_property
     def image_index(self) -> np.ndarray:
         """Index in the codomain of the image of every domain element, in index order."""
-        A, B = self.domain, self.codomain
-        M = np.array(self.matrix, dtype=np.int64).reshape(B.ncoords, A.ncoords)
-        return (A.coords_array @ M.T) % B.moduli @ B.radix
+        return self.images(self.domain.coords_array) @ self.codomain.radix
 
     def is_surjective(self) -> bool:
         """Whether every element of the codomain is an image."""

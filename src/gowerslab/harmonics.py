@@ -91,8 +91,9 @@ def _characters(orders: tuple[int, ...], start: int, stop: int) -> np.ndarray:
     then a root of unity of that order.
     """
     E = math.lcm(*orders)
-    X = FinAbGroup(orders).coords_array
-    phase = X @ (X[start:stop] * (E // np.array(orders, dtype=np.int64))).T % E
+    G = FinAbGroup(orders)
+    X = G.coords_array
+    phase = X @ (X[start:stop] * (E // G.moduli)).T % E
     out = np.exp(-2j * np.pi * np.arange(E) / E)[phase]
     out.flags.writeable = False
     return out
@@ -186,9 +187,8 @@ class GroupFunction:
         """x -> f(x + a)."""
         if a.group != self.group:
             raise ValueError("translation by an element of a different group")
-        row = np.zeros(self.group.order, dtype=np.int64)  # row[x] = index of x + a
-        for dj, m, aj in zip(self.group.coords_array.T, self.group.orders, a.coords):
-            row = row * m + (dj + aj) % m
+        G = self.group
+        row = (G.coords_array + np.array(a.coords, dtype=np.int64)) % G.moduli @ G.radix  # index of x + a
         ph = None
         if self.phases is not None:
             ph = [self.phases[i] for i in row]
@@ -391,7 +391,7 @@ def phase(P: PolyMap) -> GroupFunction:
     if P.degree is None:
         raise ValueError("map is not polynomial of any degree")
     N = P.codomain.orders[0]
-    return GroupFunction.from_phases(P.domain, [Fraction(row[0], N) for row in P.table])
+    return GroupFunction.from_phases(P.domain, [Fraction(v, N) for v in P.values[:, 0].tolist()])
 
 
 @dataclass(frozen=True)
@@ -428,8 +428,7 @@ def project_phase(phi: PolyMap, tau: Homomorphism) -> ProjectedPhase:
         raise ValueError("phi is not polynomial of any degree")
     B, A = tau.domain, tau.codomain
     N = phi.codomain.orders[0]
-    phases = np.array([v for (v,) in phi.table], dtype=np.int64)
-    hist = np.bincount(tau.image_index * N + phases, minlength=A.order * N)
+    hist = np.bincount(tau.image_index * N + phi.values[:, 0], minlength=A.order * N)
     counts = hist.reshape(A.order, N).tolist()
     fiber = B.order // A.order
     if any(sum(c) != fiber for c in counts):
@@ -504,36 +503,26 @@ def projected_as_average(pp: ProjectedPhase, iota: PolyMap) -> ProjectedAverage:
     B, A = tau.domain, tau.codomain
     if iota.domain != A or iota.codomain != B:
         raise ValueError("iota must map the codomain of tau into its domain")
-    for x in A.elements():
-        if tau(iota(x)) != x:
-            raise ValueError("iota is not a cross-section of tau")
+    if not np.array_equal(tau.image_index[iota.values @ B.radix], np.arange(A.order)):
+        raise ValueError("iota is not a cross-section of tau")
     deg_iota = iota.degree
     if deg_iota is None:
         raise ValueError("iota is not polynomial of any degree")
-    ker = sorted(kernel(tau).elements)
+    ker = kernel(tau).sorted_elements
     N = pp.modulus
     bound = deg_iota * pp.degree
-    members = []
-    degrees = []
-    member_tables = []
-    for u in ker:
-        member = pp.phi.compose(iota.translate_output(u))
-        d = member.degree
-        if d is None or d > max(bound, 0):
+    members = [pp.phi.compose(iota.translate_output(u)) for u in ker]
+    for member in members:
+        if member.degree is None or member.degree > max(bound, 0):
             raise PostconditionError(
-                f"member degree {d} exceeds deg(iota)*deg(phi) = {bound}"
+                f"member degree {member.degree} exceeds deg(iota)*deg(phi) = {bound}"
             )
-        member_tables.append(member.table)
-        degrees.append(d)
-        members.append(phase(member))
     # exact average identity: per x, the multiset of member phases equals the fiber
-    for xi in range(A.order):
-        counts = [0] * N
-        for table in member_tables:
-            counts[table[xi][0]] += 1
-        if tuple(counts) != pp.fiber_counts[xi]:
-            raise PostconditionError("kernel translates do not reproduce the fiber")
-    return ProjectedAverage(tuple(members), tuple(degrees), tuple(ker))
+    phases = np.stack([member.values[:, 0] for member in members])
+    counts = np.bincount((np.arange(A.order) * N + phases).ravel(), minlength=A.order * N)
+    if not np.array_equal(counts.reshape(A.order, N), pp.fiber_counts):
+        raise PostconditionError("kernel translates do not reproduce the fiber")
+    return ProjectedAverage(tuple(map(phase, members)), tuple(m.degree for m in members), ker)
 
 
 # ---------------------------------------------------------------------------

@@ -63,7 +63,6 @@ def random_automorphism(rng: random.Random, G: FinAbGroup, *, steps=8) -> Homomo
         return auto
     for _ in range(steps):
         kind = rng.randrange(3)
-        mat = [[1 if a == b else 0 for b in range(n)] for a in range(n)]
         if kind == 0 and n >= 2:
             pairs = [
                 (i, j)
@@ -74,22 +73,22 @@ def random_automorphism(rng: random.Random, G: FinAbGroup, *, steps=8) -> Homomo
             if not pairs:
                 continue
             i, j = rng.choice(pairs)
-            mat[i][i] = mat[j][j] = 0
-            mat[i][j] = mat[j][i] = 1
+            swap = [[int(a == b) for b in range(n)] for a in range(n)]
+            swap[i], swap[j] = swap[j], swap[i]
+            elementary = Homomorphism(G, G, swap)
         elif kind == 1:
             i = rng.randrange(n)
             m = G.orders[i]
             units = [u for u in range(1, m) if gcd(u, m) == 1] or [1]
-            mat[i][i] = rng.choice(units)
+            elementary = Homomorphism.elementary(G, i, i, rng.choice(units))
         else:
             if n < 2:
                 continue
             i = rng.randrange(n)
             j = rng.choice([t for t in range(n) if t != i])
             step = G.orders[i] // gcd(G.orders[i], G.orders[j])
-            c = step * rng.randrange(max(G.orders[i] // step, 1))
-            mat[i][j] = c
-        auto = Homomorphism(G, G, mat).compose(auto)
+            elementary = Homomorphism.elementary(G, i, j, step * rng.randrange(max(G.orders[i] // step, 1)))
+        auto = elementary.compose(auto)
     return auto
 
 
@@ -148,28 +147,16 @@ def random_phase_polynomial(rng: random.Random, B: FinAbGroup, k: int, *, terms=
     """
     N = B.torsion
     live = [j for j, m in enumerate(B.orders) if m > 1]
-    table = [0] * B.order
-    idx_coords = [x.coords for x in B.elements()]
-    # constant term
-    c0 = rng.randrange(N)
-    for i in range(B.order):
-        table[i] = c0
-    if not live:
-        return PolyMap(B, FinAbGroup((N,)), tuple((v,) for v in table))
-    for _ in range(terms):
-        size = rng.randint(1, max(1, min(k, len(live))))
-        S = rng.sample(live, size)
-        g = 0
-        for j in S:
-            g = gcd(g, B.orders[j])
+    values = np.full(B.order, rng.randrange(N), dtype=np.int64)  # the constant term
+    for _ in range(terms if live else 0):
+        S = rng.sample(live, rng.randint(1, max(1, min(k, len(live)))))
+        g = gcd(*(B.orders[j] for j in S))
         c = rng.randrange(g)
-        scale = N // g
-        for i, coords in enumerate(idx_coords):
-            mono = 1
-            for j in S:
-                mono *= coords[j]
-            table[i] = (table[i] + c * mono * scale) % N
-    P = PolyMap(B, FinAbGroup((N,)), tuple((v,) for v in table))
+        mono = np.ones(B.order, dtype=np.int64)
+        for j in S:  # reduced mod N as it grows, so exact for any k
+            mono = mono * B.coords_array[:, j] % N
+        values = (values + c * (N // g) * mono) % N
+    P = PolyMap._of(B, FinAbGroup((N,)), values[:, None])
     d = P.degree
     if d is None or d > k:
         raise AssertionError("generator produced a table of unexpected degree")

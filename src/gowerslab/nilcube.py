@@ -141,18 +141,9 @@ def _index_dtype(bound: int):
     return np.int32 if bound <= np.iinfo(np.int32).max else np.int64
 
 
-def _coordinates(G: FinAbGroup) -> np.ndarray:
-    """(|G|, ncoords) array: row i holds the coordinates of element index i."""
-    return np.indices(G.orders).reshape(G.ncoords, G.order).T
-
-
 def _blockwise(fn, Q: np.ndarray) -> np.ndarray:
     """fn applied to Q in blocks of at most ``_BLOCK`` rows, results concatenated."""
     return np.concatenate([fn(Q[s : s + _BLOCK]) for s in range(0, max(len(Q), 1), _BLOCK)])
-
-
-def _moduli(Z: FinAbGroup) -> np.ndarray:
-    return np.array(Z.orders, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -245,7 +236,7 @@ class CubeSet:
     @cached_property
     def _coords(self) -> np.ndarray:
         """(ncoords, |X|): coordinate j of every element index."""
-        return np.ascontiguousarray(_coordinates(self.nilspace.group).T)
+        return np.ascontiguousarray(self.nilspace.group.coords_array.T)
 
     def _coefficients(self, Q: np.ndarray) -> np.ndarray:
         """Moebius inversion of the rows of Q, unreduced, as (ncoords, 2^n, rows):
@@ -490,7 +481,7 @@ def enumerate_morphisms(X: FilteredGroupNilspace, Y: FilteredGroupNilspace, *, c
     for head in iproduct(range(GY.order), repeat=GX.order - r):
         T = np.hstack([np.broadcast_to(np.array(head, dtype=tail.dtype), (len(tail), len(head))), tail])
         found.append(T[_preserving(T, pairs)])
-    return [tuple(map(tuple, t)) for t in _coordinates(GY)[np.concatenate(found)].tolist()]
+    return [tuple(map(tuple, t)) for t in GY.coords_array[np.concatenate(found)].tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -566,7 +557,7 @@ class Cocycle:
         if isinstance(table, np.ndarray):
             if table.shape != (self.carrier.size, codomain.ncoords):
                 raise ValueError(f"a cocycle array needs shape ({self.carrier.size}, {codomain.ncoords})")
-            self.array = table % _moduli(codomain)
+            self.array = table % codomain.moduli
             return
         rows = self.carrier.cubes
         if len(table) != len(rows):
@@ -628,7 +619,7 @@ def _point_values(g, X: FilteredGroupNilspace, Z: FinAbGroup) -> np.ndarray:
     if isinstance(g, np.ndarray):
         if g.shape != (G.order, Z.ncoords):
             raise ValueError("point function must be total on the group")
-        return g % _moduli(Z)
+        return g % Z.moduli
     if isinstance(g, dict):
         rows = [G.index_of(k.coords if isinstance(k, GroupElement) else k) for k in g]
         vals = g.values()
@@ -645,7 +636,7 @@ def _point_values(g, X: FilteredGroupNilspace, Z: FinAbGroup) -> np.ndarray:
 def coboundary(X: FilteredGroupNilspace, Z: FinAbGroup, dim: int, g) -> Cocycle:
     """sigma_dim(g o q): the coboundary cocycle of a point function g."""
     cs = cube_set(X, dim)
-    return Cocycle._on(cs, Z, _sigma(_point_values(g, X, Z), cs.members, dim, _moduli(Z)))
+    return Cocycle._on(cs, Z, _sigma(_point_values(g, X, Z), cs.members, dim, Z.moduli))
 
 
 def _cocycle_failures(cs: CubeSet, arrays, zmod: np.ndarray) -> list:
@@ -676,7 +667,7 @@ def _cocycle_failures(cs: CubeSet, arrays, zmod: np.ndarray) -> list:
 
 def is_cocycle(rho: Cocycle, *, raise_on_failure: bool = False) -> bool:
     """Concatenation additivity along every coordinate + permutation invariance."""
-    failure = _cocycle_failures(rho.carrier, [rho.array], _moduli(rho.codomain))[0]
+    failure = _cocycle_failures(rho.carrier, [rho.array], rho.codomain.moduli)[0]
     if failure and raise_on_failure:
         raise PostconditionError(failure)
     return failure is None
@@ -694,7 +685,7 @@ def _second_factor(rho: Cocycle, split: int) -> FilteredGroupNilspace:
 
 def _average(values: np.ndarray, keys: np.ndarray, Z: FinAbGroup) -> np.ndarray:
     """Coprime average of the value rows over each class of equal keys, per row."""
-    zmod = _moduli(Z)
+    zmod = Z.moduli
     _, cls, counts = np.unique(keys, return_inverse=True, return_counts=True)
     sums = np.zeros((len(counts), values.shape[1]), dtype=np.int64)
     np.add.at(sums, cls, values)
@@ -771,7 +762,7 @@ def split_cocycle(rho: Cocycle, split: int) -> SplitResult:
             raise not_cocycle from None
         raise
     Z, cs, G = rho.codomain, rho.carrier, rho.nilspace.group
-    zmod = _moduli(Z)
+    zmod = Z.moduli
     rho_failure, kappa_failure = _cocycle_failures(cs, [rho.array, kappa.array], zmod)
     if rho_failure:
         raise not_cocycle

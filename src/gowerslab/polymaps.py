@@ -1,9 +1,11 @@
 """Polynomial maps between finite abelian groups.
 
 A map P: G -> A is polynomial of degree at most k when every (k+1)-fold
-discrete derivative d_h P(x) = P(x+h) - P(x) vanishes.  Maps are stored as
-exact value tables; the degree is certified by iterating derivatives along
-the standard generators only, which suffices because
+discrete derivative d_h P(x) = P(x+h) - P(x) vanishes.  A map is stored as
+one exact int64 value array, a row of codomain residues per domain element
+in row-major order, so composition, translation and derivatives are index
+gathers.  The degree is certified by iterating derivatives along the
+standard generators only, which suffices because
 
     d_{g+h} P(x) = d_g P(x+h) + d_h P(x),
 
@@ -18,8 +20,9 @@ surjective homomorphism: representative lifts between cyclic p-groups
 (degree at most (d-s)p^s + 1, via the divisibility of the p^s-th power of
 the circulant forward-difference matrix), a Gaussian-elimination style
 decomposition M = S (A, id) P T of a surjection of p-groups, and a
-prime-by-prime recursion for the general case.  No floating point is used
-anywhere in this module.
+prime-by-prime recursion for the general case, each level of which maps the
+whole codomain at once by matrix products and gathers.  No floating point
+is used anywhere in this module.
 """
 
 from __future__ import annotations
@@ -27,6 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import factorial
+
+import numpy as np
 
 from .errors import CapExceeded, PostconditionError
 from .groups import FinAbGroup, GroupElement, Homomorphism, _factorize, _integer, primary_decompose
@@ -56,65 +61,85 @@ def binom(x: int, i: int) -> int:
     return num // factorial(i)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PolyMap:
-    """Map between finite abelian groups stored as an exact value table.
+    """Map between finite abelian groups stored as an exact value array.
 
-    ``table[i]`` is the coordinate tuple of the image of the i-th domain
-    element in row-major enumeration order.  ``degree`` is the certified
-    degree (None when the map is not polynomial of any degree).
+    ``values`` is a read-only int64 array of shape (|domain|, ncoords(codomain)):
+    row i holds the image of the i-th domain element in row-major order,
+    reduced mod the codomain orders.  ``table`` is the same data as tuples,
+    built on first use.  ``degree`` is the certified degree (None when the
+    map is not polynomial of any degree).
     """
 
     domain: FinAbGroup
     codomain: FinAbGroup
-    table: tuple[tuple[int, ...], ...]
+    values: np.ndarray
 
     def __init__(self, domain, codomain, table):
-        table = tuple(
-            tuple(_integer(c) % m for c, m in zip(row, codomain.orders, strict=True))
-            for row in table
-        )
-        if len(table) != domain.order:
-            raise ValueError("table must have one value per domain element")
-        object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "codomain", codomain)
-        object.__setattr__(self, "table", table)
+        rows = [[_integer(c) for c in row] for row in table]
+        if len(rows) != domain.order or any(len(r) != codomain.ncoords for r in rows):
+            raise ValueError("table must have one value of ncoords(codomain) integers per domain element")
+        try:
+            values = np.array(rows, dtype=np.int64)
+        except OverflowError:  # beyond int64: reduce as Python ints
+            values = np.array(rows, dtype=object)
+        values = values.reshape(domain.order, codomain.ncoords) % codomain.moduli.astype(values.dtype)
+        values = values.astype(np.int64)
+        values.flags.writeable = False
+        vars(self).update(domain=domain, codomain=codomain, values=values)
+
+    @classmethod
+    def _of(cls, domain: FinAbGroup, codomain: FinAbGroup, values: np.ndarray) -> "PolyMap":
+        """The map with value array ``values``: int64, reduced mod the codomain orders."""
+        self = cls.__new__(cls)
+        values.flags.writeable = False
+        vars(self).update(domain=domain, codomain=codomain, values=values)
+        return self
+
+    def __eq__(self, other) -> bool:
+        same = isinstance(other, PolyMap) and (self.domain, self.codomain) == (other.domain, other.codomain)
+        return same and np.array_equal(self.values, other.values)
+
+    def __hash__(self):
+        return hash((self.domain, self.codomain, self.values.tobytes()))
+
+    @cached_property
+    def table(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, self.values.tolist()))
 
     @classmethod
     def constant(cls, domain: FinAbGroup, value: GroupElement) -> "PolyMap":
-        return cls(domain, value.group, (value.coords,) * domain.order)
+        return cls._of(domain, value.group, np.tile(np.array(value.coords, dtype=np.int64), (domain.order, 1)))
 
     @classmethod
     def from_hom(cls, h: Homomorphism) -> "PolyMap":
-        return cls(h.domain, h.codomain, tuple(h(x).coords for x in h.domain.elements()))
+        return cls._of(h.domain, h.codomain, h.codomain.coords_array[h.image_index])
 
     @classmethod
     def from_function(cls, domain, codomain, fn) -> "PolyMap":
-        return cls(domain, codomain, tuple(fn(x).coords for x in domain.elements()))
+        return cls(domain, codomain, [fn(x).coords for x in domain.elements()])
 
     def __call__(self, x: GroupElement) -> GroupElement:
         if x.group != self.domain:
             raise ValueError("element not in the domain")
-        return GroupElement(self.codomain, self.table[self.domain.index_of(x.coords)])
+        return GroupElement(self.codomain, tuple(self.values[self.domain.index_of(x.coords)].tolist()))
 
     def compose(self, other: "PolyMap") -> "PolyMap":
-        """self after other."""
+        """self after other: a gather through the indices of other's values."""
         if other.codomain != self.domain:
             raise ValueError("composition mismatch")
-        return PolyMap.from_function(other.domain, self.codomain, lambda x: self(other(x)))
+        return PolyMap._of(other.domain, self.codomain, self.values[other.values @ self.domain.radix])
 
     def translate_output(self, u: GroupElement) -> "PolyMap":
         """x -> self(x) + u."""
         if u.group != self.codomain:
             raise ValueError("translation lives in the wrong group")
-        return PolyMap(
-            self.domain,
-            self.codomain,
-            tuple((GroupElement(self.codomain, r) + u).coords for r in self.table),
-        )
+        shifted = (self.values + np.array(u.coords, dtype=np.int64)) % self.codomain.moduli
+        return PolyMap._of(self.domain, self.codomain, shifted)
 
     def is_zero(self) -> bool:
-        return all(all(c == 0 for c in row) for row in self.table)
+        return not self.values.any()
 
     @cached_property
     def degree(self) -> int | None:
@@ -124,68 +149,51 @@ class PolyMap:
         return {
             "domain": list(self.domain.orders),
             "codomain": list(self.codomain.orders),
-            "table": [list(r) for r in self.table],
+            "table": self.values.tolist(),
         }
 
     @classmethod
     def from_json(cls, data: dict) -> "PolyMap":
-        return cls(
-            FinAbGroup(tuple(data["domain"])),
-            FinAbGroup(tuple(data["codomain"])),
-            tuple(tuple(r) for r in data["table"]),
-        )
+        return cls(FinAbGroup(tuple(data["domain"])), FinAbGroup(tuple(data["codomain"])), data["table"])
+
+
+def _shifts(G: FinAbGroup, directions: np.ndarray) -> np.ndarray:
+    """(len(directions), |G|): row t holds the index of x + h_t for every index x of G."""
+    return (G.coords_array[None] + directions[:, None]) % G.moduli @ G.radix
 
 
 def derivative(P: PolyMap, h: GroupElement) -> PolyMap:
     """Discrete derivative x -> P(x + h) - P(x)."""
     if h.group != P.domain:
         raise ValueError("direction not in the domain of P")
-    dom = P.domain
-    out = []
-    for x in dom.elements():
-        a = P.table[dom.index_of((x + h).coords)]
-        b = P.table[dom.index_of(x.coords)]
-        out.append(tuple((u - v) % m for u, v, m in zip(a, b, P.codomain.orders)))
-    return PolyMap(dom, P.codomain, tuple(out))
-
-
-def _derivative_table(dom: FinAbGroup, cod: FinAbGroup, table, shift_idx) -> tuple:
-    return tuple(
-        tuple((u - v) % m for u, v, m in zip(table[j], table[i], cod.orders))
-        for i, j in enumerate(shift_idx)
-    )
+    (shift,) = _shifts(P.domain, np.array([h.coords], dtype=np.int64))
+    return PolyMap._of(P.domain, P.codomain, (P.values[shift] - P.values) % P.codomain.moduli)
 
 
 def degree(P: PolyMap) -> int | None:
     """Certified degree of P, or None when P is not polynomial.
 
-    Level i holds the set of all i-fold generator derivatives of P (the
-    operators commute, deduplicated as tables).  The minimal d with the
-    (d+1)-st level all zero is returned; if a level set repeats before the
-    zero state is reached, no level can ever vanish and None is returned.
+    Level i stacks the distinct i-fold generator derivatives of P (the
+    operators commute; two value arrays are the same when their bytes are).
+    The minimal d with the (d+1)-st level all zero is returned; if a level
+    repeats before the zero state is reached, no level can ever vanish and
+    None is returned.
     """
     dom = P.domain
-    gens = dom.generators()
-    zero_row = (0,) * P.codomain.ncoords
-    if not gens:
+    shifts = _shifts(dom, np.eye(dom.ncoords, dtype=np.int64)[dom.moduli > 1])
+    if not len(shifts):
         return 0
-    shift_idxs = []
-    for g in gens:
-        shift_idxs.append([dom.index_of((x + g).coords) for x in dom.elements()])
-    cur = {P.table}
-    level = 0
-    seen: set[frozenset] = set()
-    while True:
-        if all(all(r == zero_row for r in t) for t in cur):
-            return max(level - 1, 0)
-        state = frozenset(cur)
+    level, cur, seen = 0, P.values[None], set()
+    while cur.any():
+        distinct = {t.tobytes(): t for t in cur}
+        state = frozenset(distinct)
         if state in seen:
             return None
         seen.add(state)
-        cur = {
-            _derivative_table(dom, P.codomain, t, idx) for t in cur for idx in shift_idxs
-        }
+        cur = np.stack(list(distinct.values()))
+        cur = ((cur[:, shifts] - cur[:, None]) % P.codomain.moduli).reshape(-1, *P.values.shape)
         level += 1
+    return max(level - 1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +249,7 @@ def cyclic_lift(p: int, s: int, d: int) -> PolyMap:
         raise ValueError("need d >= s >= 1")
     dom = FinAbGroup((p**s,))
     cod = FinAbGroup((p**d,))
-    lift = PolyMap(dom, cod, tuple((n,) for n in range(p**s)))
+    lift = PolyMap._of(dom, cod, np.arange(p**s, dtype=np.int64)[:, None])
     deg = lift.degree
     if deg is None or deg > (d - s) * p**s + 1:
         raise PostconditionError(
@@ -356,11 +364,12 @@ class SurjectionDecomposition:
         return Homomorphism(B2, A, mat)
 
     def verify(self) -> None:
-        """Pointwise identity M = S o (core, id) o P o T on all of B."""
-        composed = self.codomain_iso.compose(self.middle()).compose(self.reduction).compose(self.domain_iso)
-        for x in self.source.domain.elements():
-            if composed(x) != self.source(x):
-                raise PostconditionError("decomposition does not reproduce M")
+        """Pointwise identity M = S o (core, id) o P o T on all of B, by chained index gathers."""
+        composed = np.arange(self.source.domain.order)
+        for h in (self.domain_iso, self.reduction, self.middle(), self.codomain_iso):
+            composed = h.image_index[composed]
+        if not np.array_equal(composed, self.source.image_index):
+            raise PostconditionError("decomposition does not reproduce M")
 
 
 def decompose_surjection(M: Homomorphism) -> SurjectionDecomposition:
@@ -405,21 +414,23 @@ def decompose_surjection(M: Homomorphism) -> SurjectionDecomposition:
         pivots.append(pivot)
         # scale the pivot column so the pivot entry becomes 1
         u = pow(mid.matrix[i][pivot], -1, p**n)
-        F = _scale_auto(B, pivot, u)
+        F = Homomorphism.elementary(B, pivot, pivot, u)
+        if not F.is_bijective():
+            raise PostconditionError("scaling by a non-unit")
         mid = mid.compose(F)
         T = F.inverse().compose(T)
         # clear the rest of the pivot row with column shears
         for j in range(B.ncoords):
             r = mid.matrix[i][j]
             if j != pivot and r:
-                F = _shear_auto(B, pivot, j, -r)
+                F = Homomorphism.elementary(B, pivot, j, -r)
                 mid = mid.compose(F)
                 T = F.inverse().compose(T)
         # clear the rest of the pivot column with row shears
         for i2 in range(A.ncoords):
             c = mid.matrix[i2][pivot]
             if i2 != i and c:
-                E = _shear_auto(A, i2, i, -c)
+                E = Homomorphism.elementary(A, i2, i, -c)
                 mid = E.compose(mid)
                 S = S.compose(E.inverse())
 
@@ -456,82 +467,38 @@ def decompose_surjection(M: Homomorphism) -> SurjectionDecomposition:
     return dec
 
 
-def _scale_auto(G: FinAbGroup, j: int, u: int) -> Homomorphism:
-    mat = [[1 if a == b else 0 for b in range(G.ncoords)] for a in range(G.ncoords)]
-    mat[j][j] = u
-    h = Homomorphism(G, G, mat)
-    if not h.is_bijective():
-        raise PostconditionError("scaling by a non-unit")
-    return h
-
-
-def _shear_auto(G: FinAbGroup, i: int, j: int, c: int) -> Homomorphism:
-    """Automorphism adding c * coordinate j into coordinate i."""
-    mat = [[1 if a == b else 0 for b in range(G.ncoords)] for a in range(G.ncoords)]
-    mat[i][j] = c
-    return Homomorphism(G, G, mat)
-
-
 # ---------------------------------------------------------------------------
 # polynomial cross-sections
 
 
-def _section_of_reduction(dec: SurjectionDecomposition) -> PolyMap:
-    """Coordinate-wise section of the reduction map by representative lifts."""
-    B, B2 = dec.reduction.domain, dec.reduction.codomain
-    lifts = []
-    for j in range(B.ncoords):
-        if B2.orders[j] == B.orders[j]:
-            lifts.append(None)  # identity coordinate
-        else:
-            lifts.append(list(range(B2.orders[j])))  # representative lift
-
-    def fn(y: GroupElement) -> GroupElement:
-        coords = []
-        for j, c in enumerate(y.coords):
-            coords.append(c if lifts[j] is None else lifts[j][c])
-        return GroupElement(B, tuple(coords))
-
-    return PolyMap.from_function(B2, B, fn)
+def _check_section(tau: Homomorphism, values: np.ndarray) -> None:
+    """tau o iota = id on all of A, for the value array of iota: A -> B."""
+    if not np.array_equal(tau.images(values) @ tau.codomain.radix, np.arange(tau.codomain.order)):
+        raise PostconditionError("cross-section fails tau o iota = id")
 
 
-def _pgroup_cross_section(M: Homomorphism) -> PolyMap:
-    """Polynomial cross-section of a surjection of p-groups, by recursion.
+def _pgroup_cross_section(M: Homomorphism) -> np.ndarray:
+    """Values of a polynomial cross-section of a surjection of p-groups, by recursion.
 
     Section of M = S (core, id) P T is T^{-1} o section(P) o (section(core), id)
-    o S^{-1}; the recursion descends in the torsion exponent n and bottoms
-    out at the trivial codomain.
+    o S^{-1}, where section(P) is the identity on residues: it lifts each
+    reduced coordinate to its representative.  Each level maps all of A at
+    once; the recursion descends in the torsion exponent n and bottoms out
+    at the trivial codomain.
     """
     B, A = M.domain, M.codomain
     if A.order == 1:
-        return PolyMap.constant(A, B.zero)
+        return np.zeros((1, B.ncoords), dtype=np.int64)
     dec = decompose_surjection(M)
-    core_section = _pgroup_cross_section(dec.core)
-    red_section = _section_of_reduction(dec)
-    B2 = dec.reduction.codomain
-    core_cols = [j for j in range(B2.ncoords) if j not in dec.passthrough]
     core_rows = [i for i in range(A.ncoords) if i not in dec.max_rows]
-    s_inv = dec.codomain_iso.inverse()
-    t_inv = dec.domain_iso.inverse()
-
-    def fn(y: GroupElement) -> GroupElement:
-        w = s_inv(y)
-        core_part = core_section(
-            GroupElement(dec.core.codomain, tuple(w.coords[i] for i in core_rows))
-        )
-        coords = [0] * B2.ncoords
-        for j_local, j in enumerate(core_cols):
-            coords[j] = core_part.coords[j_local]
-        for i, j in zip(dec.max_rows, dec.passthrough):
-            coords[j] = w.coords[i]
-        lifted = red_section(GroupElement(B2, tuple(coords)))
-        return t_inv(lifted)
-
-    sec = PolyMap.from_function(A, B, fn)
-    for y in A.elements():
-        if M(sec(y)) != y:
-            raise PostconditionError("cross-section fails tau o iota = id")
-    return sec
+    core_cols = [j for j in range(B.ncoords) if j not in dec.passthrough]
+    w = dec.codomain_iso.inverse().images(A.coords_array)
+    lifted = np.empty((A.order, B.ncoords), dtype=np.int64)
+    lifted[:, core_cols] = _pgroup_cross_section(dec.core)[w[:, core_rows] @ dec.core.codomain.radix]
+    lifted[:, list(dec.passthrough)] = w[:, list(dec.max_rows)]
+    values = dec.domain_iso.inverse().images(lifted)
+    _check_section(M, values)
+    return values
 
 
 def polynomial_cross_section(tau: Homomorphism) -> PolyMap:
@@ -540,9 +507,9 @@ def polynomial_cross_section(tau: Homomorphism) -> PolyMap:
     Splits both sides into their primary components (a homomorphism between
     coprime components is zero, so the conjugated matrix is block
     diagonal), sections each p-group block by the decomposition recursion,
-    and recombines.  tau o iota = id is checked on all of A and the
-    certified degree is available as ``iota.degree``; the degree depends
-    only on the torsions of A and B, not on their orders.
+    and recombines, for all of A at once.  tau o iota = id is checked on all
+    of A and the certified degree is available as ``iota.degree``; the
+    degree depends only on the torsions of A and B, not on their orders.
     """
     if not tau.is_surjective():
         raise ValueError("tau is not surjective")
@@ -550,32 +517,18 @@ def polynomial_cross_section(tau: Homomorphism) -> PolyMap:
     dec_b = primary_decompose(B)
     dec_a = primary_decompose(A)
     conj = dec_a.iso.compose(tau).compose(dec_b.iso_inv)
-    sections = {}
+    parts = dec_a.iso.images(A.coords_array)
+    lifted = np.zeros((A.order, dec_b.product.ncoords), dtype=np.int64)
     for p in dec_a.primes:
-        Ap = dec_a.components[p]
         if p not in dec_b.components:
             raise ValueError("tau cannot be surjective: codomain prime missing upstream")
-        Bp = dec_b.components[p]
-        a0, a1 = dec_a.slices[p]
-        b0, b1 = dec_b.slices[p]
-        block = [[conj.matrix[i][j] for j in range(b0, b1)] for i in range(a0, a1)]
-        tau_p = Homomorphism(Bp, Ap, block)
-        sections[p] = _pgroup_cross_section(tau_p)
-
-    def fn(y: GroupElement) -> GroupElement:
-        parts = dec_a.split(y)
-        coords = [0] * dec_b.product.ncoords
-        for p in dec_a.primes:
-            xp = sections[p](parts[p])
-            s0, _ = dec_b.slices[p]
-            for t, c in enumerate(xp.coords):
-                coords[s0 + t] = c
-        return dec_b.iso_inv(GroupElement(dec_b.product, tuple(coords)))
-
-    iota = PolyMap.from_function(A, B, fn)
-    for y in A.elements():
-        if tau(iota(y)) != y:
-            raise PostconditionError("cross-section fails tau o iota = id")
+        (a0, a1), (b0, b1) = dec_a.slices[p], dec_b.slices[p]
+        Ap = dec_a.components[p]
+        tau_p = Homomorphism(dec_b.components[p], Ap, [row[b0:b1] for row in conj.matrix[a0:a1]])
+        lifted[:, b0:b1] = _pgroup_cross_section(tau_p)[parts[:, a0:a1] @ Ap.radix]
+    values = dec_b.iso_inv.images(lifted)
+    _check_section(tau, values)
+    iota = PolyMap._of(A, B, values)
     if iota.degree is None:
         raise PostconditionError("constructed cross-section is not polynomial")
     return iota

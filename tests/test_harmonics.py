@@ -1,6 +1,7 @@
 """Gowers norms, correlations, projected phases, box and cut norms."""
 
 import cmath
+import dataclasses
 import math
 import random
 import time
@@ -478,6 +479,19 @@ def test_average_z9_to_z3_member_degrees():
     fam = projected_as_average(pp, iota)
     assert len(fam.members) == 3
     assert all(d <= iota.degree * pp.degree for d in fam.member_degrees)
+
+
+def test_average_refuses_what_the_translates_do_not_reproduce():
+    B, A = FinAbGroup((4,)), FinAbGroup((2,))
+    phi = PolyMap(B, FinAbGroup((4,)), tuple((y,) for y in range(4)))
+    pp = project_phase(phi, Homomorphism(B, A, [[1]]))
+    iota = cyclic_lift(2, 1, 2)
+    # fiber counts over x = 0 and x = 1 swapped: equal totals, other multisets per x
+    with pytest.raises(PostconditionError, match="fiber"):
+        projected_as_average(dataclasses.replace(pp, fiber_counts=pp.fiber_counts[::-1]), iota)
+    # a claimed phase degree of 0 bounds the members by degree 0; they have degree 1
+    with pytest.raises(PostconditionError, match="member degree"):
+        projected_as_average(dataclasses.replace(pp, degree=0), iota)
 
 
 def test_average_rejects_non_section():

@@ -1,5 +1,6 @@
 """Polynomial maps: derivatives, degree certification, lifts, cross-sections."""
 
+import dataclasses
 import random
 from itertools import product as iproduct
 from math import comb
@@ -7,11 +8,13 @@ from math import comb
 import numpy as np
 import pytest
 
+from gowerslab.errors import PostconditionError
 from gowerslab.groups import FinAbGroup, Homomorphism, Subgroup
-from gowerslab.instances import random_surjection
+from gowerslab.instances import random_automorphism, random_phase_polynomial, random_surjection
 from gowerslab.polymaps import (
     BinomialPoly,
     PolyMap,
+    _check_section,
     binom,
     cyclic_lift,
     decompose_surjection,
@@ -40,6 +43,37 @@ def test_polymap_values_must_be_integers(value):
 def test_polymap_accepts_numpy_integers():
     P = PolyMap(Z3, Z9, ((np.int64(0),), (np.uint8(10),), (np.int32(-7),)))
     assert P.table == ((0,), (1,), (2,)) and all(type(row[0]) is int for row in P.table)
+
+
+def test_polymap_reduces_integers_beyond_int64_exactly():
+    big = 2**70 + 5
+    P = PolyMap(FinAbGroup((3,)), FinAbGroup((9, 7)), ((big, -big), (np.uint64(2**64 - 1), 1), (-(2**63), 2**63)))
+    assert P.table == ((big % 9, -big % 7), ((2**64 - 1) % 9, 1), (-(2**63) % 9, 2**63 % 7))
+    assert P.values.dtype == np.int64
+
+
+@pytest.mark.parametrize("table", [((0,), (1,)), ((0,), (1,), (2, 0)), ((0,), (1,), ())])
+def test_polymap_table_shape_is_checked(table):
+    with pytest.raises(ValueError):
+        PolyMap(Z3, Z9, table)
+
+
+def test_polymap_values_are_read_only():
+    P = PolyMap(Z3, Z9, ((0,), (1,), (2,)))
+    with pytest.raises(ValueError):
+        P.values[0, 0] = 1
+    with pytest.raises(ValueError):
+        cyclic_lift(3, 1, 2).values[0, 0] = 1
+
+
+def test_polymap_equality_and_hash_compare_domain_codomain_and_values():
+    P = PolyMap(Z3, Z9, ((0,), (1,), (2,)))
+    same = PolyMap(Z3, Z9, ((9,), (10,), (-7,)))
+    assert P == same and hash(P) == hash(same) and len({P, same, cyclic_lift(3, 1, 2)}) == 1
+    assert P != PolyMap(Z3, Z9, ((0,), (1,), (3,)))
+    assert P != PolyMap(Z3, FinAbGroup((3,)), ((0,), (1,), (2,)))  # same values, other codomain
+    assert P != PolyMap(FinAbGroup((3, 1)), Z9, ((0,), (1,), (2,)))  # same values, other domain
+    assert P != P.table and P != P.values
 
 
 # ---------------------------------------------------------------------------
@@ -92,41 +126,49 @@ def test_degree_non_polynomial_table():
     assert bad.degree is None
 
 
-def degree_all_directions(P):
-    """Oracle: iterate derivatives along every nonzero direction."""
-    dom = P.domain
-    zero_row = (0,) * P.codomain.ncoords
-    dirs = [h for h in dom.elements() if not h.is_zero()]
-    shift = [[dom.index_of((x + h).coords) for x in dom.elements()] for h in dirs]
-    if not dirs:
+def shift_indices(dom, h):
+    """Index of x + h for every element x, in index order."""
+    return [dom.index_of((x + h).coords) for x in dom.elements()]
+
+
+def tuple_derivative(table, shift, orders):
+    """Oracle: the derivative of a value table along the shift, one coordinate tuple at a time."""
+    return tuple(
+        tuple((a - b) % m for a, b, m in zip(table[j], table[i], orders)) for i, j in enumerate(shift)
+    )
+
+
+def tuple_degree(P, directions):
+    """Oracle: iterate derivatives along ``directions`` on sets of tuple tables.
+
+    Level i is the set of i-fold derivatives; the least d with level d + 1
+    all zero is the degree, and a repeated level means no degree.
+    """
+    if not directions:
         return 0
+    shifts = [shift_indices(P.domain, h) for h in directions]
     cur = {P.table}
     level = 0
     seen = set()
     while True:
-        if all(all(r == zero_row for r in t) for t in cur):
+        if all(c == 0 for t in cur for r in t for c in r):
             return max(level - 1, 0)
         state = frozenset(cur)
         if state in seen:
             return None
         seen.add(state)
-        nxt = set()
-        for t in cur:
-            for idx in shift:
-                nxt.add(
-                    tuple(
-                        tuple((a - b) % m for a, b, m in zip(t[j], t[i], P.codomain.orders))
-                        for i, j in enumerate(idx)
-                    )
-                )
-        cur = nxt
+        cur = {tuple_derivative(t, shift, P.codomain.orders) for t in cur for shift in shifts}
         level += 1
 
 
-@pytest.mark.parametrize(
-    "dom_orders,cod_orders",
-    [((4,), (4,)), ((2, 2), (2,)), ((3,), (6,))],
-)
+def degree_all_directions(P):
+    return tuple_degree(P, [h for h in P.domain.elements() if not h.is_zero()])
+
+
+EXHAUSTIVE_CASES = [((4,), (4,)), ((2, 2), (2,)), ((3,), (6,))]
+
+
+@pytest.mark.parametrize("dom_orders,cod_orders", EXHAUSTIVE_CASES)
 def test_generator_derivatives_suffice_exhaustive(dom_orders, cod_orders):
     # the documented lemma behind degree(): generator-derivative nilpotence
     # is equivalent to full nilpotence, via d_{g+h}P(x) = d_gP(x+h) + d_hP(x)
@@ -136,6 +178,49 @@ def test_generator_derivatives_suffice_exhaustive(dom_orders, cod_orders):
     for table in iproduct(points, repeat=dom.order):
         P = PolyMap(dom, cod, table)
         assert degree(P) == degree_all_directions(P)
+
+
+@pytest.mark.parametrize("dom_orders,cod_orders", EXHAUSTIVE_CASES)
+def test_array_degree_and_derivative_match_tuple_oracles_exhaustive(dom_orders, cod_orders):
+    dom = FinAbGroup(dom_orders)
+    cod = FinAbGroup(cod_orders)
+    points = [x.coords for x in cod.elements()]
+    for table in iproduct(points, repeat=dom.order):
+        P = PolyMap(dom, cod, table)
+        assert degree(P) == tuple_degree(P, dom.generators())
+        for h in dom.elements():
+            assert derivative(P, h).table == tuple_derivative(P.table, shift_indices(dom, h), cod.orders)
+
+
+@pytest.mark.parametrize(
+    "dom_orders,cod_orders",
+    [((2, 3), (2, 2)), ((4, 2), (4, 2)), ((3, 3), (3, 9)), ((2, 2, 2), (2, 4)), ((6,), (4, 3)), ((1, 4), (1, 4, 1))],
+)
+def test_array_degree_and_derivative_match_tuple_oracles_multicoordinate(dom_orders, cod_orders):
+    # random tables into multi-coordinate codomains (mostly not polynomial), plus
+    # sums of coordinate products (polynomial) and the zero and constant maps
+    rng = random.Random(f"{dom_orders} -> {cod_orders}")
+    dom, cod = FinAbGroup(dom_orders), FinAbGroup(cod_orders)
+    X = dom.coords_array
+    tables = [tuple(tuple(rng.randrange(m) for m in cod.orders) for _ in range(dom.order)) for _ in range(40)]
+    for _ in range(20):
+        cols = [sum(rng.randrange(m) * np.prod(X[:, rng.sample(range(dom.ncoords), rng.randint(1, dom.ncoords))], axis=1)
+                    for _ in range(2)) for m in cod.orders]
+        tables.append(tuple(map(tuple, np.stack(cols, axis=1).tolist())))
+    tables += [((0,) * cod.ncoords,) * dom.order, ((1,) * cod.ncoords,) * dom.order]
+    for table in tables:
+        P = PolyMap(dom, cod, table)
+        assert degree(P) == tuple_degree(P, dom.generators())
+        for h in dom.elements():
+            assert derivative(P, h).table == tuple_derivative(P.table, shift_indices(dom, h), cod.orders)
+
+
+def test_array_degree_of_cross_sections_and_phase_polynomials_matches_tuple_oracle():
+    rng = random.Random(31)
+    for _ in range(12):
+        tau = random_surjection(rng, max_coords_a=2, extra_coords=1, max_order_b=2**6)
+        for P in (polynomial_cross_section(tau), random_phase_polynomial(rng, tau.domain, rng.randint(1, 3))):
+            assert degree(P) == tuple_degree(P, P.domain.generators())
 
 
 def test_generator_derivatives_suffice_sampled():
@@ -316,6 +401,44 @@ def test_decompose_z3z9_to_z3():
     dec = decompose_surjection(M)
     dec.verify()  # pointwise identity on all 27 elements
     assert dec.core.codomain.torsion <= 3
+
+
+@pytest.mark.parametrize(
+    "seed, orders, matrix",
+    [  # taken before the scale and shear branches moved onto Homomorphism.elementary
+        (1, (4, 4, 8), ((1, 0, 0), (0, 3, 1), (0, 0, 1))),
+        (2, (9, 3, 27), ((8, 3, 6), (0, 1, 1), (0, 0, 1))),
+        (3, (2, 2, 2, 2), ((1, 0, 0, 0), (0, 0, 1, 1), (0, 1, 0, 0), (0, 0, 1, 0))),
+        (4, (5, 25), ((4, 0), (20, 2))),
+        (6, (8,), ((5,),)),
+        (7, (3, 9), ((2, 2), (0, 1))),
+    ],
+)
+def test_random_automorphism_is_pinned(seed, orders, matrix):
+    assert random_automorphism(random.Random(seed), FinAbGroup(orders)).matrix == matrix
+
+
+def test_elementary_automorphism_matrix():
+    G = FinAbGroup((4, 8))
+    assert Homomorphism.elementary(G, 1, 0, 6).matrix == ((1, 0), (6, 1))
+    assert Homomorphism.elementary(G, 0, 0, 3).matrix == ((3, 0), (0, 1))
+    with pytest.raises(ValueError):  # 4 * (entry 1 of column 0) is not 0 mod 8
+        Homomorphism.elementary(G, 1, 0, 1)
+
+
+def test_decomposition_verify_refuses_a_tampered_factor():
+    G = FinAbGroup((3, 9))
+    dec = decompose_surjection(Homomorphism(G, Z3, [[1, 1]]))
+    tampered = dataclasses.replace(dec, domain_iso=Homomorphism.elementary(G, 1, 1, 2).compose(dec.domain_iso))
+    with pytest.raises(PostconditionError, match="does not reproduce"):
+        tampered.verify()
+
+
+def test_section_check_refuses_a_non_section():
+    tau = Homomorphism(Z9, Z3, [[1]])
+    _check_section(tau, np.array([[0], [4], [8]]))  # a section: 0, 4, 8 reduce to 0, 1, 2
+    with pytest.raises(PostconditionError, match="tau o iota"):
+        _check_section(tau, np.array([[0], [4], [7]]))
 
 
 def test_decompose_rejects_non_surjective():
