@@ -21,7 +21,6 @@ import os
 import sys
 import tempfile
 import time
-from fractions import Fraction
 from itertools import chain
 from json.encoder import encode_basestring_ascii as _string
 
@@ -41,6 +40,7 @@ from .groups import (
 )
 from .harmonics import (
     GroupFunction,
+    ProjectedPhase,
     box_norm_4cycle,
     correlation,
     cut_norm_lower,
@@ -157,7 +157,7 @@ def _function(spec, G: FinAbGroup, rng_seed) -> GroupFunction:
             raise ConfigError(
                 "'phases' must list one [num, den] pair of integers, den != 0, per element"
             )
-        return GroupFunction.from_phases(G, [Fraction(n, d) for n, d in ph])
+        return GroupFunction._from_ratios(G, ph)
     if kind == "character":
         t = spec.get("t", [0] * G.ncoords)
         if not _ints(t, G.ncoords):
@@ -359,23 +359,26 @@ def _run_crosssection(params, seed, cap, tol):
     return inputs, outputs, []
 
 
-def _phase_poly(params) -> PolyMap:
+def _projected_phase(params, cap) -> ProjectedPhase:
+    """phi_*tau of the config's phase table along its surjection matrix."""
     B = _group(_need(params, "domain", list))
+    A = _group(_need(params, "codomain", list))
     N = _need(params, "phase_modulus", int)
+    if N >= 2**63:
+        raise CapExceeded(f"phase modulus {N} does not fit in int64")
+    _capped(A.order * N, cap, "|A| N")  # the fiber histogram, compared before Z_N is built
     table = _need(params, "phase_table", list)
     if not _ints(table, B.order):
         raise ConfigError("'phase_table' must list one integer residue per domain element")
-    P = PolyMap(B, FinAbGroup((N,)), tuple((v,) for v in table))
-    if P.degree is None:
+    phi = PolyMap(B, FinAbGroup((N,)), tuple((v,) for v in table))
+    if phi.degree is None:
         raise ConfigError("the phase table is not polynomial of any degree")
-    return P
+    return project_phase(phi, _hom(B, A, _need(params, "matrix", list)))
 
 
 def _run_project(params, seed, cap, tol):
-    phi = _phase_poly(params)
-    A = _group(_need(params, "codomain", list))
-    tau = _hom(phi.domain, A, _need(params, "matrix", list))
-    pp = project_phase(phi, tau)
+    pp = _projected_phase(params, cap)
+    phi, A = pp.phi, pp.tau.codomain
     inputs = {
         "domain": list(phi.domain.orders),
         "codomain": list(A.orders),
@@ -392,10 +395,8 @@ def _run_project(params, seed, cap, tol):
 
 
 def _run_obstruct(params, seed, cap, tol):
-    phi = _phase_poly(params)
-    A = _group(_need(params, "codomain", list))
-    tau = _hom(phi.domain, A, _need(params, "matrix", list))
-    pp = project_phase(phi, tau)
+    pp = _projected_phase(params, cap)
+    phi, A = pp.phi, pp.tau.codomain
     f = _function(_need(params, "function", dict), A, seed)
     order = params.get("order")
     if order is not None and type(order) is not int:

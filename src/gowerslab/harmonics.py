@@ -1,10 +1,10 @@
 """Complex and exact-phase functions on finite abelian groups, and their norms.
 
 Functions carry a dense complex table; unimodular functions built from
-rational phases additionally carry the exact phases theta in Q/Z (meaning
-e(theta)), which the exact-arithmetic paths use for golden-value checks:
-sums of e(a/N) are tracked as integer count vectors indexed by a mod N and
-only converted to floating point at the very end.
+rational phases also carry their exact phases theta in Q/Z (meaning
+e(theta)) as integers a mod one N <= 2^53, their least common denominator.
+The golden-value checks track sums of e(a/N) as integer count vectors
+indexed by a mod N, converted to floating point only at the very end.
 
 Norms:
 
@@ -34,12 +34,11 @@ polynomial cross-section are both implemented with exact verification.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from fractions import Fraction
-from itertools import combinations, product as iproduct
+from functools import cached_property, lru_cache
+from itertools import combinations
 
 import numpy as np
 
@@ -100,49 +99,63 @@ def _characters(orders: tuple[int, ...], start: int, stop: int) -> np.ndarray:
 
 
 class GroupFunction:
-    """Function on a finite abelian group: complex table, optional exact phases."""
+    """Function on a finite abelian group: complex table, optional exact phases e(phase_num / modulus)."""
 
-    def __init__(self, group: FinAbGroup, values, phases=None):
+    def __init__(self, group: FinAbGroup, values):
         self.group = group
         self.values = np.asarray(values, dtype=np.complex128)
         if self.values.shape != (group.order,):
             raise ValueError("value table must have one entry per element")
-        self.phases = tuple(phases) if phases is not None else None
-        if self.phases is not None and len(self.phases) != group.order:
-            raise ValueError("phase table must have one entry per element")
+        self.phase_num = self.modulus = None
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
+    def _exact(cls, group: FinAbGroup, num, N: int) -> "GroupFunction":
+        """x -> e(num[x]/N), over the least common denominator N; past 2^53, num/N stops rounding exactly."""
+        g = math.gcd(N, int(np.gcd.reduce(num)))
+        if (N := N // g) > 2**53:
+            raise CapExceeded(f"phase modulus {N} exceeds 2^53")
+        num = (num // g).astype(np.int64)
+        f = cls(group, np.exp(2j * np.pi * (num / N)))
+        num.flags.writeable = False
+        f.phase_num, f.modulus = num, N
+        return f
+
+    @classmethod
+    def _from_ratios(cls, group: FinAbGroup, pairs) -> "GroupFunction":
+        """x -> e(n/d) for the pair (n, d) of x: Python ints of any size, d != 0."""
+        N = 1
+        for d in {abs(d) // math.gcd(n, d) for n, d in pairs}:  # the reduced denominators
+            if (N := math.lcm(N, d)) > 2**53:
+                raise CapExceeded(f"phase modulus {N} exceeds 2^53")
+        return cls._exact(group, np.array([n * N // d % N for n, d in pairs], dtype=np.int64), N)
+
+    @classmethod
     def from_phases(cls, group: FinAbGroup, phases) -> "GroupFunction":
         """Exactly unimodular function x -> e(theta_x), theta in Q/Z."""
-        ph = tuple(Fraction(p) % 1 for p in phases)
-        vals = [cmath.exp(2j * math.pi * float(p)) for p in ph]
-        return cls(group, vals, ph)
+        return cls._from_ratios(group, [(int(p.numerator), int(p.denominator)) for p in map(Fraction, phases)])
 
     @classmethod
     def ones(cls, group: FinAbGroup) -> "GroupFunction":
-        return cls.from_phases(group, [Fraction(0)] * group.order)
+        return cls._exact(group, np.zeros(group.order, dtype=np.int64), 1)
 
     @classmethod
     def character(cls, group: FinAbGroup, t) -> "GroupFunction":
-        """chi_t(x) = e(sum_j t_j x_j / m_j)."""
-        t = tuple(t)
-        if len(t) != group.ncoords:
-            raise ValueError("character index needs one entry per coordinate")
-        ph = [
-            sum(
-                (Fraction(tj * xj, mj) for tj, xj, mj in zip(t, x.coords, group.orders)),
-                start=Fraction(0),
-            )
-            for x in group.elements()
-        ]
-        return cls.from_phases(group, ph)
+        """chi_t(x) = e(sum_j t_j x_j / m_j), an integer mod E = lcm(m_j) per element."""
+        E = group.torsion
+        w = np.array([tj % mj * (E // mj) for tj, mj in zip(t, group.orders, strict=True)], dtype=np.int64)
+        return cls._exact(group, (group.coords_array * w % E).sum(axis=1) % E, E)
 
     # -- basic structure -----------------------------------------------------
 
     def is_exact(self) -> bool:
-        return self.phases is not None
+        return self.phase_num is not None
+
+    @cached_property
+    def phases(self) -> tuple[Fraction, ...] | None:
+        """The exact phases as reduced fractions in [0, 1), or None."""
+        return None if self.phase_num is None else tuple(Fraction(a, self.modulus) for a in self.phase_num.tolist())
 
     def is_one_bounded(self, tol: float = 1e-12) -> bool:
         return bool(np.max(np.abs(self.values)) <= 1 + tol)
@@ -151,36 +164,24 @@ class GroupFunction:
         if not self.is_one_bounded():
             raise ValueError("function is not 1-bounded")
 
-    def phase_denominator(self) -> int:
-        if self.phases is None:
-            raise ValueError("no exact phases available")
-        N = 1
-        for p in self.phases:
-            N = N * p.denominator // math.gcd(N, p.denominator)
-        return N
-
     def phase_ints(self, N: int | None = None) -> np.ndarray:
-        """Phases as integers a with theta = a/N."""
-        if N is None:
-            N = self.phase_denominator()
-        return np.array(
-            [(p.numerator * (N // p.denominator)) % N for p in self.phases], dtype=np.int64
-        )
+        """Phases as integers a with theta = a/N, for N a multiple of the modulus (by default N itself)."""
+        return self.phase_num if N is None else self.phase_num * (N // self.modulus)
 
     # -- pointwise operations (exactness is preserved when possible) ---------
 
     def multiply(self, other: "GroupFunction") -> "GroupFunction":
         if other.group != self.group:
             raise ValueError("functions on different groups")
-        if self.phases is not None and other.phases is not None:
-            return GroupFunction.from_phases(
-                self.group, [a + b for a, b in zip(self.phases, other.phases)]
-            )
+        if self.is_exact() and other.is_exact():
+            N = math.lcm(self.modulus, other.modulus)  # Python ints from 2^62 on, where int64 sums overflow
+            a, b = (f.phase_num.astype(np.int64 if N < 2**62 else object) * (N // f.modulus) for f in (self, other))
+            return GroupFunction._exact(self.group, (a + b) % N, N)
         return GroupFunction(self.group, self.values * other.values)
 
     def conjugate(self) -> "GroupFunction":
-        if self.phases is not None:
-            return GroupFunction.from_phases(self.group, [-p for p in self.phases])
+        if self.is_exact():
+            return GroupFunction._exact(self.group, -self.phase_num % self.modulus, self.modulus)
         return GroupFunction(self.group, np.conj(self.values))
 
     def translate(self, a: GroupElement) -> "GroupFunction":
@@ -189,14 +190,13 @@ class GroupFunction:
             raise ValueError("translation by an element of a different group")
         G = self.group
         row = (G.coords_array + np.array(a.coords, dtype=np.int64)) % G.moduli @ G.radix  # index of x + a
-        ph = None
-        if self.phases is not None:
-            ph = [self.phases[i] for i in row]
-        return GroupFunction(self.group, self.values[row], ph)
+        if self.is_exact():
+            return GroupFunction._exact(G, self.phase_num[row], self.modulus)
+        return GroupFunction(G, self.values[row])
 
     def to_json(self) -> dict:
         out = {"group": list(self.group.orders)}
-        if self.phases is not None:
+        if self.is_exact():
             out["phases"] = [[p.numerator, p.denominator] for p in self.phases]
         else:
             out["values"] = [[float(v.real), float(v.imag)] for v in self.values]
@@ -206,7 +206,7 @@ class GroupFunction:
     def from_json(cls, data: dict) -> "GroupFunction":
         G = FinAbGroup(tuple(data["group"]))
         if "phases" in data:
-            return cls.from_phases(G, [Fraction(n, d) for n, d in data["phases"]])
+            return cls._from_ratios(G, data["phases"])
         return cls(G, [complex(re, im) for re, im in data["values"]])
 
 
@@ -338,19 +338,18 @@ def gowers_norm_exact(f: GroupFunction, order: int, *, cap: int = 2**24) -> Exac
     rows are read off the N x N Gram matrix sum H^T H of their histograms H
     along its diagonals b - a = c (|G| N^2 integer products per step);
     otherwise the differences within each row are counted directly (|G|^3
-    per step), which keeps memory at O(|G|^2) for any N.  Every
-    intermediate quantity is an integer, and ``cap`` still bounds the
-    number of counted tuples, |G|^(order+1).
+    per step), which keeps memory at O(|G|^2 + N) for any N.  Every
+    intermediate quantity is an integer, and ``cap`` bounds the number of
+    counted tuples, |G|^(order+1), and the N-long count vector.
     """
-    if f.phases is None:
+    if not f.is_exact():
         raise ValueError("exact norm needs exact phases")
     if order < 1:
         raise ValueError("the norm order must be at least 1")
     G = f.group
-    if G.order ** (order + 1) > cap:
-        raise CapExceeded(f"|G|^(order+1) exceeds cap {cap}")
-    N = f.phase_denominator()
-    P = f.phase_ints(N)
+    N, P = f.modulus, f.phase_num
+    if max(G.order ** (order + 1), N) > cap:
+        raise CapExceeded(f"|G|^(order+1) or the phase modulus N = {N} exceeds cap {cap}")
     if order == 1:
         tables = [P[None, :]]
     else:
@@ -390,8 +389,7 @@ def phase(P: PolyMap) -> GroupFunction:
         raise ValueError("phase polynomials take values in a single cyclic group")
     if P.degree is None:
         raise ValueError("map is not polynomial of any degree")
-    N = P.codomain.orders[0]
-    return GroupFunction.from_phases(P.domain, [Fraction(v, N) for v in P.values[:, 0].tolist()])
+    return GroupFunction._exact(P.domain, P.values[:, 0], P.codomain.orders[0])
 
 
 @dataclass(frozen=True)

@@ -9,10 +9,7 @@ and the coboundary-plus-pullback cocycle family.
 
 from __future__ import annotations
 
-import cmath
-import math
 import random
-from fractions import Fraction
 from math import gcd
 
 import numpy as np
@@ -164,17 +161,14 @@ def random_phase_polynomial(rng: random.Random, B: FinAbGroup, k: int, *, terms=
 
 
 def random_unimodular_function(rng: random.Random, G: FinAbGroup, *, denominator=360) -> GroupFunction:
-    phases = [Fraction(rng.randrange(denominator), denominator) for _ in range(G.order)]
-    return GroupFunction.from_phases(G, phases)
+    num = np.array([rng.randrange(denominator) for _ in range(G.order)], dtype=np.int64)
+    return GroupFunction._exact(G, num, denominator)
 
 
 def random_bounded_function(rng: random.Random, G: FinAbGroup) -> GroupFunction:
-    vals = []
-    for _ in range(G.order):
-        r = rng.random()
-        theta = rng.random()
-        vals.append(r * cmath.exp(2j * math.pi * theta))
-    return GroupFunction(G, vals)
+    """r e(theta) per element, with r and theta drawn in turn."""
+    draws = np.array([rng.random() for _ in range(2 * G.order)])
+    return GroupFunction(G, draws[0::2] * np.exp(2j * np.pi * draws[1::2]))
 
 
 def random_cocycle(
@@ -213,8 +207,5 @@ def random_cocycle(
 def bilinear_function(l: int) -> GroupFunction:
     """f(x, y) = e(1/2 sum_i x_i y_i) on Z_2^l x Z_2^l."""
     G = FinAbGroup((2,) * (2 * l))
-    phases = []
-    for x in G.elements():
-        a, b = x.coords[:l], x.coords[l:]
-        phases.append(Fraction(sum(ai * bi for ai, bi in zip(a, b)), 2))
-    return GroupFunction.from_phases(G, phases)
+    X = G.coords_array
+    return GroupFunction._exact(G, (X[:, :l] * X[:, l:]).sum(axis=1) % 2, 2)

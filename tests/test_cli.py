@@ -415,6 +415,41 @@ def test_main_huge_group_exit_3(tmp_path, command, params):
     assert main([command, "--config", path]) == 3
 
 
+_PHASE_PARAMS = {"domain": [2], "codomain": [2], "matrix": [[1]], "phase_table": [0, 1]}
+
+
+@pytest.mark.parametrize("command", ["project", "obstruct"])
+@pytest.mark.parametrize("N, cap", [(2**70, None), (2**70, 2**80), (2**63, 2**80), (2**40, None), (2**10, 2**11 - 1)])
+def test_main_huge_phase_modulus_exit_3(tmp_path, command, N, cap):
+    # |A| N is the fiber histogram, compared with the cap before Z_N is built;
+    # N >= 2^63 does not fit in int64 and is refused under any cap
+    params = dict(_PHASE_PARAMS, phase_modulus=N, function={"kind": "ones"})
+    extra = {} if cap is None else {"cap": cap}
+    path = _write(tmp_path, "c.json", cfg(command, params, **extra))
+    assert main([command, "--config", path]) == 3
+
+
+@pytest.mark.parametrize("command", ["project", "obstruct"])
+def test_main_phase_modulus_at_the_cap_runs(tmp_path, command):
+    params = dict(_PHASE_PARAMS, phase_modulus=2**10, phase_table=[0, 2**9], function={"kind": "ones"})
+    path = _write(tmp_path, "c.json", cfg(command, params, cap=2**11))
+    assert main([command, "--config", path, "--out", str(tmp_path / "r.json")]) == 0
+
+
+@pytest.mark.parametrize(
+    "phases",
+    [
+        [[1, 2**70], [0, 1]],  # one denominator past 2^53
+        [[1, p] for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53)],  # lcm about 2^64.8
+    ],
+    ids=["2^70", "primes-to-53"],
+)
+def test_main_phase_denominator_above_2_53_exit_3(tmp_path, phases):
+    params = {"group": [len(phases)], "order": 2, "function": {"kind": "phases", "phases": phases}}
+    path = _write(tmp_path, "c.json", cfg("norm", params))
+    assert main(["norm", "--config", path]) == 3
+
+
 def test_main_cutnorm_cap(tmp_path):
     # (10^7 + 1) * 25 sweeps of C(2, 1)^2 * 4 entries each: refused before the first sweep
     params = _cut_params(restarts=10_000_000)

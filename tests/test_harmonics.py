@@ -43,6 +43,185 @@ TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
+# exact phases: the int64 array over one modulus against the Fraction oracle
+
+
+def _oracle_from_phases(phases):
+    """The exact phases as reduced Fractions in [0, 1), one per element."""
+    return tuple(Fraction(p) % 1 for p in phases)
+
+
+def _oracle_values(ph):
+    return np.array([cmath.exp(2j * math.pi * float(p)) for p in ph], dtype=np.complex128)
+
+
+def _oracle_character(group, t):
+    return _oracle_from_phases(
+        sum((Fraction(tj * xj, mj) for tj, xj, mj in zip(t, x.coords, group.orders)), start=Fraction(0))
+        for x in group.elements()
+    )
+
+
+def _oracle_multiply(ph, other):
+    return _oracle_from_phases(a + b for a, b in zip(ph, other))
+
+
+def _oracle_conjugate(ph):
+    return _oracle_from_phases(-p for p in ph)
+
+
+def _oracle_translate(group, ph, a):
+    """x -> ph(x + a), one element at a time."""
+    return tuple(ph[group.index_of((x + a).coords)] for x in group.elements())
+
+
+def _oracle_phase_denominator(ph):
+    return math.lcm(*(p.denominator for p in ph))
+
+
+def _oracle_phase_ints(ph, N):
+    return np.array([(p.numerator * (N // p.denominator)) % N for p in ph], dtype=np.int64)
+
+
+def _assert_is_oracle(f, ph):
+    """f holds exactly the phases ph: same modulus, integers, view and values bit for bit."""
+    N = _oracle_phase_denominator(ph)
+    assert f.modulus == N
+    assert f.phase_num.dtype == np.int64 and np.array_equal(f.phase_num, _oracle_phase_ints(ph, N))
+    assert f.phases == ph
+    assert f.values.tobytes() == _oracle_values(ph).tobytes()
+
+
+RATIO_CASES = {
+    "unreduced": [(2, 4), (3, 6), (0, 5), (10, 4), (6, 9)],
+    "negative": [(1, -4), (-3, 6), (-5, -10), (7, -3), (0, -2)],
+    "beyond int64": [(2**70 + 1, 3), (-(2**80), 2**78 * 5), (3**50, 3**49 * 2), (2**64, 2**64), (1, 1)],
+}
+
+
+@pytest.mark.parametrize("case", list(RATIO_CASES))
+def test_from_phases_and_ratios_match_fraction_oracle(case):
+    pairs = RATIO_CASES[case]
+    G = FinAbGroup((5,))
+    ph = _oracle_from_phases(Fraction(n, d) for n, d in pairs)
+    _assert_is_oracle(GroupFunction.from_phases(G, [Fraction(n, d) for n, d in pairs]), ph)
+    _assert_is_oracle(GroupFunction._from_ratios(G, pairs), ph)
+    data = {"group": [5], "phases": [list(p) for p in pairs]}
+    g = GroupFunction.from_json(data)
+    _assert_is_oracle(g, ph)
+    assert g.to_json()["phases"] == [[p.numerator, p.denominator] for p in ph]
+    _assert_is_oracle(GroupFunction.from_json(g.to_json()), ph)
+
+
+def test_from_phases_accepts_ints_and_strings():
+    G = FinAbGroup((4,))
+    phases = [3, "1/3", Fraction(-1, 6), 0.25]
+    _assert_is_oracle(GroupFunction.from_phases(G, phases), _oracle_from_phases(phases))
+
+
+@pytest.mark.parametrize("orders", [(), (1,), (6,), (2, 3, 4), (4, 6, 9), (2, 2, 8)])
+def test_ones_character_phase_and_bilinear_match_fraction_oracle(orders):
+    G = FinAbGroup(orders)
+    rng = random.Random(f"oracle/{orders}")
+    _assert_is_oracle(GroupFunction.ones(G), (Fraction(0),) * G.order)
+    ts = [tuple(rng.randrange(-50, 50) for _ in orders) for _ in range(4)]
+    ts.append(tuple((2**80 + 3) * (-1) ** j + 3**60 * j for j in range(len(orders))))  # huge t
+    for t in ts:
+        _assert_is_oracle(GroupFunction.character(G, t), _oracle_character(G, t))
+    P = random_phase_polynomial(rng, G, 2)
+    N = P.codomain.orders[0]
+    _assert_is_oracle(phase(P), _oracle_from_phases(Fraction(v, N) for v in P.values[:, 0].tolist()))
+    f = random_unimodular_function(random.Random(7), G, denominator=12)
+    r = random.Random(7)
+    _assert_is_oracle(f, _oracle_from_phases(Fraction(r.randrange(12), 12) for _ in range(G.order)))
+
+
+def test_bilinear_function_matches_fraction_oracle():
+    for l in (1, 2, 3):
+        f = bilinear_function(l)
+        xs = [x.coords for x in f.group.elements()]
+        _assert_is_oracle(f, _oracle_from_phases(Fraction(sum(a * b for a, b in zip(x[:l], x[l:])), 2) for x in xs))
+
+
+@pytest.mark.parametrize("orders", [(1,), (12,), (2, 6), (3, 4, 2)])
+def test_operations_match_fraction_oracle(orders):
+    G = FinAbGroup(orders)
+    rng = random.Random(f"ops/{orders}")
+    fs = [random_unimodular_function(rng, G, denominator=N) for N in (1, 4, 6, 360)]
+    fs.append(GroupFunction.character(G, [rng.randrange(m) for m in orders]))
+    for f in fs:
+        _assert_is_oracle(f.conjugate(), _oracle_conjugate(f.phases))
+        for a in rng.sample(list(G.elements()), min(G.order, 4)):
+            _assert_is_oracle(f.translate(a), _oracle_translate(G, f.phases, a))
+        for g in fs:
+            _assert_is_oracle(f.multiply(g), _oracle_multiply(f.phases, g.phases))
+        assert np.array_equal(f.phase_ints(360 * f.modulus), _oracle_phase_ints(f.phases, 360 * f.modulus))
+
+
+def test_multiply_reduces_the_modulus():
+    G = FinAbGroup((3,))
+    half = GroupFunction.from_phases(G, [Fraction(1, 2)] * 3)
+    one = half.multiply(half)
+    assert one.modulus == 1 and one.phase_num.tolist() == [0, 0, 0]
+    _assert_is_oracle(one, (Fraction(0),) * 3)
+    # moduli p r and q r with lcm p q r past 2^63, whose product reduces to p q < 2^53
+    p, q, r = 67108859, 67108837, 67108819
+    f = GroupFunction.from_phases(G, [Fraction(1, p) + Fraction(1, r), Fraction(2, p), Fraction(1, r)])
+    g = GroupFunction.from_phases(G, [Fraction(1, q) - Fraction(1, r), Fraction(3, q), -Fraction(1, r)])
+    assert f.modulus == p * r and g.modulus == q * r and math.lcm(f.modulus, g.modulus) > 2**63
+    h = f.multiply(g)
+    assert h.modulus == p * q
+    _assert_is_oracle(h, _oracle_multiply(f.phases, g.phases))
+
+
+@pytest.mark.parametrize("N", list(range(1, 201)) + [360, 2520, 4096])
+def test_values_match_cmath_at_every_residue(N):
+    # e(a/N) as one numpy exp of the correctly rounded a/N, bit for bit the per-element cmath.exp
+    G = FinAbGroup((N,))
+    f = GroupFunction._exact(G, np.arange(N), N)
+    assert f.modulus == N
+    assert f.values.tobytes() == _oracle_values(Fraction(a, N) for a in range(N)).tobytes()
+
+
+def test_phase_num_is_read_only():
+    f = random_unimodular_function(random.Random(1), FinAbGroup((2, 3)), denominator=6)
+    with pytest.raises(ValueError):
+        f.phase_num[0] = 1
+    assert not f.phase_ints().flags.writeable
+
+
+def test_phase_modulus_above_2_53_is_refused():
+    G = FinAbGroup((2,))
+    assert GroupFunction.from_phases(G, [Fraction(1, 2**53), 0]).modulus == 2**53
+    for phases in ([Fraction(1, 2**53 + 1), 0], [Fraction(1, 2**70), 0], [Fraction(1, 2**27), Fraction(1, 3**17)]):
+        with pytest.raises(CapExceeded):
+            GroupFunction.from_phases(G, phases)
+    # a product whose least common denominator passes 2^53
+    f = GroupFunction.from_phases(G, [Fraction(1, 2**30), 0])
+    g = GroupFunction.from_phases(G, [Fraction(1, 3**19), 0])
+    with pytest.raises(CapExceeded):
+        f.multiply(g)
+
+
+def test_phase_ints_scales_to_a_multiple():
+    f = GroupFunction.from_phases(FinAbGroup((3,)), [Fraction(1, 3), Fraction(2, 3), 0])
+    assert f.phase_ints().tolist() == [1, 2, 0]
+    assert f.phase_ints(12).tolist() == [4, 8, 0]
+
+
+def test_random_bounded_function_matches_cmath_draws():
+    G = FinAbGroup((4, 6))
+    rng = random.Random(31)
+    expected = []
+    for _ in range(G.order):
+        r = rng.random()
+        expected.append(r * cmath.exp(2j * math.pi * rng.random()))
+    f = random_bounded_function(random.Random(31), G)
+    assert f.values.tobytes() == np.array(expected).tobytes()
+    assert not f.is_exact() and f.phases is None
+
+
+# ---------------------------------------------------------------------------
 # Gowers norms
 
 
@@ -125,7 +304,8 @@ def test_norm_matches_direct_oracle(orders):
             direct = max(_direct_power_oracle(f.values, order, add), 0.0) ** (1.0 / 2**order)
             assert abs(value - direct) < 1e-12, (order, value, direct)
             if f.is_exact():
-                exact = gowers_norm_exact(f, order, cap=G.order ** (order + 1)).value
+                # the exact cost: |G|^(order+1) counted tuples into N bins
+                exact = gowers_norm_exact(f, order, cap=max(G.order ** (order + 1), f.modulus)).value
                 assert abs(value - exact) < 1e-12, (order, value, exact)
 
 
@@ -189,7 +369,7 @@ def test_bilinear_l5_u3_and_box():
 def _exact_norm_oracle(f, order):
     """The exact count by brute force: one bincount per (h_1, ..., h_order)."""
     G = f.group
-    N = f.phase_denominator()
+    N = _oracle_phase_denominator(f.phases)
     add = _add_table(G.orders)
     counts = np.zeros(N, dtype=np.int64)
 
@@ -201,7 +381,7 @@ def _exact_norm_oracle(f, order):
         for row in add:
             rec((D[row] - D) % N, k - 1)
 
-    rec(f.phase_ints(N), order)
+    rec(_oracle_phase_ints(f.phases, N), order)
     return ExactNorm(N, tuple(int(c) for c in counts), G.order ** (order + 1), order)
 
 
@@ -260,8 +440,21 @@ def test_exact_norm_matches_oracle_large_modulus(orders, N):
     G = FinAbGroup(orders)
     rng = random.Random(N)
     f = GroupFunction.from_phases(G, [Fraction(rng.randrange(N), N) for _ in range(G.order)])
-    assert f.phase_denominator() == N
+    assert f.modulus == N
     assert gowers_norm_exact(f, 2) == _exact_norm_oracle(f, 2)
+
+
+def test_exact_norm_cap_bounds_the_count_vector():
+    # |G|^(order+1) is 8 on Z2, but N = 2^40 bins would be 8 TiB of counts
+    G = FinAbGroup((2,))
+    f = GroupFunction.from_phases(G, [Fraction(1, 2**40), 0])
+    for order in (1, 2):
+        with pytest.raises(CapExceeded):
+            gowers_norm_exact(f, order)
+    f = GroupFunction.from_phases(G, [Fraction(1, 2**10), 0])
+    assert gowers_norm_exact(f, 2, cap=2**10) == _exact_norm_oracle(f, 2)
+    with pytest.raises(CapExceeded):
+        gowers_norm_exact(f, 2, cap=2**10 - 1)
 
 
 def test_exact_norm_bilinear_l4_u3():
@@ -287,7 +480,7 @@ def test_exact_norm_value_matches_float_norm(seed):
     for f in fs:
         for order in (1, 2, 3, 4) if G.order <= 16 else (1, 2, 3):
             exact = gowers_norm_exact(f, order, cap=2**30).value
-            assert abs(exact - gowers_norm(f, order)) < TOL, (f.phase_denominator(), order)
+            assert abs(exact - gowers_norm(f, order)) < TOL, (f.modulus, order)
 
 
 def test_exact_norm_requires_phases():
