@@ -164,18 +164,14 @@ class GroupFunction:
         if not self.is_one_bounded():
             raise ValueError("function is not 1-bounded")
 
-    def phase_ints(self, N: int | None = None) -> np.ndarray:
-        """Phases as integers a with theta = a/N, for N a multiple of the modulus (by default N itself)."""
-        return self.phase_num if N is None else self.phase_num * (N // self.modulus)
-
     # -- pointwise operations (exactness is preserved when possible) ---------
 
     def multiply(self, other: "GroupFunction") -> "GroupFunction":
         if other.group != self.group:
             raise ValueError("functions on different groups")
         if self.is_exact() and other.is_exact():
-            N = math.lcm(self.modulus, other.modulus)  # Python ints from 2^62 on, where int64 sums overflow
-            a, b = (f.phase_num.astype(np.int64 if N < 2**62 else object) * (N // f.modulus) for f in (self, other))
+            N = math.lcm(self.modulus, other.modulus)
+            a, b = (f.phase_num.astype(object) * (N // f.modulus) for f in (self, other))
             return GroupFunction._exact(self.group, (a + b) % N, N)
         return GroupFunction(self.group, self.values * other.values)
 
@@ -396,8 +392,9 @@ def phase(P: PolyMap) -> GroupFunction:
 class ProjectedPhase:
     """phi_*tau(x) = E_{y in tau^{-1}(x)} e(phi(y)), with exact fiber data.
 
-    ``fiber_counts[x][a]`` counts the y in the fiber over x with phase
-    a/modulus; ``function`` is the induced table on the codomain of tau.
+    ``fiber_counts[x, a]``, a read-only |A| x modulus int64 array, counts the
+    y in the fiber over x with phase a/modulus; ``function`` is the induced
+    table on the codomain of tau.
     ``torsion`` is (codomain torsion, domain torsion) and
     ``rank_preserving`` records rk(domain) = rk(codomain).
     """
@@ -405,7 +402,7 @@ class ProjectedPhase:
     phi: PolyMap
     tau: Homomorphism
     function: GroupFunction
-    fiber_counts: tuple[tuple[int, ...], ...]
+    fiber_counts: np.ndarray
     fiber_size: int
     modulus: int
     degree: int
@@ -426,10 +423,10 @@ def project_phase(phi: PolyMap, tau: Homomorphism) -> ProjectedPhase:
         raise ValueError("phi is not polynomial of any degree")
     B, A = tau.domain, tau.codomain
     N = phi.codomain.orders[0]
-    hist = np.bincount(tau.image_index * N + phi.values[:, 0], minlength=A.order * N)
-    counts = hist.reshape(A.order, N).tolist()
+    counts = np.bincount(tau.image_index * N + phi.values[:, 0], minlength=A.order * N).reshape(A.order, N)
+    counts.flags.writeable = False
     fiber = B.order // A.order
-    if any(sum(c) != fiber for c in counts):
+    if (counts.sum(axis=1) != fiber).any():
         raise PostconditionError("fibers of a surjective homomorphism have equal size")
     roots = np.exp(2j * np.pi * np.arange(N) / N)
     values = np.array([np.dot(c, roots) / fiber for c in counts])
@@ -440,7 +437,7 @@ def project_phase(phi: PolyMap, tau: Homomorphism) -> ProjectedPhase:
         phi=phi,
         tau=tau,
         function=fn,
-        fiber_counts=tuple(tuple(c) for c in counts),
+        fiber_counts=counts,
         fiber_size=fiber,
         modulus=N,
         degree=deg,

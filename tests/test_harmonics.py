@@ -155,7 +155,6 @@ def test_operations_match_fraction_oracle(orders):
             _assert_is_oracle(f.translate(a), _oracle_translate(G, f.phases, a))
         for g in fs:
             _assert_is_oracle(f.multiply(g), _oracle_multiply(f.phases, g.phases))
-        assert np.array_equal(f.phase_ints(360 * f.modulus), _oracle_phase_ints(f.phases, 360 * f.modulus))
 
 
 def test_multiply_reduces_the_modulus():
@@ -187,7 +186,6 @@ def test_phase_num_is_read_only():
     f = random_unimodular_function(random.Random(1), FinAbGroup((2, 3)), denominator=6)
     with pytest.raises(ValueError):
         f.phase_num[0] = 1
-    assert not f.phase_ints().flags.writeable
 
 
 def test_phase_modulus_above_2_53_is_refused():
@@ -201,12 +199,6 @@ def test_phase_modulus_above_2_53_is_refused():
     g = GroupFunction.from_phases(G, [Fraction(1, 3**19), 0])
     with pytest.raises(CapExceeded):
         f.multiply(g)
-
-
-def test_phase_ints_scales_to_a_multiple():
-    f = GroupFunction.from_phases(FinAbGroup((3,)), [Fraction(1, 3), Fraction(2, 3), 0])
-    assert f.phase_ints().tolist() == [1, 2, 0]
-    assert f.phase_ints(12).tolist() == [4, 8, 0]
 
 
 def test_random_bounded_function_matches_cmath_draws():
@@ -579,6 +571,7 @@ def test_project_phase_z4_to_z2_vanishes():
     # fibers {0,2} -> (1 + (-1))/2 and {1,3} -> (i + (-i))/2: identically zero,
     # and exactly so: phases in each fiber pair up at distance 1/2
     assert np.max(np.abs(pp.function.values)) < 1e-12
+    assert pp.fiber_counts.shape == (2, 4) and not pp.fiber_counts.flags.writeable
     for counts in pp.fiber_counts:
         assert all(counts[a] == counts[(a + 2) % 4] for a in range(4))
 
