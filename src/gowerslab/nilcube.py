@@ -20,21 +20,25 @@ of degree <= d_j are the digits, and a table is a cube exactly when those of
 degree > d_j vanish.  Its rank is its digits in mixed radix, and its row is
 found by rank.  Each ``CubeSet`` keeps the digit table of its members
 (built in blocks of ``_BLOCK`` rows) and derives its index maps from it by
-digit arithmetic: the row of every cube under every coordinate permutation
-(n! entries per cube, each row certified against the permuted vertex
-tables), and, per axis, the rows (q, q', q o q') of every concatenation of
-adjacent cubes, streamed in blocks of at most ``_BLOCK`` pairs, each block
-certified on the faces of its vertex tables, and never stored.  A cocycle,
-or any Z-valued function on cubes, is an ``(ncubes, ncoords(Z))`` array of
-residues in carrier order, so the checks below are gathers and compares
-against those maps, and nothing but the members, their digits and ranks and
-the permutation rows grows with the carrier.
+digit arithmetic: the row of every cube under each transposition (0 a) of
+vertex coordinates (n - 1 entries per cube, each row certified against the
+permuted vertex tables), and the rows (q, q', q o q') of every
+concatenation of adjacent cubes along axis 0, streamed in blocks of at most
+``_BLOCK`` pairs, each block certified on the faces of its vertex tables,
+and never stored.  A cocycle, or any Z-valued function on cubes, is an
+``(ncubes, ncoords(Z))`` array of residues in carrier order, so the checks
+below are gathers and compares against those maps, and nothing but the
+members, their digits and ranks and the transposition rows grows with the
+carrier.
 
 Cocycles are group-valued functions on C^{k+1}(X) that are additive under
 concatenation of adjacent cubes (along every coordinate) and invariant
-under coordinate permutations.  On a product X = Y1 x Y2 with
-gcd(|Y1|, |Z|) = 1 two averaging operators apply the coprime average (the
-unique z with N z = sum) to the first-factor cubes:
+under coordinate permutations.  Both are certified on generators: the
+transpositions (0 a) generate all permutations, and a concatenation along
+axis a is (0 a) applied to one along axis 0, so an invariant function that
+is additive along axis 0 is additive along every axis.  On a product
+X = Y1 x Y2 with gcd(|Y1|, |Z|) = 1 two averaging operators apply the
+coprime average (the unique z with N z = sum) to the first-factor cubes:
 
     factor_average(rho)(q1 x q2)        averages rho(q1' x q2) over all
                                         q1' in C^{k+1}(Y1),
@@ -54,8 +58,8 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import combinations, permutations, product as iproduct
-from math import comb, factorial, gcd, prod
+from itertools import combinations, product as iproduct
+from math import comb, gcd, prod
 
 import numpy as np
 
@@ -86,15 +90,6 @@ _BLOCK = 16_384
 @lru_cache(maxsize=None)
 def _vertices(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(iproduct((0, 1), repeat=n))
-
-
-@lru_cache(maxsize=None)
-def _face_indices(dim: int, axis: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Vertex indices of the lower (v[axis]=0) and upper (v[axis]=1) faces."""
-    verts = _vertices(dim)
-    lower = tuple(i for i, v in enumerate(verts) if v[axis] == 0)
-    upper = tuple(i for i, v in enumerate(verts) if v[axis] == 1)
-    return lower, upper
 
 
 @lru_cache(maxsize=None)
@@ -186,10 +181,11 @@ class CubeSet:
     ``position`` finds the rows of given vertex tables.  Ranking, membership
     and the ``size`` formula need no enumeration, so a cube set too large
     to enumerate can still test membership.  The cocycle maps come from the
-    digit table of the members: ``_permuted`` holds the row of every
-    permuted cube, each permutation certified on the vertex tables, and
-    ``_concatenations`` streams the concatenation triples of one axis in
-    certified blocks without storing them.
+    digit table of the members and cover generators only, as the
+    transpositions (0 a) generate every permutation and carry axis 0 to
+    every axis: ``_permuted`` holds the row of every cube under each (0 a),
+    certified on the vertex tables, and ``_concatenations`` streams the
+    concatenation triples of axis 0 in certified blocks without storing them.
     """
 
     def __init__(self, nilspace: FilteredGroupNilspace, dim: int, *, cap: int = 2_000_000):
@@ -348,50 +344,54 @@ class CubeSet:
 
     @cached_property
     def _permuted(self) -> np.ndarray:
-        """(n!, ncubes): the row of every cube with its vertex coordinates permuted.
+        """(max(n - 1, 0), ncubes): row a - 1 holds the row of every cube with
+        its vertex coordinates 0 and a swapped.
 
-        The cube q o p (vertex v to q(v[p[0]], ..., v[p[n-1]])) has the
-        digit c_q(S) at p(S), so its rank is the digit table times the
-        weights taken at p(S).  ``_perm_indices(n, p)`` sends 1_{p(S)} to
-        1_S, so scattering the weights through it gives them.
+        These transpositions (0 a) generate the symmetric group, so invariance
+        under them is invariance under every permutation.  The cube q o p
+        (vertex v to q(v[p[0]], ..., v[p[n-1]])) has the digit c_q(S) at
+        p(S), so its rank is the digit table times the weights taken at p(S).
+        ``_perm_indices(n, p)`` sends 1_{p(S)} to 1_S, so scattering the
+        weights through it gives them.
         """
         n, Q, D, column = self.dim, self.members, self._digit_table, self._digit_column
         w = self._radix[3]
-        rows = np.empty((factorial(n), len(Q)), dtype=_index_dtype(self.size))
-        for r, p in enumerate(permutations(range(n))):
-            idx = _perm_indices(n, p)
+        rows = np.empty((max(n - 1, 0), len(Q)), dtype=_index_dtype(self.size))
+        for a in range(1, n):
+            idx = _perm_indices(n, (a, *range(1, a), 0, *range(a + 1, n)))
             weights = np.empty_like(w)
-            weights[[column[a, idx[b]] for a, b in column]] = w
-            rows[r] = self._row_of_rank[_blockwise(lambda B: B @ weights, D)]
+            weights[[column[j, idx[b]] for j, b in column]] = w
+            rows[a - 1] = self._row_of_rank[_blockwise(lambda B: B @ weights, D)]
             for s in range(0, len(Q), _BLOCK):
-                if not np.array_equal(Q[rows[r, s : s + _BLOCK]], Q[s : s + _BLOCK][:, idx]):
+                if not np.array_equal(Q[rows[a - 1, s : s + _BLOCK]], Q[s : s + _BLOCK][:, idx]):
                     raise PostconditionError("permutation left the cube set")
         return rows
 
-    def _concatenations(self, axis: int):
+    def _concatenations(self):
         """The rows (q, q', q o q') of every concatenation of adjacent cubes
-        along ``axis`` a, in blocks of at most ``_BLOCK`` pairs.
+        along axis 0, in blocks of at most ``_BLOCK`` pairs; none when n = 0.
 
-        q' follows q exactly when c_q'(S) = c_q(S) + c_q(S u {a}) for every
-        S without a (the second term is 0 when |S u {a}| > d_j); the digits
-        of q' at the S with a in S are free.  q o q' has the digits c_q(S)
-        for S without a and c_q(S) + c_q'(S) for S with a, all mod m_j.
+        q' follows q exactly when c_q'(S) = c_q(S) + c_q(S u {0}) for every
+        S without 0 (the second term is 0 when |S u {0}| > d_j); the digits
+        of q' at the S with 0 in S are free.  q o q' has the digits c_q(S)
+        for S without 0 and c_q(S) + c_q'(S) for S with 0, all mod m_j.
         Each cube is paired with its followers in the order of their free
         digits, and each block is certified on the vertex tables before it
-        is yielded.
+        is yielded; the faces of axis 0 are the halves of the vertex order.
         """
         n, Q, D, column = self.dim, self.members, self._digit_table, self._digit_column
+        if not n:
+            return
         _, pos, m, w = self._radix
-        bit = 1 << (n - 1 - axis)
+        bit, half = 1 << (n - 1), 2 ** (n - 1)
         on, off = np.flatnonzero(pos & bit), np.flatnonzero(~pos & bit)
-        # the digit at S u {a} for each S without a, or -1 where |S u {a}| > d_j
+        # the digit at S u {0} for each S without 0, or -1 where |S u {0}| > d_j
         up = np.array([column.get((a, b | bit), -1) for a, b in column if not b & bit], dtype=np.intp)
         shape = tuple(m[on].tolist())
         free = np.indices(shape).reshape(len(on), prod(shape)).T
         free_rank = free @ w[on]
         # terms[i][c]: the rank term of digit on[i] of q o q' where c_q is c, per choice of free digits
         terms = [w[t] * ((np.arange(m[t])[:, None] + free[:, i]) % m[t]) for i, t in enumerate(on)]
-        lower, upper = (list(f) for f in _face_indices(n, axis))
         width = min(len(free), _BLOCK)
         step = _BLOCK // width
         for s in range(0, len(Q), step):
@@ -406,9 +406,9 @@ class CubeSet:
                 qq = self._row_of_rank[base[:, None] + sum(term[c[:, t], fs] for term, t in zip(terms, on))]
                 second, joined = Q[qp], Q[qq]
                 if not (
-                    (second[..., lower] == first[..., upper]).all()
-                    and (joined[..., lower] == first[..., lower]).all()
-                    and np.array_equal(joined[..., upper], second[..., upper])
+                    (second[..., :half] == first[..., half:]).all()
+                    and (joined[..., :half] == first[..., :half]).all()
+                    and np.array_equal(joined[..., half:], second[..., half:])
                 ):
                     raise PostconditionError("concatenation left the cube set")
                 yield np.repeat(cubes, qp.shape[1]), qp.ravel(), qq.ravel()
@@ -643,8 +643,8 @@ def _cocycle_failures(cs: CubeSet, arrays, zmod: np.ndarray) -> list:
     """Why each value array on ``cs`` fails the cocycle checks, or None where it passes.
 
     The arrays are checked with their columns side by side, on one pass of
-    the permutation rows and of the concatenation stream, which stops early
-    only once every array has failed.
+    the transposition rows and of the axis-0 concatenation stream, which
+    stops early only once every array has failed.
     """
     v = np.hstack(arrays)
     mods = np.tile(zmod, len(arrays))
@@ -658,15 +658,16 @@ def _cocycle_failures(cs: CubeSet, arrays, zmod: np.ndarray) -> list:
     for rows in cs._permuted:
         if note((v[rows] != v).any(axis=0), "not invariant under coordinate permutations"):
             return failures
-    for axis in range(cs.dim):
-        for q, qp, qq in cs._concatenations(axis):
-            if note(((v[qq] - v[q] - v[qp]) % mods).any(axis=0), "not additive under concatenation"):
-                return failures
+    for q, qp, qq in cs._concatenations():
+        if note(((v[qq] - v[q] - v[qp]) % mods).any(axis=0), "not additive under concatenation"):
+            return failures
     return failures
 
 
 def is_cocycle(rho: Cocycle, *, raise_on_failure: bool = False) -> bool:
-    """Concatenation additivity along every coordinate + permutation invariance."""
+    """Concatenation additivity along every coordinate + permutation invariance,
+    checked on generators: the transpositions (0 a) generate every
+    permutation and carry concatenations along axis 0 to every axis."""
     failure = _cocycle_failures(rho.carrier, [rho.array], rho.codomain.moduli)[0]
     if failure and raise_on_failure:
         raise PostconditionError(failure)

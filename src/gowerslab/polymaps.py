@@ -19,7 +19,7 @@ The module also builds the constructive polynomial cross-section of any
 surjective homomorphism: representative lifts between cyclic p-groups
 (degree at most (d-s)p^s + 1, via the divisibility of the p^s-th power of
 the circulant forward-difference matrix), a Gaussian-elimination style
-decomposition M = S (A, id) P T of a surjection of p-groups, and a
+decomposition U M V = (A, id) P of a surjection of p-groups, and a
 prime-by-prime recursion for the general case, each level of which maps the
 whole codomain at once by matrix products and gathers.  No floating point
 is used anywhere in this module.
@@ -34,7 +34,7 @@ from math import factorial
 import numpy as np
 
 from .errors import CapExceeded, PostconditionError
-from .groups import FinAbGroup, GroupElement, Homomorphism, _factorize, _integer, primary_decompose
+from .groups import FinAbGroup, GroupElement, Homomorphism, _eye, _factorize, _integer, primary_decompose
 
 __all__ = [
     "PolyMap",
@@ -329,20 +329,21 @@ def _p_exponent(m: int, p: int) -> int:
 
 @dataclass(frozen=True)
 class SurjectionDecomposition:
-    """M = codomain_iso o (core, id) o reduction o domain_iso, all exact.
+    """U o M o V = (core, id) o reduction, all exact.
 
-    ``domain_iso`` (an automorphism of B) and ``codomain_iso`` (an
-    automorphism of A) absorb the row and column operations; ``reduction``
-    passes the ``passthrough`` domain coordinates (one per maximal-order
-    codomain coordinate, count = ``m``) through unchanged and reduces the
-    remaining maximal-order coordinates from Z_{p^n} to Z_{p^(n-1)};
-    ``core`` is the induced surjection between groups of torsion p^(n-1)
-    obtained by forgetting the passthrough coordinates and maximal rows.
+    ``U`` (an automorphism of A) and ``V`` (an automorphism of B) are the
+    row and column operations, as in ``groups.smith_normal_form``;
+    ``reduction`` passes the ``passthrough`` domain coordinates (one per
+    maximal-order codomain coordinate, count = ``m``) through unchanged and
+    reduces the remaining maximal-order coordinates from Z_{p^n} to
+    Z_{p^(n-1)}; ``core`` is the induced surjection between groups of
+    torsion p^(n-1) obtained by forgetting the passthrough coordinates and
+    maximal rows.
     """
 
     source: Homomorphism
-    codomain_iso: Homomorphism
-    domain_iso: Homomorphism
+    U: Homomorphism
+    V: Homomorphism
     reduction: Homomorphism
     core: Homomorphism
     m: int
@@ -364,23 +365,26 @@ class SurjectionDecomposition:
         return Homomorphism(B2, A, mat)
 
     def verify(self) -> None:
-        """Pointwise identity M = S o (core, id) o P o T on all of B, by chained index gathers."""
-        composed = np.arange(self.source.domain.order)
-        for h in (self.domain_iso, self.reduction, self.middle(), self.codomain_iso):
-            composed = h.image_index[composed]
-        if not np.array_equal(composed, self.source.image_index):
+        """U and V are bijective, and U o M o V = (core, id) o P pointwise on
+        all of B, by chained index gathers."""
+        if not (self.U.is_bijective() and self.V.is_bijective()):
+            raise PostconditionError("row or column operations are not invertible")
+        composed = self.U.image_index[self.source.image_index[self.V.image_index]]
+        if not np.array_equal(composed, self.middle().image_index[self.reduction.image_index]):
             raise PostconditionError("decomposition does not reproduce M")
 
 
 def decompose_surjection(M: Homomorphism) -> SurjectionDecomposition:
     """Split a surjection of p-groups along its maximal-order coordinates.
 
-    Gaussian elimination in the category of abelian p-groups: every
-    maximal-order codomain coordinate admits a unit pivot on a
-    maximal-order domain coordinate (else M is not surjective); pivot rows
-    and columns are cleared by shears that are automatically well-defined,
-    the pivots pass through, and the remaining block is torsion p^(n-1).
-    The pivot is the first usable coordinate in lexicographic order.
+    Gaussian elimination in the category of abelian p-groups, on integer
+    matrices: every maximal-order codomain coordinate admits a unit pivot
+    on a maximal-order domain coordinate (else M is not surjective); pivot
+    rows and columns are cleared by shears that are automatically
+    well-defined, the pivots pass through, and the remaining block is
+    torsion p^(n-1).  The row operations accumulate in U and the column
+    operations in V, each made a ``Homomorphism`` once at the end.  The
+    pivot is the first usable coordinate in lexicographic order.
     """
     B, A = M.domain, M.codomain
     primes = {p for o in (*B.orders, *A.orders) if o > 1 for p in _factorize(o)}
@@ -398,65 +402,46 @@ def decompose_surjection(M: Homomorphism) -> SurjectionDecomposition:
     if n and max(b_exp, default=0) > n:
         raise ValueError("codomain torsion exceeds domain torsion: not surjective")
 
-    S = Homomorphism.identity(A)
-    T = Homomorphism.identity(B)
-    mid = M
+    # U M V = mid, with U and V accumulating the row and column operations
+    mid = [list(row) for row in M.matrix]
+    U, V = _eye(A.ncoords), _eye(B.ncoords)
     max_rows = tuple(i for i, e in enumerate(b_exp) if e == n and n > 0)
     pivots: list[int] = []
     for i in max_rows:
-        pivot = None
-        for j in range(B.ncoords):
-            if a_exp[j] == n and j not in pivots and mid.matrix[i][j] % p != 0:
-                pivot = j
-                break
+        pivot = next((j for j in range(B.ncoords) if a_exp[j] == n and j not in pivots and mid[i][j] % p), None)
         if pivot is None:
             raise PostconditionError("no unit pivot for a maximal-order row")
         pivots.append(pivot)
-        # scale the pivot column so the pivot entry becomes 1
-        u = pow(mid.matrix[i][pivot], -1, p**n)
-        F = Homomorphism.elementary(B, pivot, pivot, u)
-        if not F.is_bijective():
-            raise PostconditionError("scaling by a non-unit")
-        mid = mid.compose(F)
-        T = F.inverse().compose(T)
+        # scale the pivot column so the pivot entry becomes 1 mod p^n
+        u = pow(mid[i][pivot], -1, p**n)
+        for row in mid + V:
+            row[pivot] *= u
         # clear the rest of the pivot row with column shears
         for j in range(B.ncoords):
-            r = mid.matrix[i][j]
-            if j != pivot and r:
-                F = Homomorphism.elementary(B, pivot, j, -r)
-                mid = mid.compose(F)
-                T = F.inverse().compose(T)
+            if j != pivot and (r := mid[i][j] % A.orders[i]):
+                for row in mid + V:
+                    row[j] -= r * row[pivot]
         # clear the rest of the pivot column with row shears
         for i2 in range(A.ncoords):
-            c = mid.matrix[i2][pivot]
-            if i2 != i and c:
-                E = Homomorphism.elementary(A, i2, i, -c)
-                mid = E.compose(mid)
-                S = S.compose(E.inverse())
+            if i2 != i and (c := mid[i2][pivot] % A.orders[i2]):
+                mid[i2] = [a - c * b for a, b in zip(mid[i2], mid[i])]
+                U[i2] = [a - c * b for a, b in zip(U[i2], U[i])]
 
     # reduction: pivots pass through, other maximal-order coordinates drop to p^(n-1)
-    reduced_orders = []
-    for j, o in enumerate(B.orders):
-        if j in pivots or (a_exp[j] < n or n == 0):
-            reduced_orders.append(o)
-        else:
-            reduced_orders.append(o // p)
-    B2 = FinAbGroup(tuple(reduced_orders))
-    P = Homomorphism(B, B2, [[1 if i == j else 0 for j in range(B.ncoords)] for i in range(B2.ncoords)])
+    B2 = FinAbGroup(tuple(o // p if n and a_exp[j] == n and j not in pivots else o for j, o in enumerate(B.orders)))
+    P = Homomorphism(B, B2, _eye(B.ncoords))
 
     core_cols = [j for j in range(B.ncoords) if j not in pivots]
     core_rows = [i for i in range(A.ncoords) if i not in max_rows]
     core_dom = FinAbGroup(tuple(B2.orders[j] for j in core_cols))
     core_cod = FinAbGroup(tuple(A.orders[i] for i in core_rows))
-    core = Homomorphism(
-        core_dom, core_cod, [[mid.matrix[i][j] for j in core_cols] for i in core_rows]
-    )
+    core = Homomorphism(core_dom, core_cod, [[mid[i][j] for j in core_cols] for i in core_rows])
     if not core.is_surjective():
         raise PostconditionError("core of the decomposition is not surjective")
     dec = SurjectionDecomposition(
         source=M,
-        codomain_iso=S,
-        domain_iso=T,
+        U=Homomorphism(A, A, U),
+        V=Homomorphism(B, B, V),
         reduction=P,
         core=core,
         m=len(max_rows),
@@ -480,11 +465,12 @@ def _check_section(tau: Homomorphism, values: np.ndarray) -> None:
 def _pgroup_cross_section(M: Homomorphism) -> np.ndarray:
     """Values of a polynomial cross-section of a surjection of p-groups, by recursion.
 
-    Section of M = S (core, id) P T is T^{-1} o section(P) o (section(core), id)
-    o S^{-1}, where section(P) is the identity on residues: it lifts each
-    reduced coordinate to its representative.  Each level maps all of A at
-    once; the recursion descends in the torsion exponent n and bottoms out
-    at the trivial codomain.
+    M = U^{-1} (core, id) P V^{-1}, so its section is
+    V o section(P) o (section(core), id) o U, where section(P) is the
+    identity on residues: it lifts each reduced coordinate to its
+    representative.  Each level maps all of A at once; the recursion
+    descends in the torsion exponent n and bottoms out at the trivial
+    codomain.
     """
     B, A = M.domain, M.codomain
     if A.order == 1:
@@ -492,11 +478,11 @@ def _pgroup_cross_section(M: Homomorphism) -> np.ndarray:
     dec = decompose_surjection(M)
     core_rows = [i for i in range(A.ncoords) if i not in dec.max_rows]
     core_cols = [j for j in range(B.ncoords) if j not in dec.passthrough]
-    w = dec.codomain_iso.inverse().images(A.coords_array)
+    w = dec.U.images(A.coords_array)
     lifted = np.empty((A.order, B.ncoords), dtype=np.int64)
     lifted[:, core_cols] = _pgroup_cross_section(dec.core)[w[:, core_rows] @ dec.core.codomain.radix]
     lifted[:, list(dec.passthrough)] = w[:, list(dec.max_rows)]
-    values = dec.domain_iso.inverse().images(lifted)
+    values = dec.V.images(lifted)
     _check_section(M, values)
     return values
 

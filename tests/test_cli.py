@@ -1,7 +1,6 @@
 """Config execution, result records, exit codes, and the golden suite."""
 
 import copy
-import hashlib
 import json
 import math
 import random
@@ -13,7 +12,7 @@ from hypothesis import strategies as st
 
 from gowerslab.cli import _dumps, golden_suite, main, run
 from gowerslab.errors import ConfigError
-from gowerslab.instances import random_phase_polynomial, random_surjection
+from record_digests import RECORDS, _run_config, pins
 
 
 def cfg(command, params, **extra):
@@ -248,157 +247,22 @@ def test_main_norm_cap_boundary(tmp_path):
     assert main(["norm", "--config", path]) == 3
 
 
-@pytest.mark.parametrize(
-    "group, d, seed, value_hex, witness_sha256",
-    [
-        ([2, 3, 4, 2], 2, 21, "0x1.a4204410acd20p-1", "d306f87f9b454dda900389e67e32577a291ef9d240083a2c57eb7108773c410c"),
-        ([3, 3, 3, 3], 1, 34, "0x1.b1b8ce96f6cc8p-2", "ecc48712281d7f3f2967f867c44ca9349ab900341cee7b6360ffd8b63873558d"),
-    ],
-)
-def test_main_cutnorm_record_is_pinned(tmp_path, group, d, seed, value_hex, witness_sha256):
-    # the value bit for bit and a digest of every witness float, as the record writes them
-    params = {"group": group, "d": d, "function": {"kind": "random_unimodular"}}
-    path = _write(tmp_path, "c.json", cfg("cutnorm", params, seed=seed))
-    out = tmp_path / "r.json"
-    assert main(["cutnorm", "--config", path, "--out", str(out)]) == 0
-    outputs = json.loads(out.read_text())["outputs"]
-    assert outputs["value"].hex() == value_hex
-    witnesses = json.dumps(outputs["witnesses"], sort_keys=True).encode()
-    assert hashlib.sha256(witnesses).hexdigest() == witness_sha256
+def _pinned(tmp_path, key):
+    """Whether the record of pin ``key`` matches its entry in tests/records.json."""
+    expected = dict(json.loads(RECORDS.read_text())[key])
+    del expected["label"]
+    return _run_config(pins()[key], tmp_path) == expected
 
 
-# one config per group command (complement: found, none plus a hull, none plus
-# an enlarge; shrink: a p-group and mixed torsion), each pinned by the SHA-256
-# of its record without runtime_ms
-GROUP_RECORDS = {
-    "complement-found": (
-        cfg("complement", {"group": [4, 8, 9, 3, 5, 5], "generators": [[1, 2, 0, 0, 0, 0], [0, 0, 3, 1, 0, 0]]}),
-        "deb317d0bf4b658127ba787fec187de7217f834d4567adc8464f78aa979dd285",
-    ),
-    "complement-hull": (
-        cfg("complement", {"group": [3, 27], "generators": [[1, 3]]}),
-        "2d29345c507b467d34465a24f4214c35e7d5b599b2eb105d1b60184cc340fd2f",
-    ),
-    "complement-enlarge": (
-        cfg("complement", {"group": [3, 27, 9, 9], "generators": [[1, 3, 0, 0], [0, 9, 3, 0]]}),
-        "b8df2bca41d33bf1b475985cef97d1f29625afc841f727f20718cfcbb1bb0652",
-    ),
-    "shrink-pgroup": (
-        cfg("shrink", {"group": [2, 4, 8], "generators": [[1, 1, 1], [1, 0, 7]]}),
-        "6e704ca4057008d12023123879f6ea3534574a7c1e85d903d42c1c3120ecd212",
-    ),
-    "shrink-mixed": (
-        cfg("shrink", {"group": [6, 12, 4, 5], "generators": [[1, 2, 3, 1], [2, 5, 1, 0]]}),
-        "aeee9e3f4545e67ca229cb7c54ecfb714549b6213304f32bd5d4591c8b83318a",
-    ),
-    "decompose": (
-        cfg("decompose", {"group": [8, 9, 10]}),
-        "bd471b1a41c49515130592d39a093451ebc930bd7434eb4dedaee4ecab0c9f20",
-    ),
-    "crosssection": (
-        cfg("crosssection", {"domain": [27, 3], "codomain": [9], "matrix": [[1, 3]]}),
-        "c7a6a5c40ad4abd628c6fc73d222c7df1d51fbb10df51a81343f1573f7991759",
-    ),
-    "project": (
-        cfg(
-            "project",
-            {
-                "domain": [4, 8],
-                "codomain": [4],
-                "matrix": [[1, 1]],
-                "phase_modulus": 4,
-                "phase_table": [(a * b + b * b) % 4 for a in range(4) for b in range(8)],
-            },
-        ),
-        "766cb654da3b5ea085b4cd95dacae4459793999b7329c6db6b4c5262a5526ed1",
-    ),
-}
-
-
-@pytest.mark.parametrize("name", list(GROUP_RECORDS))
+@pytest.mark.parametrize("name", [k.removeprefix("pin/group/") for k in pins() if k.startswith("pin/group/")])
 def test_main_group_record_is_pinned(tmp_path, name):
-    config, digest = GROUP_RECORDS[name]
-    out = tmp_path / "r.json"
-    assert main([config["command"], "--config", _write(tmp_path, "c.json", config), "--out", str(out)]) == 0
-    record = json.loads(out.read_text())
-    del record["runtime_ms"]
-    assert hashlib.sha256(json.dumps(record, sort_keys=True).encode()).hexdigest() == digest
+    assert _pinned(tmp_path, f"pin/group/{name}")
 
 
-def _surjection_configs(seed):
-    """crosssection, project and obstruct configs of one seeded surjection and phase polynomial."""
-    rng = random.Random(seed)
-    tau = random_surjection(rng, max_coords_a=3, extra_coords=2, max_order_b=2**9)
-    phi = random_phase_polynomial(rng, tau.domain, 1 + seed % 3)
-    surj = {"domain": list(tau.domain.orders), "codomain": list(tau.codomain.orders), "matrix": [list(r) for r in tau.matrix]}
-    phase = dict(surj, phase_modulus=phi.codomain.orders[0], phase_table=[v for (v,) in phi.table])
-    obstruct = dict(phase, function={"kind": "random_bounded"})
-    return [cfg("crosssection", surj), cfg("project", phase), cfg("obstruct", obstruct, seed=seed)]
-
-
-# SHA-256 of each record without runtime_ms, per seed: crosssection, project, obstruct
-SURJECTION_RECORDS = {
-    0: (
-        "11c18228e93633a6dd752f9c7f3745e37d1166c8dd725196c9ac8fdc41dcc1f5",
-        "f8be645c443fad0bceaf09ef9844dc47d993b47a15a3564210b788d8ae772885",
-        "5ca05ee4451343da06a66cbd368377126f13f5280968b7c210ed3ec19b6f49b8",
-    ),
-    1: (
-        "ca002368e0705e149c9151fdd5a291b0b11896ba93964e262adaa4e22bfed0a1",
-        "602e1fa2850416dba5fa175f8c45e1474995f78e0d580cc8abd786f04b8fdae1",
-        "9f3ff724025fa9239b60a46e5f7d0d4ca9e7f2118bf9d44c94d63518c0ec8d3d",
-    ),
-    2: (
-        "be8e075d5866bc1b0bf5c0355d64293c78e9593293e7d2b6f38fced13e65fe27",
-        "2de0b0813a2e9163b9f407854d8f91bfd1dfad57529c522eeca91d373eeaea58",
-        "9cb1ed5ae4d62d7e47708fd6000d71d759c1fbf9bf277cc3c1e622961c94e0f0",
-    ),
-    3: (
-        "ebb902462a16a5463a7d5f4cd8cd510d3bcb6ec2dd4b298fa40dea56c1825070",
-        "bf39f191b0146d7b7d9a2f26a3bd18c05f70cf2d39d72cd0a2eb4576af1ca55c",
-        "511b333042f25c14f3ef0c3e467333ef39c0e1df41c7dc888ac5b4ee77a023b2",
-    ),
-    4: (
-        "c98387a33ed0a796a1ee594294a1e8c0ca67d7322a6bfc5b877f2b8cd6e60926",
-        "b17f262a3f1e76810fe2b6f2eb86bd7ea27f0e301becb38440a1232282ac4d6b",
-        "6967419f92984335795d0d49e0e592dae08dde4d5562898827ca42dcfd47a862",
-    ),
-    5: (
-        "febb99062b65a250df1cecc854797b0ce7f0d1de5dbb1d969bf674b9bf317f09",
-        "459ad9eb95d3332f570d047ece7b867062c85873ed19cfae03b53b99e6e69064",
-        "869af7b5b2adb06751064611cbaf2c347efdae2fa80ff0f02d033b3dd05d2169",
-    ),
-    6: (
-        "7dd2c24ab090f0e02025818869182e70e4b74407ac71f4a71d35358e7abc5835",
-        "005f44ce6387ac815927cdefb5118123c77551dda90a225cec5af24dd5268277",
-        "94de7aba60080a43cc18671459c0fbb0b2652053e81e4038475a571b7efb4c39",
-    ),
-    7: (
-        "c5a6dd2ef18b169adbc2855089a7ef58fdacc693c9ffd73eeacc5ab8c8787d17",
-        "483177aced3d78648da9072bca54ee4c57c8a4cf036e528ca1107abe6bb7860e",
-        "af92325f9dd3d036b63a1a0b1144d1d28c5d5dd653f775dfe8c10e066eab6ca9",
-    ),
-    8: (
-        "d7e0a93effebb1ded7aecff3cd656d7ebefc52591072588def89db850c2c2fb9",
-        "8994c9ba296faea8c14fbfdc75869051b421244ec5c7743f10ea19427c3f2ce5",
-        "3e05d96660d23829d5a6e47034ebff27e5a1a0d15c0fed77ac40ce5734608f2b",
-    ),
-    9: (
-        "0e6fe7dfccc8366e02e189015f96b3dfa3eff42dee807dfe87b1e1a948fbdeac",
-        "e488179b5c8a2c1c88cff1a4c656136be0a8f9f03ceea35b48431b12e39b507a",
-        "b80020f5531a33c64546e52e435f7f31771118b2fccb597a34c50053ded97302",
-    ),
-}
-
-
-@pytest.mark.parametrize("seed", list(SURJECTION_RECORDS))
+@pytest.mark.parametrize("seed", range(10))
 def test_main_surjection_records_are_pinned(tmp_path, seed):
-    for config, digest in zip(_surjection_configs(seed), SURJECTION_RECORDS[seed], strict=True):
-        out = tmp_path / "r.json"
-        assert main([config["command"], "--config", _write(tmp_path, "c.json", config), "--out", str(out)]) == 0
-        record = json.loads(out.read_text())
-        del record["runtime_ms"]
-        assert hashlib.sha256(json.dumps(record, sort_keys=True).encode()).hexdigest() == digest, config["command"]
+    for command in ("crosssection", "project", "obstruct"):
+        assert _pinned(tmp_path, f"pin/surjection/{seed}/{command}"), command
 
 
 @pytest.mark.parametrize(

@@ -80,13 +80,17 @@ def _permute_cube(q, dim, perm):
     return tuple(q[i] for i in _perm_positions(dim, perm))
 
 
-def oracle_is_cocycle(table, dim):
-    """Permutation invariance and concatenation additivity of a dict cube -> GroupElement."""
+def oracle_cocycle_failure(table, dim):
+    """Why a dict cube -> GroupElement fails the cocycle checks, or None where it passes.
+
+    Checks invariance under all dim! permutations, then additivity along
+    every axis, with the messages of ``nilcube._cocycle_failures``.
+    """
     members = list(table)
     for perm in permutations(range(dim)):
         for q in members:
             if table[_permute_cube(q, dim, perm)] != table[q]:
-                return False
+                return "not invariant under coordinate permutations"
     for axis in range(dim):
         buckets = {}
         for q in members:
@@ -98,14 +102,25 @@ def oracle_is_cocycle(table, dim):
                 qq = _concatenate(q, qp, dim, axis)
                 assert qq in table, "concatenation left the cube set"
                 if table[qq] != table[q] + table[qp]:
-                    return False
-    return True
+                    return "not additive under concatenation"
+    return None
 
 
-def oracle_permuted(cs):
-    """(n!, ncubes): the row of every cube with its coordinates permuted, by rank lookup."""
+def oracle_is_cocycle(table, dim):
+    """Permutation invariance and concatenation additivity of a dict cube -> GroupElement."""
+    return oracle_cocycle_failure(table, dim) is None
+
+
+def transpositions(dim):
+    """The transpositions (0 a), a = 1 ... dim - 1, as permutation tuples."""
+    return [tuple(a if i == 0 else 0 if i == a else i for i in range(dim)) for a in range(1, dim)]
+
+
+def oracle_permuted(cs, perms):
+    """(len(perms), ncubes): the row of every cube with its coordinates permuted, by rank lookup."""
     Q = cs.members
-    return np.stack([cs.position(Q[:, list(_perm_positions(cs.dim, p))]) for p in permutations(range(cs.dim))])
+    rows = [cs.position(Q[:, list(_perm_positions(cs.dim, p))]) for p in perms]
+    return np.array(rows, dtype=np.int64).reshape(len(perms), len(Q))
 
 
 def oracle_concatenations(cs, axis):
@@ -672,29 +687,75 @@ ORACLE_CARRIERS = [
 
 @pytest.mark.parametrize("factors,dim", ORACLE_CARRIERS)
 def test_cube_maps_match_oracle(factors, dim):
+    # the generator rows: one per transposition (0 a), and the axis-0 stream
     cs = cube_set(FilteredGroupNilspace(factors), dim)
-    assert np.array_equal(cs._permuted, oracle_permuted(cs))
-    for axis in range(dim):
-        blocks = [np.stack(block) for block in cs._concatenations(axis)]
-        assert all(block.shape[1] <= 16_384 for block in blocks)
-        stream = np.concatenate(blocks, axis=1)
-        oracle = oracle_concatenations(cs, axis)
-        assert np.array_equal(stream[:, np.lexsort(stream[::-1])], oracle[:, np.lexsort(oracle[::-1])])
+    assert cs._permuted.shape == (max(dim - 1, 0), cs.size)
+    assert np.array_equal(cs._permuted, oracle_permuted(cs, transpositions(dim)))
+    blocks = [np.stack(block) for block in cs._concatenations()]
+    if dim == 0:
+        assert blocks == []
+        return
+    assert all(block.shape[1] <= 16_384 for block in blocks)
+    stream = np.concatenate(blocks, axis=1)
+    oracle = oracle_concatenations(cs, 0)
+    assert np.array_equal(stream[:, np.lexsort(stream[::-1])], oracle[:, np.lexsort(oracle[::-1])])
 
 
 def test_permuted_rows_follow_the_coordinate_permutation():
-    # on D1(Z3) at dim 3, permuting the cube v -> v_0 by p = (1, 2, 0) gives
-    # v -> v_{p[0]} = v_1 (the inverse permutation would give v_2)
+    # on D1(Z3) at dim 3, row a - 1 swaps vertex coordinates 0 and a, so it
+    # sends the cube v -> v_0 to v -> v_a
     cs = cube_set(D1Z3, 3)
     verts = list(iproduct((0, 1), repeat=3))
     row = cs.cubes[tuple((v[0],) for v in verts)]
-    r = list(permutations(range(3))).index((1, 2, 0))
-    assert cs.members[cs._permuted[r, row]].tolist() == [v[1] for v in verts]
+    for a in (1, 2):
+        assert cs.members[cs._permuted[a - 1, row]].tolist() == [v[a] for v in verts]
+
+
+@pytest.mark.parametrize("factors,dim", [(f, d) for f, d in ORACLE_CARRIERS if d >= 2])
+def test_axis_zero_additive_table_is_refused_as_not_invariant(factors, dim):
+    # rho(q) = g(q(e_0)) - g(q(0)), here with g the element index mod |X|, is
+    # additive along axis 0 for every g but not invariant: only the
+    # transposition rows can refuse it
+    from gowerslab.nilcube import _cocycle_failures
+
+    cs = cube_set(FilteredGroupNilspace(factors), dim)
+    order = cs.nilspace.group.order
+    Q, zmod = cs.members, np.array([order])
+    rho = ((Q[:, 2 ** (dim - 1)] - Q[:, 0]) % order)[:, None]
+    for q, qp, qq in cs._concatenations():
+        assert not ((rho[qq] - rho[q] - rho[qp]) % order).any()
+    assert _cocycle_failures(cs, [rho], zmod) == ["not invariant under coordinate permutations"]
+
+
+# the oracle carriers of at most 10,000 cubes: the dict oracle takes up to 3 s on
+# each, and 6-23 s on each of the two larger ones
+SMALL_ORACLE_CARRIERS = [(f, d) for f, d in ORACLE_CARRIERS if cube_set(FilteredGroupNilspace(f), d).size <= 10_000]
+
+
+@pytest.mark.parametrize("factors,dim", SMALL_ORACLE_CARRIERS)
+def test_cocycle_failures_match_the_all_permutations_oracle(factors, dim):
+    # generator checks against every permutation and every axis, on a coboundary
+    # (a cocycle), on a nonzero constant and on the coboundary with one cube changed
+    from gowerslab.nilcube import _cocycle_failures
+
+    rng = random.Random(repr((factors, dim)))
+    X = FilteredGroupNilspace(factors)
+    cs = cube_set(X, dim)
+    good = coboundary(X, Z3, dim, [(rng.randrange(3),) for _ in range(X.group.order)]).array
+    arrays = [good, np.ones_like(good)]
+    for _ in range(2):
+        perturbed = good.copy()
+        perturbed[rng.randrange(len(good))] += rng.randrange(1, 3)
+        arrays.append(perturbed % 3)
+    expected = [oracle_cocycle_failure(dict(Cocycle._on(cs, Z3, a).table.items()), dim) for a in arrays]
+    assert expected[0] is None
+    assert [_cocycle_failures(cs, [a], np.array([3]))[0] for a in arrays] == expected
+    assert _cocycle_failures(cs, arrays, np.array([3])) == expected
 
 
 def test_is_cocycle_memory_is_bounded():
-    # D2(Z4) at dim 3: 16,384 cubes and 3 * 16,384 * 64 = 3,145,728 adjacent
-    # pairs, 38 MB as stored int32 triples; the check streams them
+    # D2(Z4) at dim 3: 16,384 cubes and 16,384 * 64 = 1,048,576 adjacent pairs
+    # along axis 0, 12 MB as stored int32 triples; the check streams them
     X = FilteredGroupNilspace(((4, 2),))
     Z5 = FinAbGroup((5,))
     rho = coboundary(X, Z5, 3, np.random.default_rng(5).integers(0, 5, size=(4, 1)))

@@ -3,7 +3,7 @@
 import dataclasses
 import random
 from itertools import product as iproduct
-from math import comb
+from math import comb, gcd
 
 import numpy as np
 import pytest
@@ -429,9 +429,31 @@ def test_elementary_automorphism_matrix():
 def test_decomposition_verify_refuses_a_tampered_factor():
     G = FinAbGroup((3, 9))
     dec = decompose_surjection(Homomorphism(G, Z3, [[1, 1]]))
-    tampered = dataclasses.replace(dec, domain_iso=Homomorphism.elementary(G, 1, 1, 2).compose(dec.domain_iso))
+    tampered = dataclasses.replace(dec, V=dec.V.compose(Homomorphism.elementary(G, 1, 1, 2)))
     with pytest.raises(PostconditionError, match="does not reproduce"):
         tampered.verify()
+    # a column operation that is not invertible is refused before the pointwise check
+    singular = dataclasses.replace(dec, V=dec.V.compose(Homomorphism.elementary(G, 1, 1, 3)))
+    with pytest.raises(PostconditionError, match="not invertible"):
+        singular.verify()
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_decomposition_row_and_column_operations_are_automorphisms(seed):
+    # U M V = (core, id) P, with U and V automorphisms of A and B
+    rng = random.Random(seed)
+    p = rng.choice([2, 3])
+    B = FinAbGroup(tuple(p ** rng.randint(1, 3) for _ in range(3)))
+    A = FinAbGroup(tuple(p ** rng.randint(1, 2) for _ in range(2)))
+    M = None
+    while M is None or not M.is_surjective():
+        # entry (i, j) a multiple of |A_i| / gcd(|A_i|, |B_j|), so M is well defined
+        M = Homomorphism(B, A, [[rng.randrange(a) * (a // gcd(a, b)) for b in B.orders] for a in A.orders])
+    dec = decompose_surjection(M)
+    assert dec.U.domain == dec.U.codomain == M.codomain and dec.U.is_bijective()
+    assert dec.V.domain == dec.V.codomain == B and dec.V.is_bijective()
+    composed = dec.U.compose(M).compose(dec.V)
+    assert np.array_equal(composed.image_index, dec.middle().compose(dec.reduction).image_index)
 
 
 def test_section_check_refuses_a_non_section():
