@@ -27,7 +27,7 @@ from json.encoder import encode_basestring_ascii as _string
 import numpy as np
 
 from . import __version__
-from .errors import CapExceeded, ConfigError, CoprimalityError, PostconditionError
+from .errors import CapExceeded, ConfigError, CoprimalityError, PostconditionError, cap_power
 from .groups import (
     FinAbGroup,
     Homomorphism,
@@ -44,6 +44,7 @@ from .harmonics import (
     box_norm_4cycle,
     correlation,
     cut_norm_lower,
+    cut_norm_work,
     gowers_norm,
     obstruction_check,
     phase,
@@ -231,11 +232,15 @@ def _cocycle_from_config(params: dict, seed, cap) -> tuple[Cocycle, int, dict]:
     y1 = _nilspace(_need(params, "y1", list))
     y2 = _nilspace(_need(params, "y2", list))
     Z = _group(_need(params, "z", list))
+    if max(Z.orders, default=1) >= 2**63:
+        raise CapExceeded(f"z order {max(Z.orders)} does not fit in int64")
     k = _need(params, "k", int)
     if k < 0:
         raise ConfigError("'k' must be an integer >= 0")
     dim = k + 1
     X = y1.product(y2)
+    if X.group.order > 1:  # a factor of order >= 2 and degree >= 1 alone carries 2^(k+2) cubes or more
+        cap_power(2, k + 2, cap, "cube set size, at least 2^(k+2)")
     cubes = cube_set(X, dim).size
     _capped(cubes, cap, "cube set size")
     spec = _need(params, "cocycle", dict)
@@ -263,6 +268,9 @@ def _cocycle_from_config(params: dict, seed, cap) -> tuple[Cocycle, int, dict]:
 def _run_norm(params, seed, cap, tol):
     G = _group(_need(params, "group", list))
     order = _need(params, "order", int)
+    if order < 1:
+        raise ConfigError("'order' must be an integer >= 1")
+    cap_power(G.order, order, cap, "|G|^order")  # compared before the function's |G| values exist
     f = _function(_need(params, "function", dict), G, seed)
     value = gowers_norm(f, order, cap=cap)
     inputs = {"group": list(G.orders), "order": order, "function_kind": params["function"]["kind"]}
@@ -273,6 +281,7 @@ def _run_norm(params, seed, cap, tol):
 def _run_boxnorm(params, seed, cap, tol):
     G = _group(_need(params, "group", list))
     split = _need(params, "split", int)
+    _capped(G.order, cap, "|G|")
     f = _function(_need(params, "function", dict), G, seed)
     value = box_norm_4cycle(f, split)
     inputs = {"group": list(G.orders), "split": split, "function_kind": params["function"]["kind"]}
@@ -290,6 +299,7 @@ def _run_cutnorm(params, seed, cap, tol):
         raise ConfigError("'iters' must be an integer >= 1")
     if seed is None:
         raise ConfigError("a seed is mandatory for cut-norm maximization")
+    _capped(cut_norm_work(G, d, restarts, iters), cap, "predicted cut-norm work")
     f = _function(_need(params, "function", dict), G, seed)
     res = cut_norm_lower(f, d, restarts=restarts, iters=iters, seed=seed, cap=cap)
     witnesses = {
@@ -399,8 +409,12 @@ def _run_obstruct(params, seed, cap, tol):
     phi, A = pp.phi, pp.tau.codomain
     f = _function(_need(params, "function", dict), A, seed)
     order = params.get("order")
-    if order is not None and type(order) is not int:
+    if order is None:
+        order = pp.degree + 1
+    elif type(order) is not int:
         raise ConfigError("'order' must be an integer")
+    if order > pp.degree:  # a lower order is refused by obstruction_check, which runs its norm uncapped
+        cap_power(A.order, order, cap, "|A|^order")
     rep = obstruction_check(f, pp, order=order, tol=tol)
     inputs = {
         "domain": list(phi.domain.orders),

@@ -81,6 +81,11 @@ def _lcm(a: int, b: int) -> int:
 _BLOCK = 2**17
 
 
+def _rows(elements, ncoords: int) -> np.ndarray:
+    """The coordinates of a sequence of elements as the rows of an int64 array."""
+    return np.array([x.coords for x in elements], dtype=np.int64).reshape(len(elements), ncoords)
+
+
 def _integer(x) -> int:
     """x as an int; ValueError unless x is an integer (numpy's count, bools do not)."""
     if isinstance(x, bool):
@@ -308,18 +313,15 @@ class Homomorphism:
         )
         return GroupElement(self.codomain, coords)
 
+    def _array(self, dtype) -> np.ndarray:
+        """The matrix as a codomain.ncoords x domain.ncoords array of ``dtype``."""
+        return np.array(self.matrix, dtype=dtype).reshape(self.codomain.ncoords, self.domain.ncoords)
+
     def compose(self, other: "Homomorphism") -> "Homomorphism":
-        """self after other."""
+        """self after other: one product of the matrices in Python ints, exact beyond int64."""
         if other.codomain != self.domain:
             raise ValueError("composition mismatch")
-        prod_mat = [
-            [
-                sum(self.matrix[i][k] * other.matrix[k][j] for k in range(self.domain.ncoords))
-                for j in range(other.domain.ncoords)
-            ]
-            for i in range(self.codomain.ncoords)
-        ]
-        return Homomorphism(other.domain, self.codomain, prod_mat)
+        return Homomorphism(other.domain, self.codomain, (self._array(object) @ other._array(object)).tolist())
 
     def is_identity(self) -> bool:
         if self.domain != self.codomain:
@@ -333,8 +335,7 @@ class Homomorphism:
 
     def images(self, X: np.ndarray) -> np.ndarray:
         """The images of the rows of X, coordinate vectors of the domain, as coordinate rows."""
-        M = np.array(self.matrix, dtype=np.int64).reshape(self.codomain.ncoords, self.domain.ncoords)
-        return X @ M.T % self.codomain.moduli
+        return X @ self._array(np.int64).T % self.codomain.moduli
 
     @cached_property
     def image_index(self) -> np.ndarray:
@@ -347,20 +348,6 @@ class Homomorphism:
 
     def is_bijective(self) -> bool:
         return self.domain.order == self.codomain.order and self.is_surjective()
-
-    def inverse(self) -> "Homomorphism":
-        """Inverse of a bijective homomorphism (preimages of generators)."""
-        if not self.is_bijective():
-            raise ValueError("not bijective")
-        A, B = self.domain, self.codomain
-        preimage = np.empty(B.order, dtype=np.int64)
-        preimage[self.image_index] = np.arange(A.order)
-        # column j is the preimage of e_j, of index w_j, or of 0 when m_j = 1
-        cols = A.coords_array[preimage[(B.moduli > 1) * B.radix]]
-        inv = Homomorphism(B, A, cols.T.tolist())
-        if not inv.compose(self).is_identity() or not self.compose(inv).is_identity():
-            raise PostconditionError("inverse verification failed")
-        return inv
 
 
 def kernel(h: Homomorphism) -> "Subgroup":
@@ -583,22 +570,6 @@ class PrimaryDecomposition:
     iso: Homomorphism
     iso_inv: Homomorphism
 
-    def split(self, x: GroupElement) -> dict:
-        """Component elements (one per prime) of x."""
-        y = self.iso(x)
-        out = {}
-        for p in self.primes:
-            a, b = self.slices[p]
-            out[p] = GroupElement(self.components[p], y.coords[a:b])
-        return out
-
-    def embed(self, p: int, xp: GroupElement) -> GroupElement:
-        """Image in the parent of a single-component element."""
-        a, b = self.slices[p]
-        coords = [0] * self.product.ncoords
-        coords[a:b] = xp.coords
-        return self.iso_inv(GroupElement(self.product, tuple(coords)))
-
 
 def primary_decompose(G: FinAbGroup) -> PrimaryDecomposition:
     """CRT split of every cyclic factor into its prime-power parts."""
@@ -764,7 +735,7 @@ class _PresentedSubgroup:
         A = self.parent = sub.parent
         self.basis = _subgroup_basis(sub)
         self.group = FinAbGroup(tuple(b.order() for b in self.basis))
-        B = np.array([b.coords for b in self.basis], dtype=np.int64).reshape(len(self.basis), A.ncoords)
+        B = _rows(self.basis, A.ncoords)
         self._to_parent = (self.group.coords_array @ B) % A.moduli @ A.radix
         self._to_view = np.full(A.order, -1, dtype=np.int64)
         self._to_view[self._to_parent] = np.arange(self.group.order)
@@ -777,72 +748,52 @@ class _PresentedSubgroup:
             raise ValueError("element not in the subgroup")
         return GroupElement(self.group, self.group.coords_at(v))
 
-    def parent_element(self, v: GroupElement) -> GroupElement:
-        i = int(self._to_parent[self.group.index_of(v.coords)])
-        return GroupElement(self.parent, self.parent.coords_at(i))
-
     def pull_subgroup(self, sub_in_view: Subgroup) -> Subgroup:
-        gens = tuple(self.parent_element(g) for g in sub_in_view.generators)
-        mask = np.zeros(self.parent.order, dtype=bool)
+        A, V = self.parent, self.group
+        gens = A.coords_array[self._to_parent[_rows(sub_in_view.generators, V.ncoords) @ V.radix]].tolist()
+        mask = np.zeros(A.order, dtype=bool)
         mask[self._to_parent[sub_in_view.mask]] = True
-        return Subgroup(self.parent, gens, mask)
-
-
-def _strip_pth_roots(A: FinAbGroup, x: GroupElement, p: int) -> GroupElement:
-    """Replace x by x' with x in <x'> and x' without p-th roots.
-
-    Divides by p repeatedly: the lexicographically smallest root of y is
-    (y_j // p) per coordinate, which exists exactly when every coordinate
-    of y is a multiple of p.
-    """
-    while not x.is_zero() and all(c % p == 0 for c in x.coords):
-        x = GroupElement(A, tuple(c // p for c in x.coords))
-    return x
+        return Subgroup(A, tuple(GroupElement(A, tuple(g)) for g in gens), mask)
 
 
 def complemented_hull(x: GroupElement) -> tuple[Subgroup, Subgroup]:
     """Complemented subgroup H of order <= p^(n^2) containing x, in a p-group.
 
-    Runs the peeling loop: strip p-th roots, split coordinates into the
-    block where x is a unit mod p and the rest, split off the cyclic
-    subgroup of its unit part, and recurse on a p-th root of the rest.  The
-    unit part has the largest block order m_{j0} (j0 the first such
-    coordinate), so the e_j of the other block coordinates complement it:
-    a multiple of it in their span vanishes at j0, so is 0, and the orders
-    multiply to |block|.  Returns (H, K) with K a verified complement of H.
+    Runs the peeling loop on the coordinates y of x: strip p-th roots
+    (while every y_j is a multiple of p, y_j // p is the least root), split
+    the coordinates into the block where y is a unit mod p and the rest,
+    split off the cyclic subgroup of its unit part, and recurse on a p-th
+    root of the rest.  The unit part has the largest block order m_{j0}
+    (j0 the first such coordinate), so the e_j of the other block
+    coordinates complement it: a multiple of it in their span vanishes at
+    j0, so is 0, and the orders multiply to |block|.  Returns (H, K) with K
+    a verified complement of H.
     """
     A = x.group
     p, n = A.pgroup_data()
     if A.order == 1:
         t = Subgroup.trivial(A)
         return t, t
-    e = [A.element([int(i == j) for i in range(A.ncoords)]) for j in range(A.ncoords)]
-    h_gens: list[GroupElement] = []
-    k_gens: list[GroupElement] = []
+    h_gens: list[tuple[int, ...]] = []
+    k_axes: list[int] = []  # the coordinates j whose e_j generate K
     active = [j for j in range(A.ncoords) if A.orders[j] > 1]
-    y = x
-    while True:
-        if all(y.coords[j] == 0 for j in active):
-            break
-        y = _strip_pth_roots(A, y, p)
-        unit_idx = [j for j in active if y.coords[j] % p != 0]
-        if not unit_idx:
+    y = x.coords  # zero off the active coordinates
+    while any(y[j] for j in active):
+        while not any(c % p for c in y):
+            y = tuple(c // p for c in y)
+        units = [j for j in active if y[j] % p]
+        if not units:
             raise PostconditionError("stripped element still has a p-th root")
-        rest_idx = [j for j in active if j not in unit_idx]
-        part = A.element(tuple(y.coords[j] if j in unit_idx else 0 for j in range(A.ncoords)))
-        h_gens.append(part)
-        j0 = max(unit_idx, key=lambda j: (A.orders[j], -j))
-        k_gens.extend(e[j] for j in reversed(unit_idx) if j != j0)
-        rest = A.element(tuple(y.coords[j] if j in rest_idx else 0 for j in range(A.ncoords)))
-        active = rest_idx
-        if rest.is_zero():
-            break
-        # all coordinates of the rest are multiples of p: take a p-th root
-        y = GroupElement(A, tuple(c // p for c in rest.coords))
+        h_gens.append(tuple(c if j in units else 0 for j, c in enumerate(y)))
+        j0 = max(units, key=lambda j: (A.orders[j], -j))
+        k_axes.extend(j for j in reversed(units) if j != j0)
+        active = [j for j in active if j not in units]
+        # every coordinate of the rest is a multiple of p: take a p-th root
+        y = tuple(c // p if j in active else 0 for j, c in enumerate(y))
     # the untouched block goes entirely into the complement
-    k_gens.extend(e[j] for j in active)
+    k_axes.extend(active)
     H = Subgroup.from_generators(A, h_gens)
-    K = Subgroup.from_generators(A, k_gens)
+    K = Subgroup.from_generators(A, np.eye(A.ncoords, dtype=np.int64)[k_axes].tolist())
     if x not in H:
         raise PostconditionError("hull does not contain x")
     if H.order > p ** (n * n):
@@ -931,19 +882,22 @@ def mtorsion_complemented_shrink(H: Subgroup) -> tuple[Subgroup, Subgroup]:
     """Complemented H' <= H for general bounded torsion.
 
     Splits A by primary decomposition, shrinks each prime component, and
-    recombines through the decomposition isomorphism.
+    recombines through the decomposition isomorphism: the generators of H
+    go through ``iso`` as coordinate rows, and each component's results come
+    back through ``iso_inv`` as rows that are zero off its slice.
     """
     A = H.parent
     dec = primary_decompose(A)
-    hp_gens: list[GroupElement] = []
-    k_gens: list[GroupElement] = []
+    parts = dec.iso.images(_rows(H.generators, A.ncoords))
+    hp_gens: list[list[int]] = []
+    k_gens: list[list[int]] = []
     for p in dec.primes:
-        Gp = dec.components[p]
-        comp_gens = [dec.split(g)[p] for g in H.generators]
-        Hp_comp = Subgroup.from_generators(Gp, comp_gens)
-        Hprime_p, K_p = complemented_shrink(Hp_comp)
-        hp_gens.extend(dec.embed(p, g) for g in Hprime_p.generators)
-        k_gens.extend(dec.embed(p, g) for g in K_p.generators)
+        a, b = dec.slices[p]
+        Hp_p, K_p = complemented_shrink(Subgroup.from_generators(dec.components[p], parts[:, a:b].tolist()))
+        for S, gens in ((Hp_p, hp_gens), (K_p, k_gens)):
+            rows = np.zeros((len(S.generators), dec.product.ncoords), dtype=np.int64)
+            rows[:, a:b] = _rows(S.generators, b - a)
+            gens.extend(dec.iso_inv.images(rows).tolist())
     Hp = Subgroup.from_generators(A, hp_gens)
     K = Subgroup.from_generators(A, k_gens)
     if not Hp.issubset(H):

@@ -42,7 +42,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import CapExceeded, PostconditionError
+from .errors import CapExceeded, PostconditionError, cap_power
 from .groups import _BLOCK, FinAbGroup, GroupElement, Homomorphism, kernel
 from .polymaps import PolyMap
 
@@ -61,6 +61,7 @@ __all__ = [
     "projected_as_average",
     "box_norm_4cycle",
     "cut_norm_lower",
+    "cut_norm_work",
     "fourier_coefficients",
 ]
 
@@ -244,8 +245,7 @@ def gowers_norm(f: GroupFunction, order: int, *, cap: int = 2**30) -> float:
         raise ValueError("the norm order must be at least 1")
     G = f.group
     n = G.order
-    if n**order > cap:
-        raise CapExceeded(f"|G|^order = {n}^{order} exceeds cap {cap}")
+    cap_power(n, order, cap, "|G|^order")
     if order == 1:
         p = abs(complex(f.values.mean())) ** 2
     else:
@@ -344,8 +344,9 @@ def gowers_norm_exact(f: GroupFunction, order: int, *, cap: int = 2**24) -> Exac
         raise ValueError("the norm order must be at least 1")
     G = f.group
     N, P = f.modulus, f.phase_num
-    if max(G.order ** (order + 1), N) > cap:
-        raise CapExceeded(f"|G|^(order+1) or the phase modulus N = {N} exceeds cap {cap}")
+    cap_power(G.order, order + 1, cap, "|G|^(order+1)")
+    if N > cap:
+        raise CapExceeded(f"the phase modulus N = {N} exceeds cap {cap}")
     if order == 1:
         tables = [P[None, :]]
     else:
@@ -551,6 +552,11 @@ class CutNormResult:
     sweeps: int
 
 
+def cut_norm_work(G: FinAbGroup, d: int, restarts: int, iters: int) -> int:
+    """The work that ``cut_norm_lower`` compares with its cap: (restarts + 1) * iters * C(n, d)^2 * |G|."""
+    return (restarts + 1) * iters * math.comb(G.ncoords, d) ** 2 * G.order
+
+
 def cut_norm_lower(
     f: GroupFunction,
     d: int,
@@ -587,7 +593,7 @@ def cut_norm_lower(
         raise ValueError(f"need iters >= 1, got {iters}")
     if restarts < 0:
         raise ValueError(f"need restarts >= 0, got {restarts}")
-    work = (restarts + 1) * iters * math.comb(n, d) ** 2 * G.order
+    work = cut_norm_work(G, d, restarts, iters)
     if work > cap:
         raise CapExceeded(f"predicted cut-norm work {work} exceeds cap {cap}")
     tensor = f.values.reshape(G.orders)

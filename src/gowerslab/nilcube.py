@@ -63,7 +63,7 @@ from math import comb, gcd, prod
 
 import numpy as np
 
-from .errors import CapExceeded, CoprimalityError, PostconditionError
+from .errors import CapExceeded, CoprimalityError, PostconditionError, cap_power
 from .groups import FinAbGroup, GroupElement, _integer
 
 __all__ = [
@@ -470,8 +470,7 @@ def enumerate_morphisms(X: FilteredGroupNilspace, Y: FilteredGroupNilspace, *, c
     with |Y|^r <= ``_BLOCK``, and each block is checked at once.
     """
     GX, GY = X.group, Y.group
-    if GY.order**GX.order > cap:
-        raise CapExceeded(f"|Y|^|X| = {GY.order}^{GX.order} exceeds cap {cap}")
+    cap_power(GY.order, GX.order, cap, "|Y|^|X|")
     pairs = _cube_pairs(X, Y, range(1, Y.step + 2), 2_000_000)
     r = 0
     while r < GX.order and GY.order ** (r + 1) <= _BLOCK:

@@ -267,45 +267,17 @@ def forward_difference_matrix(n: int) -> list[list[int]]:
     return C
 
 
-def _mat_mul(A, B):
-    n, k, m = len(A), len(B), len(B[0])
-    out = [[0] * m for _ in range(n)]
-    for i in range(n):
-        Ai = A[i]
-        for t in range(k):
-            a = Ai[t]
-            if a:
-                Bt = B[t]
-                row = out[i]
-                for j in range(m):
-                    row[j] += a * Bt[j]
-    return out
-
-
-def _mat_pow(A, e):
-    n = len(A)
-    R = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    B = [row[:] for row in A]
-    while e:
-        if e & 1:
-            R = _mat_mul(R, B)
-        e >>= 1
-        if e:
-            B = _mat_mul(B, B)
-    return R
-
-
 def forward_difference_power(p: int, s: int, *, cap: int = 256) -> list[list[int]]:
     """Exact integer power C_{p^s}^{p^s} of the forward-difference matrix.
 
     Every entry is a multiple of p (asserted), which is what makes each
     further block of p^s derivatives of a representative lift gain a factor
-    of p.
+    of p.  The power is taken in Python ints, so no entry overflows.
     """
     n = p**s
     if n > cap:
         raise CapExceeded(f"p^s = {n} exceeds cap {cap}")
-    M = _mat_pow(forward_difference_matrix(n), n)
+    M = np.linalg.matrix_power(np.array(forward_difference_matrix(n), dtype=object), n).tolist()
     for row in M:
         for e in row:
             if e % p != 0:
@@ -315,16 +287,6 @@ def forward_difference_power(p: int, s: int, *, cap: int = 256) -> list[list[int
 
 # ---------------------------------------------------------------------------
 # decomposition of a surjection of p-groups
-
-
-def _p_exponent(m: int, p: int) -> int:
-    e = 0
-    while m % p == 0:
-        m //= p
-        e += 1
-    if m != 1:
-        raise ValueError("coordinate order is not a power of p")
-    return e
 
 
 @dataclass(frozen=True)
@@ -392,13 +354,10 @@ def decompose_surjection(M: Homomorphism) -> SurjectionDecomposition:
         raise ValueError(f"mixed primes {sorted(primes)}: not a p-group surjection")
     if not M.is_surjective():
         raise ValueError("M is not surjective")
-    if not primes:  # trivial groups
-        p, n = 2, 0
-    else:
-        (p,) = primes
-        n = max(_p_exponent(o, p) for o in B.orders if o > 1)
-    a_exp = [_p_exponent(o, p) if o > 1 else 0 for o in B.orders]
-    b_exp = [_p_exponent(o, p) if o > 1 else 0 for o in A.orders]
+    (p,) = primes or {2}  # 2 for trivial groups
+    a_exp = [_factorize(o).get(p, 0) for o in B.orders]
+    b_exp = [_factorize(o).get(p, 0) for o in A.orders]
+    n = max(a_exp, default=0)
     if n and max(b_exp, default=0) > n:
         raise ValueError("codomain torsion exceeds domain torsion: not surjective")
 

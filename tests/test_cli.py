@@ -12,8 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gowerslab.cli import _dumps, golden_suite, main, run
-from gowerslab.errors import ConfigError
+from gowerslab.errors import CapExceeded, ConfigError, cap_power
 from record_digests import RECORDS, _run_config, pins
+from test_groups import deadline
 
 
 def cfg(command, params, **extra):
@@ -297,6 +298,72 @@ def test_main_huge_group_exit_3(tmp_path, command, params):
     # 2|A|, |A| and |B| are compared with the cap before any group-sized array is built
     path = _write(tmp_path, "c.json", cfg(command, params))
     assert main([command, "--config", path]) == 3
+
+
+_SPLIT_PARAMS = {"y1": [[2, 1]], "y2": [[3, 1]], "z": [3], "k": 1, "cocycle": {"kind": "random"}}
+_OBSTRUCT_U4 = {  # |A| N = 64, and U^4 on |A| = 16 sums 16^4 = 65,536 terms
+    "domain": [16],
+    "codomain": [16],
+    "matrix": [[1]],
+    "phase_modulus": 4,
+    "phase_table": [x % 4 for x in range(16)],
+    "function": {"kind": "ones"},
+    "order": 4,
+}
+
+
+@pytest.mark.parametrize(
+    "command, params, extra",
+    [
+        # each cost is compared with the cap before the input function is built
+        ("norm", {"group": [2**20, 2**20], "order": 2, "function": {"kind": "ones"}}, {}),
+        ("boxnorm", {"group": [2**20, 2**20], "split": 1, "function": {"kind": "ones"}}, {}),
+        ("cutnorm", {"group": [2**20, 2**20], "d": 1, "function": {"kind": "ones"}}, {"seed": 1}),
+        # a z order that does not fit in int64
+        ("avg-split", dict(_SPLIT_PARAMS, z=[2**70]), {"seed": 1}),
+        ("cocycle-split", dict(_SPLIT_PARAMS, z=[2**70]), {"seed": 1}),
+        # powers compared with the cap from their bit lengths, never taken
+        ("morphisms", {"x": [[2**70, 1]], "y": [[2, 1]]}, {}),
+        ("norm", {"group": [4], "order": 10**9, "function": {"kind": "ones"}}, {}),
+        ("avg-split", dict(_SPLIT_PARAMS, k=10**7), {"seed": 1}),
+        # obstruct's norm honours the config cap
+        ("obstruct", _OBSTRUCT_U4, {"cap": 64}),
+    ],
+    ids=[
+        "norm-2^40",
+        "boxnorm-2^40",
+        "cutnorm-2^40",
+        "avg-split-z-2^70",
+        "cocycle-split-z-2^70",
+        "morphisms-x-2^70",
+        "norm-order-10^9",
+        "avg-split-k-10^7",
+        "obstruct-U4-cap-64",
+    ],
+)
+def test_main_oversized_config_exit_3_within_2s(tmp_path, command, params, extra):
+    path = _write(tmp_path, "c.json", cfg(command, params, **extra))
+    with deadline(2.0):
+        assert main([command, "--config", path, "--out", str(tmp_path / "r.json")]) == 3
+    assert not (tmp_path / "r.json").exists()
+
+
+def _refused(base, exp, cap):
+    try:
+        cap_power(base, exp, cap, "cost")
+    except CapExceeded:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("cap", [-5, 0, 1, 2, 7, 8, 9, 1000, 2**64 - 1, 2**64])
+def test_cap_power_matches_the_power(cap):
+    assert all(_refused(b, e, cap) == (b**e > cap) for b in range(12) for e in range(70))
+
+
+def test_main_obstruct_norm_at_the_cap_runs(tmp_path):
+    path = _write(tmp_path, "c.json", cfg("obstruct", _OBSTRUCT_U4, cap=16**4))
+    assert main(["obstruct", "--config", path, "--out", str(tmp_path / "r.json")]) == 0
 
 
 _PHASE_PARAMS = {"domain": [2], "codomain": [2], "matrix": [[1]], "phase_table": [0, 1]}

@@ -103,14 +103,17 @@ def test_primary_z6_z4_exhaustive_bijection():
 
 
 def test_primary_split_embed_roundtrip():
+    # every element of G is the sum of its components, each sent back alone through iso_inv
     G = FinAbGroup((6, 4))
     dec = primary_decompose(G)
-    for x in G.elements():
-        parts = dec.split(x)
-        back = G.zero
-        for p in dec.primes:
-            back = back + dec.embed(p, parts[p])
-        assert back == x
+    parts = dec.iso.images(G.coords_array)
+    back = np.zeros_like(G.coords_array)
+    for p in dec.primes:
+        a, b = dec.slices[p]
+        alone = np.zeros_like(parts)
+        alone[:, a:b] = parts[:, a:b]
+        back = (back + dec.iso_inv.images(alone)) % G.moduli
+    assert np.array_equal(back, G.coords_array)
 
 
 # ---------------------------------------------------------------------------
@@ -283,13 +286,60 @@ def test_hom_well_definedness_enforced():
         Homomorphism(FinAbGroup((2,)), FinAbGroup((3,)), [[1]])
 
 
+def _inverse(h):
+    """Inverse of a bijective homomorphism: column j is the preimage of e_j, checked both ways."""
+    if not h.is_bijective():
+        raise ValueError("not bijective")
+    A, B = h.domain, h.codomain
+    preimage = np.empty(B.order, dtype=np.int64)
+    preimage[h.image_index] = np.arange(A.order)
+    # e_j has index w_j, or is 0 when m_j = 1
+    inv = Homomorphism(B, A, A.coords_array[preimage[(B.moduli > 1) * B.radix]].T.tolist())
+    if not inv.compose(h).is_identity() or not h.compose(inv).is_identity():
+        raise PostconditionError("inverse verification failed")
+    return inv
+
+
 def test_hom_compose_and_inverse():
     G = FinAbGroup((3, 9))
     a = Homomorphism(G, G, [[2, 0], [0, 2]])
     assert a.is_bijective()
-    inv = a.inverse()
+    inv = _inverse(a)
     assert inv.compose(a).is_identity()
     assert a.compose(inv).is_identity()
+
+
+def _random_hom(rng, domain, codomain):
+    """A seeded homomorphism: entry (i, j) a random multiple of m_i / gcd(m_i, m_j), so well-defined."""
+    return Homomorphism(
+        domain,
+        codomain,
+        [[mi // gcd(mi, mj) * rng.randrange(gcd(mi, mj)) for mj in domain.orders] for mi in codomain.orders],
+    )
+
+
+@pytest.mark.parametrize(
+    "orders",
+    [
+        ((4, 6), (12, 2, 3), (8, 6)),
+        ((9,), (3, 27), (81, 3, 1)),
+        ((2**70, 3**45), (2**64 * 3, 2**70), (2**63, 3**40, 6)),
+        ((2**80,), (2**80, 2**80), (2**80,)),
+        ((), (5,), (5, 5)),
+        ((7, 7), (), (7,)),
+    ],
+)
+def test_compose_matches_triple_loop_oracle(orders):
+    # compose is one product of Python-int matrices; entries beyond 2^63 stay exact
+    G1, G2, G3 = map(FinAbGroup, orders)
+    rng = random.Random(str(orders))
+    for _ in range(20):
+        f, g = _random_hom(rng, G1, G2), _random_hom(rng, G2, G3)
+        oracle = [
+            [sum(g.matrix[i][k] * f.matrix[k][j] for k in range(G2.ncoords)) % G3.orders[i] for j in range(G1.ncoords)]
+            for i in range(G3.ncoords)
+        ]
+        assert g.compose(f).matrix == tuple(map(tuple, oracle))
 
 
 @pytest.mark.parametrize(
@@ -867,7 +917,8 @@ def test_presented_subgroup_matches_dict_oracle(orders):
         view, oracle = _PresentedSubgroup(H), _DictPresentedSubgroup(H)
         assert view.basis == oracle.basis and view.group == oracle.group
         assert {x: view.view_coords(x).coords for x in H.elements} == oracle.to_view
-        assert {c: view.parent_element(GroupElement(view.group, c)) for c in oracle.to_parent} == oracle.to_parent
+        # the oracle's view elements run in row-major order, as the indices of _to_parent do
+        assert view._to_parent.tolist() == [G.index_of(x.coords) for x in oracle.to_parent.values()]
         for S in all_subgroups(view.group):
             P = view.pull_subgroup(S)
             assert P.generators == tuple(oracle.to_parent[g.coords] for g in S.generators)

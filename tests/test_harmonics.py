@@ -38,6 +38,7 @@ from gowerslab.instances import (
     random_unimodular_function,
 )
 from gowerslab.polymaps import PolyMap, binom, cyclic_lift, polynomial_cross_section
+from test_groups import deadline
 
 TOL = 1e-9
 
@@ -330,6 +331,15 @@ def test_norm_cost_cap_boundary():
     assert abs(gowers_norm(f, 3, cap=12**3) - 1.0) < TOL
     with pytest.raises(CapExceeded):
         gowers_norm(f, 3, cap=12**3 - 1)
+
+
+def test_norm_caps_refuse_a_huge_order_at_once():
+    # |G|^order and |G|^(order+1) are compared from bit lengths, never taken
+    f = GroupFunction.ones(FinAbGroup((4,)))
+    with deadline(2.0):
+        for norm in (gowers_norm, gowers_norm_exact):
+            with pytest.raises(CapExceeded):
+                norm(f, 10**9)
 
 
 def test_table_caches_are_bounded():

@@ -24,6 +24,7 @@ from gowerslab.polymaps import (
     forward_difference_power,
     polynomial_cross_section,
 )
+from test_groups import _inverse
 
 Z3 = FinAbGroup((3,))
 Z6 = FinAbGroup((6,))
@@ -243,7 +244,7 @@ def test_degree_invariant_under_coordinate_permutation():
     for _ in range(50):
         table = tuple((rng.randrange(4),) for _ in range(G.order))
         P = PolyMap(G, cod, table)
-        Pswapped = PolyMap.from_function(Gp, cod, lambda y: P(swap.inverse()(y)))
+        Pswapped = PolyMap.from_function(Gp, cod, lambda y: P(_inverse(swap)(y)))
         assert P.degree == Pswapped.degree
 
 
@@ -363,6 +364,35 @@ def test_forward_difference_power_vs_oracle(p, s):
     for row in M:
         assert all(e % p == 0 for e in row)
         assert sum(row) == 0
+
+
+def _mat_mul(A, B):
+    """Schoolbook product of integer matrices as lists of rows, skipping zero entries of A."""
+    out = [[0] * len(B[0]) for _ in A]
+    for row, Ai in zip(out, A):
+        for a, Bt in zip(Ai, B):
+            if a:
+                for j, b in enumerate(Bt):
+                    row[j] += a * b
+    return out
+
+
+def _mat_pow(A, e):
+    """A^e by repeated squaring in Python ints."""
+    R = [[int(i == j) for j in range(len(A))] for i in range(len(A))]
+    while e:
+        if e & 1:
+            R = _mat_mul(R, A)
+        e >>= 1
+        if e:
+            A = _mat_mul(A, A)
+    return R
+
+
+@pytest.mark.parametrize("p,s", [(p, s) for p in (2, 3, 5, 7) for s in range(1, 7) if p**s <= 64])
+def test_forward_difference_power_matches_repeated_squaring(p, s):
+    n = p**s
+    assert forward_difference_power(p, s) == _mat_pow(forward_difference_matrix(n), n)
 
 
 def test_forward_difference_row_sums_all_powers():
