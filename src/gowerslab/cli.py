@@ -59,6 +59,7 @@ from .instances import (
 from .nilcube import (
     Cocycle,
     FilteredGroupNilspace,
+    _check_z_order,
     factor_average,
     coboundary,
     cube_set,
@@ -232,8 +233,7 @@ def _cocycle_from_config(params: dict, seed, cap) -> tuple[Cocycle, int, dict]:
     y1 = _nilspace(_need(params, "y1", list))
     y2 = _nilspace(_need(params, "y2", list))
     Z = _group(_need(params, "z", list))
-    if max(Z.orders, default=1) >= 2**63:
-        raise CapExceeded(f"z order {max(Z.orders)} does not fit in int64")
+    _check_z_order(Z)
     k = _need(params, "k", int)
     if k < 0:
         raise ConfigError("'k' must be an integer >= 0")

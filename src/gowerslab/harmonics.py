@@ -309,12 +309,17 @@ def _histogram_gram(M: np.ndarray, N: int) -> np.ndarray:
 
 
 def _difference_counts(M: np.ndarray, N: int) -> np.ndarray:
-    """counts[c] = #{(r, x, y) : M[r, y] - M[r, x] = c mod N}, in bounded blocks."""
+    """counts[c] = #{(r, x, y) : M[r, y] - M[r, x] = c mod N}, in bounded blocks.
+
+    The entries lie in [0, N), so M[r, y] - M[r, x] + N lies in (0, 2N): each
+    block is counted in 2N bins, and bin c + N folds onto bin c.
+    """
     counts = np.zeros(N, dtype=np.int64)
     step = max(1, 2**22 // M.shape[1] ** 2)
     for i in range(0, M.shape[0], step):
         B = M[i : i + step]
-        counts += np.bincount(((B[:, None, :] - B[:, :, None]) % N).ravel(), minlength=N)
+        shifted = np.bincount(((B + N)[:, None, :] - B[:, :, None]).ravel(), minlength=2 * N)
+        counts += shifted[:N] + shifted[N:]
     return counts
 
 
@@ -334,9 +339,11 @@ def gowers_norm_exact(f: GroupFunction, order: int, *, cap: int = 2**24) -> Exac
     rows are read off the N x N Gram matrix sum H^T H of their histograms H
     along its diagonals b - a = c (|G| N^2 integer products per step);
     otherwise the differences within each row are counted directly (|G|^3
-    per step), which keeps memory at O(|G|^2 + N) for any N.  Every
-    intermediate quantity is an integer, and ``cap`` bounds the number of
-    counted tuples, |G|^(order+1), and the N-long count vector.
+    per step, in blocks of about 2^22 differences, each counted in a 2N-long
+    transient bincount of the differences shifted by N), which keeps memory
+    at O(|G|^2 + N) for any N.  Every intermediate quantity is an integer,
+    and ``cap`` bounds the number of counted tuples, |G|^(order+1), and the
+    N-long count vector.
     """
     if not f.is_exact():
         raise ValueError("exact norm needs exact phases")
@@ -553,7 +560,12 @@ class CutNormResult:
 
 
 def cut_norm_work(G: FinAbGroup, d: int, restarts: int, iters: int) -> int:
-    """The work that ``cut_norm_lower`` compares with its cap: (restarts + 1) * iters * C(n, d)^2 * |G|."""
+    """The work that ``cut_norm_lower`` compares with its cap: (restarts + 1) * iters * C(n, d)^2 * |G|.
+
+    An upper bound: a sweep forms L(L-1)/2 + L <= L^2 products of |G| entries
+    per restart, with L = C(n, d), since each block update reuses the prefix
+    product of the blocks before it.
+    """
     return (restarts + 1) * iters * math.comb(G.ncoords, d) ** 2 * G.order
 
 
@@ -574,9 +586,17 @@ def cut_norm_lower(
     Deterministic all-ones initialization plus ``restarts`` seeded random
     unimodular restarts; the best value and its witness family are
     returned.  The value never exceeds the true cut norm and every witness
-    is exactly 1-bounded.  ``cap`` bounds the predicted work, at most
-    (restarts + 1) * iters sweeps of C(n, d) block updates, each a product
-    of C(n, d) tensors of |G| entries, before any sweep runs.
+    is exactly 1-bounded.  ``cap`` bounds the predicted work before any
+    sweep runs: at most (restarts + 1) * iters sweeps of C(n, d) block
+    updates, each charged C(n, d) products of |G| entries.
+
+    A sweep keeps one prefix product, the tensor times the conjugate
+    witnesses of the blocks already updated.  Block j's conditional sum is
+    that prefix times the witnesses of blocks j+1, ..., L-1 (L = C(n, d)),
+    and the prefix then takes block j's new witness, so a sweep forms
+    L(L-1)/2 + L products, each the same left fold as the full product.
+    After the last block the prefix is the objective tensor, whose mean is
+    one row reduction over all restarts per sweep.
 
     The restarts run side by side on a leading restart axis, in chunks of
     at most max(1, _BLOCK // |G|) restarts, so about _BLOCK entries at a
@@ -620,21 +640,20 @@ def cut_norm_lower(
             if not active.any():
                 break
             live = active.reshape((R,) + (1,) * d)
+            prefix = tensor
             for j in range(len(blocks)):
-                t = tensor
-                for k, cw in enumerate(conj_ws):
-                    if k != j:
-                        t = t * cw
+                t = prefix
+                for cw in conj_ws[j + 1 :]:
+                    t = t * cw
                 s = t.sum(axis=axes[j])
                 mag = np.abs(s)
                 big = mag > 1e-15
                 ws[j] = np.where(live & big, s / np.where(big, mag, 1.0), ws[j])
                 conj_ws[j] = np.conj(ws[j]).reshape(spread[j])
-            t = tensor
-            for cw in conj_ws:
-                t = t * cw
+                prefix = prefix * conj_ws[j]
+            means = prefix.reshape(R, -1).mean(axis=1)
             for r in np.flatnonzero(active):
-                val = abs(complex(t[r].mean()))
+                val = abs(complex(means[r]))
                 sweeps[r] += 1
                 if val - prev[r] < 1e-13:
                     active[r] = False

@@ -59,7 +59,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations, product as iproduct
-from math import comb, gcd, prod
+from math import comb, gcd, isqrt, prod
 
 import numpy as np
 
@@ -683,8 +683,19 @@ def _second_factor(rho: Cocycle, split: int) -> FilteredGroupNilspace:
     return FilteredGroupNilspace(rho.nilspace.factors[split:])
 
 
+def _check_z_order(Z: FinAbGroup) -> None:
+    """Refuse a z order above isqrt(2^63 - 1) = 3,037,000,499 with CapExceeded.
+
+    The coprime average multiplies a residue by an inverse mod m, which
+    stays below m^2 and so within int64 exactly up to this bound.
+    """
+    if max(Z.orders, default=1) > isqrt(2**63 - 1):
+        raise CapExceeded(f"z order {max(Z.orders)} exceeds isqrt(2^63 - 1) = {isqrt(2**63 - 1)}")
+
+
 def _average(values: np.ndarray, keys: np.ndarray, Z: FinAbGroup) -> np.ndarray:
     """Coprime average of the value rows over each class of equal keys, per row."""
+    _check_z_order(Z)
     zmod = Z.moduli
     _, cls, counts = np.unique(keys, return_inverse=True, return_counts=True)
     sums = np.zeros((len(counts), values.shape[1]), dtype=np.int64)

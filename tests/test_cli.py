@@ -348,6 +348,26 @@ def test_main_oversized_config_exit_3_within_2s(tmp_path, command, params, extra
     assert not (tmp_path / "r.json").exists()
 
 
+@pytest.mark.parametrize("command", ["avg-split", "cocycle-split"])
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("z", [2**31 + 11, 3_037_000_499])
+def test_main_split_with_z_up_to_isqrt_int64_runs(tmp_path, command, k, z):
+    # residue times inverse stays below z^2 <= 2^63 - 1
+    path = _write(tmp_path, "c.json", cfg(command, dict(_SPLIT_PARAMS, z=[z], k=k), seed=5))
+    assert main([command, "--config", path, "--out", str(tmp_path / "r.json")]) == 0
+
+
+@pytest.mark.parametrize("command", ["avg-split", "cocycle-split"])
+@pytest.mark.parametrize("z", [3_037_000_501, 2**32 + 1, 2**62 + 1, 2**63 - 1])
+def test_main_split_with_z_above_isqrt_int64_exit_3(tmp_path, command, z):
+    # above the bound a residue product of the average can wrap in int64, and a
+    # valid split then fails its own cocycle check (exit 4) or its input's (exit 2)
+    path = _write(tmp_path, "c.json", cfg(command, dict(_SPLIT_PARAMS, z=[z]), seed=5))
+    with deadline(2.0):
+        assert main([command, "--config", path, "--out", str(tmp_path / "r.json")]) == 3
+    assert not (tmp_path / "r.json").exists()
+
+
 def _refused(base, exp, cap):
     try:
         cap_power(base, exp, cap, "cost")

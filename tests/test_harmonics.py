@@ -19,6 +19,7 @@ from gowerslab.harmonics import (
     GroupFunction,
     _add_table,
     _characters,
+    _difference_counts,
     box_norm_4cycle,
     correlation,
     cut_norm_lower,
@@ -444,6 +445,21 @@ def test_exact_norm_matches_oracle_large_modulus(orders, N):
     f = GroupFunction.from_phases(G, [Fraction(rng.randrange(N), N) for _ in range(G.order)])
     assert f.modulus == N
     assert gowers_norm_exact(f, 2) == _exact_norm_oracle(f, 2)
+
+
+@pytest.mark.parametrize("N", [257, 360, 1009 * 1013])
+def test_difference_counts_fold_matches_modulo_oracle(N):
+    # every row holds 0 and N - 1, so differences of +-(N - 1) hit both ends
+    # of the 2N bins; 70 rows of 256 entries run in two blocks of 2^22 // 256^2 = 64
+    rng = np.random.default_rng(N)
+    M = rng.integers(0, N, size=(70, 256))
+    M[:, 0], M[:, -1] = 0, N - 1
+    M[::2, 1] = N - 1
+    counts = _difference_counts(M, N)
+    assert counts.shape == (N,) and counts.dtype == np.int64
+    assert counts.sum() == 70 * 256**2
+    # oracle: the differences reduced % N, counted in N bins
+    assert np.array_equal(counts, np.bincount(((M[:, None, :] - M[:, :, None]) % N).ravel(), minlength=N))
 
 
 def test_exact_norm_cap_bounds_the_count_vector():
@@ -891,6 +907,35 @@ def test_cut_norm_matches_the_one_by_one_oracle_exactly(orders):
                     assert res.sweeps == winner
                     uneven |= len(set(sweeps)) > 1
     assert uneven  # some restarts stopped while others ran on
+
+
+def _half_supported_function(rng, G):
+    """Unit phases where the first coordinate lies below half its order, zero elsewhere."""
+    values = np.exp(2j * np.pi * np.array([rng.random() for _ in range(G.order)]))
+    first = np.arange(G.order) // (G.order // G.orders[0])
+    return GroupFunction(G, np.where(first < G.orders[0] // 2, values, 0))
+
+
+@pytest.mark.parametrize("orders", [(4, 4, 4, 4), (2,) * 8])
+def test_cut_norm_matches_the_one_by_one_oracle_above_128_entries(orders):
+    # |G| = 256: numpy's pairwise sums recurse past 128 entries; the zero and
+    # half-supported functions keep old witnesses where a conditional sum vanishes
+    G = FinAbGroup(orders)
+    rng = random.Random(len(orders))
+    functions = [
+        GroupFunction(G, np.zeros(G.order)),
+        _half_supported_function(rng, G),
+        random_bounded_function(rng, G),
+        random_unimodular_function(rng, G),
+    ]
+    for d in (1, 2):
+        for fi, f in enumerate(functions):
+            for restarts in (2, 8):
+                seed = 100 * fi + 10 * d + restarts
+                value, witnesses, winner, _ = _cut_norm_oracle(f, d, restarts=restarts, iters=25, seed=seed)
+                res = cut_norm_lower(f, d, restarts=restarts, iters=25, seed=seed)
+                _assert_same_cut(res, value, witnesses)
+                assert res.sweeps == winner
 
 
 @pytest.mark.parametrize("block", [1, 7, 64])

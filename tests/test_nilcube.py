@@ -8,7 +8,7 @@ from itertools import permutations, product as iproduct
 import numpy as np
 import pytest
 
-from gowerslab.errors import CoprimalityError, PostconditionError
+from gowerslab.errors import CapExceeded, CoprimalityError, PostconditionError
 from gowerslab.groups import FinAbGroup
 from gowerslab.instances import random_cocycle
 from gowerslab.nilcube import (
@@ -452,6 +452,32 @@ def test_average_rejects_non_coprime():
         factor_average(rho, 1)
     with pytest.raises(CoprimalityError):
         rooted_factor_average(rho, 1)
+
+
+@pytest.mark.parametrize("z", [2**32 + 1, 2**62 + 1])
+def test_average_refuses_a_z_order_above_isqrt_int64(z):
+    # the residue products would overflow int64 and fail the cocycle check
+    Z = FinAbGroup((z,))
+    rho, _, _ = random_cocycle(random.Random(59), D1Z2, D1Z3, Z, 2)
+    with pytest.raises(CapExceeded, match="isqrt"):
+        factor_average(rho, 1)
+    with pytest.raises(CapExceeded, match="isqrt"):
+        rooted_factor_average(rho, 1)
+    with pytest.raises(CapExceeded, match="isqrt"):
+        split_cocycle(rho, 1)
+
+
+def test_average_at_isqrt_int64_is_exact():
+    z = 3_037_000_499
+    rho, _, _ = random_cocycle(random.Random(61), D1Z2, D1Z3, FinAbGroup((z,)), 2)
+    E = factor_average(rho, 1)
+    # Python-int oracle: the class sum times the inverse of the class size, mod z
+    classes = {}
+    for q, v in rho.table.items():
+        classes.setdefault(tuple(c[1:] for c in q), []).append(v.coords[0])
+    for q, v in E.table.items():
+        members = classes[tuple(c[1:] for c in q)]
+        assert v.coords[0] == sum(members) * pow(len(members), -1, z) % z
 
 
 # ---------------------------------------------------------------------------
