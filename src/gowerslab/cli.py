@@ -233,7 +233,7 @@ def _cocycle_from_config(params: dict, seed, cap) -> tuple[Cocycle, int, dict]:
     y1 = _nilspace(_need(params, "y1", list))
     y2 = _nilspace(_need(params, "y2", list))
     Z = _group(_need(params, "z", list))
-    _check_z_order(Z)
+    _check_z_order(Z.orders)
     k = _need(params, "k", int)
     if k < 0:
         raise ConfigError("'k' must be an integer >= 0")
@@ -741,7 +741,7 @@ def _dumps(v, indent: str = "") -> str:
     ):
         cell = ",\n" + inner + "  "
         row = "[\n" + inner + "  " + cell.join(["%d"] * widths.pop()) + "\n" + inner + "]"
-        body = sep.join(map(row.__mod__, map(tuple, v)))
+        body = sep.join([row] * len(v)) % tuple(chain.from_iterable(v))
     else:
         body = sep.join([_dumps(x, inner) for x in v])
     return "[\n" + inner + body + "\n" + indent + "]"

@@ -24,12 +24,24 @@ digit arithmetic: the row of every cube under each transposition (0 a) of
 vertex coordinates (n - 1 entries per cube, each row certified against the
 permuted vertex tables), and the rows (q, q', q o q') of every
 concatenation of adjacent cubes along axis 0, streamed in blocks of at most
-``_BLOCK`` pairs, each block certified on the faces of its vertex tables,
-and never stored.  A cocycle, or any Z-valued function on cubes, is an
-``(ncubes, ncoords(Z))`` array of residues in carrier order, so the checks
-below are gathers and compares against those maps, and nothing but the
-members, their digits and ranks and the transposition rows grows with the
+``_BLOCK`` pairs and never stored.  Each block is certified on face keys:
+every member's lower and upper axis-0 half (a vertex table of 2^(n-1)
+entries) is numbered by its bytes among all halves, so equal keys are equal
+faces.  A cocycle, or any Z-valued function on cubes, is an ``(ncubes,
+ncoords(Z))`` array of residues in carrier order, so the checks below are
+gathers and compares against those maps, and nothing but the members, their
+digits, ranks and face keys and the transposition rows grows with the
 carrier.
+
+Kept cube sets.  ``cube_set`` returns one shared ``CubeSet`` per (nilspace,
+n, cap), so a process builds and certifies each set's members, digits,
+ranks, face keys and transposition rows once.  The sets are kept in
+least-recently-used order while their vertex entries (ncubes * 2^n each)
+total at most ``_KEPT_ENTRIES``; a larger set is built and returned but not
+kept.  Every array a set caches is read-only, so no caller can change a
+shared set.  Nothing computed from a caller's data is kept: each morphism
+candidate, cocycle table, average and split residual is checked in full on
+every call.
 
 Cocycles are group-valued functions on C^{k+1}(X) that are additive under
 concatenation of adjacent cubes (along every coordinate) and invariant
@@ -60,6 +72,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import combinations, product as iproduct
 from math import comb, gcd, isqrt, prod
+from types import MappingProxyType
 
 import numpy as np
 
@@ -85,6 +98,8 @@ __all__ = [
 
 # rows per block of cube lookups and digits, concatenation pairs and candidate morphism images
 _BLOCK = 16_384
+# total vertex entries (ncubes * 2^n) of the cube sets ``cube_set`` keeps
+_KEPT_ENTRIES = 1 << 22
 
 
 @lru_cache(maxsize=None)
@@ -141,6 +156,11 @@ def _blockwise(fn, Q: np.ndarray) -> np.ndarray:
     return np.concatenate([fn(Q[s : s + _BLOCK]) for s in range(0, max(len(Q), 1), _BLOCK)])
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class FilteredGroupNilspace:
     """Product of cyclic factors (order, degree) with Host-Kra cubes."""
@@ -185,7 +205,11 @@ class CubeSet:
     transpositions (0 a) generate every permutation and carry axis 0 to
     every axis: ``_permuted`` holds the row of every cube under each (0 a),
     certified on the vertex tables, and ``_concatenations`` streams the
-    concatenation triples of axis 0 in certified blocks without storing them.
+    concatenation triples of axis 0 in blocks certified on the face keys
+    of the members, without storing them.
+
+    ``cube_set`` shares instances, so every array cached here is read-only;
+    build one directly for a private one.
     """
 
     def __init__(self, nilspace: FilteredGroupNilspace, dim: int, *, cap: int = 2_000_000):
@@ -215,7 +239,7 @@ class CubeSet:
                 for S in combinations(range(n), size)
             ]
             high = [v for v in range(2**n) if v.bit_count() > d]
-            out.append((m, np.array(low, dtype=np.intp), np.array(high, dtype=np.intp)))
+            out.append((m, _read_only(np.array(low, dtype=np.intp)), _read_only(np.array(high, dtype=np.intp))))
         return out
 
     @cached_property
@@ -226,13 +250,13 @@ class CubeSet:
         cols = [(j, pos, m) for j, (m, low, _) in enumerate(self._digits) for pos in low.tolist()]
         mods = [m for _, _, m in cols]
         table = [c + (prod(mods[t + 1 :]),) for t, c in enumerate(cols)]
-        j, pos, m, w = np.array(table, dtype=np.int64).reshape(len(table), 4).T
+        j, pos, m, w = _read_only(np.array(table, dtype=np.int64).reshape(len(table), 4)).T
         return j, pos, m, w
 
     @cached_property
     def _coords(self) -> np.ndarray:
         """(ncoords, |X|): coordinate j of every element index."""
-        return np.ascontiguousarray(self.nilspace.group.coords_array.T)
+        return _read_only(np.ascontiguousarray(self.nilspace.group.coords_array.T))
 
     def _coefficients(self, Q: np.ndarray) -> np.ndarray:
         """Moebius inversion of the rows of Q, unreduced, as (ncoords, 2^n, rows):
@@ -280,24 +304,24 @@ class CubeSet:
         rows = rows[np.lexsort(rows.T[::-1])]
         if len(rows) != self.size or (rows[1:] == rows[:-1]).all(axis=1).any():
             raise PostconditionError("cube enumeration is not duplicate-free")
-        return rows
+        return _read_only(rows)
 
     @cached_property
     def _digit_table(self) -> np.ndarray:
         """(ncubes, ndigits): the rank digits of every member, in carrier order."""
         dtype = np.min_scalar_type(int(self._radix[2].max(initial=1)) - 1)
-        return _blockwise(lambda B: self._rank_digits(self._coefficients(B)).T.astype(dtype), self.members)
+        return _read_only(_blockwise(lambda B: self._rank_digits(self._coefficients(B)).T.astype(dtype), self.members))
 
     @cached_property
     def _ranks(self) -> np.ndarray:
         """Coefficient rank of every member, in carrier order."""
-        return _blockwise(lambda D: D @ self._radix[3], self._digit_table)
+        return _read_only(_blockwise(lambda D: D @ self._radix[3], self._digit_table))
 
     @cached_property
     def _row_of_rank(self) -> np.ndarray:
         rows = np.empty(self.size, dtype=_index_dtype(self.size))
         rows[self._ranks] = np.arange(self.size)
-        return rows
+        return _read_only(rows)
 
     def _are_cubes(self, Q: np.ndarray) -> np.ndarray:
         """Whether each row of Q (element indices at the vertices) is a cube."""
@@ -329,11 +353,11 @@ class CubeSet:
     def cubes(self) -> dict:
         """Each cube as a tuple of vertex coordinate vectors, mapped to its row.
 
-        In carrier order.  This is the boundary format, for callers and
+        A read-only mapping, in carrier order.  This is the boundary format, for callers and
         tables keyed by tuples; no computation in this module reads it.
         """
         coords = self._coords.T[self.members].tolist()
-        return {tuple(map(tuple, q)): i for i, q in enumerate(coords)}
+        return MappingProxyType({tuple(map(tuple, q)): i for i, q in enumerate(coords)})
 
     @cached_property
     def _digit_column(self) -> dict:
@@ -365,7 +389,18 @@ class CubeSet:
             for s in range(0, len(Q), _BLOCK):
                 if not np.array_equal(Q[rows[a - 1, s : s + _BLOCK]], Q[s : s + _BLOCK][:, idx]):
                     raise PostconditionError("permutation left the cube set")
-        return rows
+        return _read_only(rows)
+
+    @cached_property
+    def _face_keys(self) -> tuple[np.ndarray, np.ndarray]:
+        """Keys of the lower and upper axis-0 halves (first and last 2^(n-1)
+        vertices) of every member, n >= 1: each half is numbered by its bytes
+        among all halves, so equal keys are equal vertex tables."""
+        Q, half = self.members, 2 ** (self.dim - 1)
+        halves = np.concatenate([Q[:, :half], Q[:, half:]])
+        _, keys = np.unique(halves.view(np.dtype((np.void, halves.itemsize * half))).ravel(), return_inverse=True)
+        keys = keys.astype(_index_dtype(len(halves)))
+        return _read_only(keys[: len(Q)]), _read_only(keys[len(Q) :])
 
     def _concatenations(self):
         """The rows (q, q', q o q') of every concatenation of adjacent cubes
@@ -376,14 +411,17 @@ class CubeSet:
         of q' at the S with 0 in S are free.  q o q' has the digits c_q(S)
         for S without 0 and c_q(S) + c_q'(S) for S with 0, all mod m_j.
         Each cube is paired with its followers in the order of their free
-        digits, and each block is certified on the vertex tables before it
-        is yielded; the faces of axis 0 are the halves of the vertex order.
+        digits, and each block is certified before it is yielded: the faces
+        of axis 0 are the halves of the vertex order, so q' follows q and
+        q o q' joins them exactly when lower(q') = upper(q), lower(q o q') =
+        lower(q) and upper(q o q') = upper(q'), compared as face keys.
         """
-        n, Q, D, column = self.dim, self.members, self._digit_table, self._digit_column
+        n, D, column = self.dim, self._digit_table, self._digit_column
         if not n:
             return
         _, pos, m, w = self._radix
-        bit, half = 1 << (n - 1), 2 ** (n - 1)
+        lower, upper = self._face_keys
+        bit = 1 << (n - 1)
         on, off = np.flatnonzero(pos & bit), np.flatnonzero(~pos & bit)
         # the digit at S u {0} for each S without 0, or -1 where |S u {0}| > d_j
         up = np.array([column.get((a, b | bit), -1) for a, b in column if not b & bit], dtype=np.intp)
@@ -394,30 +432,41 @@ class CubeSet:
         terms = [w[t] * ((np.arange(m[t])[:, None] + free[:, i]) % m[t]) for i, t in enumerate(on)]
         width = min(len(free), _BLOCK)
         step = _BLOCK // width
-        for s in range(0, len(Q), step):
-            cubes = np.arange(s, min(s + step, len(Q)))
+        for s in range(0, len(D), step):
+            cubes = np.arange(s, min(s + step, len(D)))
             c = D[cubes].astype(np.int64)
             follower = ((c[:, off] + np.where(up >= 0, c[:, up], 0)) % m[off]) @ w[off]
             base = c[:, off] @ w[off]
-            first = Q[cubes][:, None]
+            low, high = lower[cubes, None], upper[cubes, None]
             for f in range(0, len(free), width):
                 fs = slice(f, f + width)
                 qp = self._row_of_rank[follower[:, None] + free_rank[fs]]
                 qq = self._row_of_rank[base[:, None] + sum(term[c[:, t], fs] for term, t in zip(terms, on))]
-                second, joined = Q[qp], Q[qq]
-                if not (
-                    (second[..., :half] == first[..., half:]).all()
-                    and (joined[..., :half] == first[..., :half]).all()
-                    and np.array_equal(joined[..., half:], second[..., half:])
-                ):
+                if not ((lower[qp] == high).all() and (lower[qq] == low).all() and (upper[qq] == upper[qp]).all()):
                     raise PostconditionError("concatenation left the cube set")
                 yield np.repeat(cubes, qp.shape[1]), qp.ravel(), qq.ravel()
 
 
+# the kept cube sets by (nilspace, n, cap), least recently used first
+_kept: dict[tuple, CubeSet] = {}
+
+
 def cube_set(X: FilteredGroupNilspace, n: int, *, cap: int = 2_000_000) -> CubeSet:
+    """The n-dimensional cube set of X with this cap: one shared instance per
+    (X, n, cap) while it is kept (see "Kept cube sets" above)."""
     if n < 0:
         raise ValueError("cube dimension must be nonnegative")
-    return CubeSet(X, n, cap=cap)
+    key = (X, n, cap)
+    cs = _kept.pop(key, None)
+    if cs is None:
+        cs = CubeSet(X, n, cap=cap)
+        spare = _KEPT_ENTRIES - (cs.size << n)
+        if spare < 0:
+            return cs
+        while sum(kept.size << kept.dim for kept in _kept.values()) > spare:
+            del _kept[next(iter(_kept))]
+    _kept[key] = cs
+    return cs
 
 
 # ---------------------------------------------------------------------------
@@ -643,8 +692,10 @@ def _cocycle_failures(cs: CubeSet, arrays, zmod: np.ndarray) -> list:
 
     The arrays are checked with their columns side by side, on one pass of
     the transposition rows and of the axis-0 concatenation stream, which
-    stops early only once every array has failed.
+    stops early only once every array has failed.  A modulus above
+    isqrt(2^63 - 1) is refused, as for the averages.
     """
+    _check_z_order(zmod)
     v = np.hstack(arrays)
     mods = np.tile(zmod, len(arrays))
     failures = [None] * len(arrays)
@@ -683,19 +734,21 @@ def _second_factor(rho: Cocycle, split: int) -> FilteredGroupNilspace:
     return FilteredGroupNilspace(rho.nilspace.factors[split:])
 
 
-def _check_z_order(Z: FinAbGroup) -> None:
+def _check_z_order(orders) -> None:
     """Refuse a z order above isqrt(2^63 - 1) = 3,037,000,499 with CapExceeded.
 
     The coprime average multiplies a residue by an inverse mod m, which
-    stays below m^2 and so within int64 exactly up to this bound.
+    stays below m^2 and so within int64 exactly up to this bound; the
+    cocycle checks hold their sums and differences of residues in int64 too.
     """
-    if max(Z.orders, default=1) > isqrt(2**63 - 1):
-        raise CapExceeded(f"z order {max(Z.orders)} exceeds isqrt(2^63 - 1) = {isqrt(2**63 - 1)}")
+    top = max(map(int, orders), default=1)
+    if top > isqrt(2**63 - 1):
+        raise CapExceeded(f"z order {top} exceeds isqrt(2^63 - 1) = {isqrt(2**63 - 1)}")
 
 
 def _average(values: np.ndarray, keys: np.ndarray, Z: FinAbGroup) -> np.ndarray:
     """Coprime average of the value rows over each class of equal keys, per row."""
-    _check_z_order(Z)
+    _check_z_order(Z.orders)
     zmod = Z.moduli
     _, cls, counts = np.unique(keys, return_inverse=True, return_counts=True)
     sums = np.zeros((len(counts), values.shape[1]), dtype=np.int64)

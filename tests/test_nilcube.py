@@ -467,6 +467,25 @@ def test_average_refuses_a_z_order_above_isqrt_int64(z):
         split_cocycle(rho, 1)
 
 
+def test_is_cocycle_accepts_a_z_order_at_isqrt_int64():
+    Z = FinAbGroup((3_037_000_499,))
+    rho, _, _ = random_cocycle(random.Random(5), D1Z2, D1Z3, Z, 2)
+    assert is_cocycle(rho)
+
+
+@pytest.mark.parametrize("z", [3_037_000_501, 2**62 + 1, 2**63 - 1])
+def test_is_cocycle_refuses_a_z_order_above_isqrt_int64(z):
+    # the int64 differences of the checks overflow here: at 2^63 - 1 the
+    # verdict on this cocycle used to be False
+    rho, _, _ = random_cocycle(random.Random(5), D1Z2, D1Z3, FinAbGroup((z,)), 2)
+    with pytest.raises(CapExceeded, match="isqrt"):
+        is_cocycle(rho)
+    with pytest.raises(CapExceeded, match="isqrt"):
+        factor_average(rho, 1)
+    with pytest.raises(CapExceeded, match="isqrt"):
+        split_cocycle(rho, 1)
+
+
 def test_average_at_isqrt_int64_is_exact():
     z = 3_037_000_499
     rho, _, _ = random_cocycle(random.Random(61), D1Z2, D1Z3, FinAbGroup((z,)), 2)
@@ -792,3 +811,123 @@ def test_is_cocycle_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# the certificates on private cube sets, and the kept cube sets
+
+
+def _first_pair(keys):
+    """Two members with equal keys, or None."""
+    order = np.argsort(keys, kind="stable")
+    same = np.flatnonzero(keys[order][1:] == keys[order][:-1])
+    return None if not len(same) else tuple(order[[same[0], same[0] + 1]].tolist())
+
+
+@pytest.mark.parametrize("factors,dim", [(f, d) for f, d in ORACLE_CARRIERS if d >= 1])
+def test_face_key_certificate_agrees_with_the_vertex_table_comparison(factors, dim):
+    # the rank map is corrupted by swapping the rows of two members: with equal
+    # lower halves only the upper-half key can object, with equal upper halves
+    # the lower-half keys; the stream must fail exactly when the vertex tables
+    # of its triples, compared as the certificate once did, are wrong
+    from gowerslab.nilcube import CubeSet
+
+    X = FilteredGroupNilspace(factors)
+    cs = CubeSet(X, dim)
+    q, qp, qq = np.concatenate([np.stack(block) for block in cs._concatenations()], axis=1)
+    Q, half = cs.members, 2 ** (dim - 1)
+    lower, upper = cs._face_keys
+    rng = np.random.default_rng(dim)
+    swaps = [(0, 0), _first_pair(lower), _first_pair(upper), tuple(rng.integers(0, cs.size, size=2).tolist())]
+    for a, b in [pair for pair in swaps if pair is not None]:
+        swap = np.arange(cs.size)
+        swap[[a, b]] = [b, a]
+        first, second, joined = Q[q], Q[swap[qp]], Q[swap[qq]]
+        tables_agree = (
+            (second[:, :half] == first[:, half:]).all()
+            and (joined[:, :half] == first[:, :half]).all()
+            and (joined[:, half:] == second[:, half:]).all()
+        )
+        corrupted = CubeSet(X, dim)
+        corrupted.__dict__["_row_of_rank"] = swap[cs._row_of_rank]
+        try:
+            list(corrupted._concatenations())
+            certified = True
+        except PostconditionError as e:
+            assert str(e) == "concatenation left the cube set"
+            certified = False
+        assert certified == tables_agree == (a == b)
+
+
+def test_permutation_certificate_fires_on_corrupted_transposition_weights():
+    # the weights of (0 a) are scattered through the digit columns: swapping the
+    # columns of the digits at {1} and {2} gives transposition (0 1) the weights
+    # of (0 2)
+    from gowerslab.nilcube import CubeSet
+
+    cs = CubeSet(D1Z3, 3)
+    column = dict(cs._digit_column)
+    column[0, 2], column[0, 1] = column[0, 1], column[0, 2]
+    cs.__dict__["_digit_column"] = column
+    with pytest.raises(PostconditionError, match="permutation left the cube set"):
+        cs._permuted
+
+
+def test_equal_nilspaces_share_one_cube_set():
+    a = cube_set(FilteredGroupNilspace(((2, 1), (3, 1))), 2)
+    assert cube_set(FilteredGroupNilspace([(2, 1), (np.int64(3), 1)]), 2) is a
+    assert cube_set(FilteredGroupNilspace(((2, 1), (3, 1))), 2, cap=10**6) is not a
+    assert cube_set(FilteredGroupNilspace(((2, 1), (3, 1))), 3) is not a
+
+
+def test_cached_cube_arrays_reject_writes():
+    cs = cube_set(D1Z2.product(D2Z3), 3)
+    cached = [cs.members, cs._digit_table, cs._ranks, cs._row_of_rank, cs._permuted, *cs._face_keys]
+    for a in cached:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = a[0]
+    with pytest.raises(TypeError):
+        cs.cubes[next(iter(cs.cubes))] = 0
+    assert list(cs._concatenations())
+
+
+def test_a_small_cap_still_raises_after_a_larger_cap_build():
+    X = FilteredGroupNilspace(((2, 1), (5, 1)))
+    assert cube_set(X, 2).size == 1_000 and len(cube_set(X, 2).members) == 1_000
+    with pytest.raises(CapExceeded):
+        cube_set(X, 2, cap=999).members
+    assert len(cube_set(X, 2, cap=1_000).members) == 1_000
+
+
+def test_a_cube_set_over_the_budget_is_built_but_not_kept(monkeypatch):
+    import gowerslab.nilcube as nilcube
+
+    monkeypatch.setattr(nilcube, "_kept", {})
+    monkeypatch.setattr(nilcube, "_KEPT_ENTRIES", 215 * 4)
+    X = D1Z2.product(D1Z3)  # 216 cubes of 4 vertices at dim 2
+    a, b = cube_set(X, 2), cube_set(X, 2)
+    assert a is not b and not nilcube._kept
+    assert np.array_equal(a.members, nilcube.CubeSet(X, 2).members)
+    assert is_cocycle(coboundary(X, Z3, 2, [(x % 3,) for x in range(6)]))
+
+
+def test_a_cube_set_let_go_by_the_budget_is_rebuilt_identically(monkeypatch):
+    import gowerslab.nilcube as nilcube
+
+    monkeypatch.setattr(nilcube, "_kept", {})
+    monkeypatch.setattr(nilcube, "_KEPT_ENTRIES", 216 * 4 + 36 * 2)
+    X = D1Z2.product(D1Z3)
+    first = cube_set(X, 2)  # 864 entries
+    arrays = [first.members, first._ranks, first._permuted, *first._face_keys]
+    small = cube_set(X, 1)  # 72 entries: both fit
+    assert cube_set(X, 2) is first and cube_set(X, 1) is small
+    cube_set(D1Z3, 2)  # 27 * 4 entries: lets the least recently used, dimension 2, go
+    assert list(nilcube._kept) == [(X, 1, 2_000_000), (D1Z3, 2, 2_000_000)]
+    assert sum(cs.size << cs.dim for cs in nilcube._kept.values()) <= nilcube._KEPT_ENTRIES
+    again = cube_set(X, 2)
+    assert again is not first
+    for a, b in zip(arrays, [again.members, again._ranks, again._permuted, *again._face_keys]):
+        assert np.array_equal(a, b)
+    assert [np.stack(b).tolist() for b in again._concatenations()] == [
+        np.stack(b).tolist() for b in first._concatenations()
+    ]
