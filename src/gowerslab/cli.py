@@ -19,9 +19,8 @@ import json
 import math
 import os
 import sys
-import tempfile
 import time
-from itertools import chain
+from itertools import chain, count
 from json.encoder import encode_basestring_ascii as _string
 
 import numpy as np
@@ -676,16 +675,29 @@ def golden_suite(*, filter_name: str | None = None, golden_path: str | None = No
 # entry point
 
 
+# numbers the temporary files of ``_atomic_write`` within this process
+_tmp_numbers = count()
+
+
 def _atomic_write(path: str, text: str) -> None:
-    d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
+    """Write ``text`` to a new 0600 file beside ``path`` and rename it over ``path``."""
+    while True:
+        tmp = f"{path}.{os.getpid()}.{next(_tmp_numbers)}.tmp"
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_CLOEXEC, 0o600)
+            break
+        except FileExistsError:
+            continue
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        try:
+            data = memoryview(text.encode())
+            while data:
+                data = data[os.write(fd, data) :]
+        finally:
+            os.close(fd)
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        os.unlink(tmp)
         raise
 
 
@@ -711,12 +723,35 @@ def _scalar(v) -> str:
     raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
 
 
+@functools.lru_cache(maxsize=64)
+def _table_template(shape: tuple[int, ...], indent: str) -> str:
+    """The text of a rectangular nest of lists of ints of this shape, with %d for each int."""
+    if not shape[0]:
+        return "[]"
+    inner = indent + "  "
+    cell = _table_template(shape[1:], inner) if len(shape) > 1 else "%d"
+    return "[\n" + inner + (",\n" + inner).join([cell] * shape[0]) + "\n" + indent + "]"
+
+
+def _int_table(v: list | tuple) -> tuple[tuple[int, ...], list] | None:
+    """The shape and the ints of v when it is a rectangular nest of lists of
+    plain ints (bools are not written with %d) of depth >= 2, else None."""
+    shape, cells = [len(v)], v
+    while cells and set(map(type, cells)) <= {list, tuple}:
+        widths = set(map(len, cells))
+        if len(widths) != 1:
+            return None
+        shape.append(widths.pop())
+        cells = list(chain.from_iterable(cells))
+    return (tuple(shape), cells) if len(shape) > 1 and set(map(type, cells)) <= {int} else None
+
+
 def _dumps(v, indent: str = "") -> str:
     """``json.dumps(v, indent=2, sort_keys=True, allow_nan=False)``, byte for byte.
 
     With an indent the standard library falls back to its pure-Python
     encoder, one call per value.  Here a list of scalars is one join and a
-    table of equal-length rows of plain ints is one %-template per row.
+    rectangular table of plain ints, of any depth, is one %-template.
     """
     if isinstance(v, dict):
         if not v:
@@ -736,12 +771,8 @@ def _dumps(v, indent: str = "") -> str:
     types = set(map(type, v))
     if types <= _SCALARS:
         body = sep.join(map(_scalar, v))
-    elif types <= {list, tuple} and len(widths := set(map(len, v))) == 1 and (
-        set(map(type, chain.from_iterable(v))) == {int}  # bools are not written with %d
-    ):
-        cell = ",\n" + inner + "  "
-        row = "[\n" + inner + "  " + cell.join(["%d"] * widths.pop()) + "\n" + inner + "]"
-        body = sep.join([row] * len(v)) % tuple(chain.from_iterable(v))
+    elif types <= {list, tuple} and (table := _int_table(v)):
+        return _table_template(table[0], indent) % tuple(table[1])
     else:
         body = sep.join([_dumps(x, inner) for x in v])
     return "[\n" + inner + body + "\n" + indent + "]"

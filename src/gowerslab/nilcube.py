@@ -22,26 +22,26 @@ found by rank.  Each ``CubeSet`` keeps the digit table of its members
 (built in blocks of ``_BLOCK`` rows) and derives its index maps from it by
 digit arithmetic: the row of every cube under each transposition (0 a) of
 vertex coordinates (n - 1 entries per cube, each row certified against the
-permuted vertex tables), and the rows (q, q', q o q') of every
-concatenation of adjacent cubes along axis 0, streamed in blocks of at most
-``_BLOCK`` pairs and never stored.  Each block is certified on face keys:
-every member's lower and upper axis-0 half (a vertex table of 2^(n-1)
-entries) is numbered by its bytes among all halves, so equal keys are equal
-faces.  A cocycle, or any Z-valued function on cubes, is an ``(ncubes,
+permuted vertex tables), and two potential rows per cube for additivity
+along axis 0.  A cube is the pair (a, b) of its lower and upper axis-0 faces,
+and these pairs are an equivalence relation on faces; the potential rows are
+those of (r(a), a) and (r(a), b), with r(a) the least face of a's class, and
+their build certifies on the vertex tables that the members are the full
+relation.  A cocycle, or any Z-valued function on cubes, is an ``(ncubes,
 ncoords(Z))`` array of residues in carrier order, so the checks below are
 gathers and compares against those maps, and nothing but the members, their
-digits, ranks and face keys and the transposition rows grows with the
-carrier.
+digits and ranks, the transposition and potential rows and the averaging
+classes grows with the carrier.
 
 Kept cube sets.  ``cube_set`` returns one shared ``CubeSet`` per (nilspace,
 n, cap), so a process builds and certifies each set's members, digits,
-ranks, face keys and transposition rows once.  The sets are kept in
-least-recently-used order while their vertex entries (ncubes * 2^n each)
-total at most ``_KEPT_ENTRIES``; a larger set is built and returned but not
-kept.  Every array a set caches is read-only, so no caller can change a
-shared set.  Nothing computed from a caller's data is kept: each morphism
-candidate, cocycle table, average and split residual is checked in full on
-every call.
+ranks, transposition and potential rows once, and the classes of each
+average it is asked for.  The sets are kept in least-recently-used order
+while their vertex entries (ncubes * 2^n each) total at most
+``_KEPT_ENTRIES``; a larger set is built and returned but not kept.  Every
+array a set caches is read-only, so no caller can change a shared set.
+Nothing computed from a caller's data is kept: each morphism candidate,
+cocycle table, average and split residual is checked in full on every call.
 
 Cocycles are group-valued functions on C^{k+1}(X) that are additive under
 concatenation of adjacent cubes (along every coordinate) and invariant
@@ -96,7 +96,7 @@ __all__ = [
     "split_cocycle",
 ]
 
-# rows per block of cube lookups and digits, concatenation pairs and candidate morphism images
+# rows per block of cube lookups and digits, and candidate morphism images
 _BLOCK = 16_384
 # total vertex entries (ncubes * 2^n) of the cube sets ``cube_set`` keeps
 _KEPT_ENTRIES = 1 << 22
@@ -204,9 +204,9 @@ class CubeSet:
     digit table of the members and cover generators only, as the
     transpositions (0 a) generate every permutation and carry axis 0 to
     every axis: ``_permuted`` holds the row of every cube under each (0 a),
-    certified on the vertex tables, and ``_concatenations`` streams the
-    concatenation triples of axis 0 in blocks certified on the face keys
-    of the members, without storing them.
+    certified on the vertex tables, and ``_potential`` the rows that certify
+    additivity along axis 0 with two gathers per cube.  ``_classes`` holds
+    the classes of the coprime averages, per split.
 
     ``cube_set`` shares instances, so every array cached here is read-only;
     build one directly for a private one.
@@ -216,6 +216,7 @@ class CubeSet:
         self.nilspace = nilspace
         self.dim = dim
         self.cap = cap
+        self._class_sets: dict[tuple[int, bool], tuple[np.ndarray, ...]] = {}
 
     @cached_property
     def size(self) -> int:
@@ -319,8 +320,9 @@ class CubeSet:
 
     @cached_property
     def _row_of_rank(self) -> np.ndarray:
-        rows = np.empty(self.size, dtype=_index_dtype(self.size))
-        rows[self._ranks] = np.arange(self.size)
+        """The row of the member of each rank, or -1 for a rank no member has."""
+        rows = np.full(self.size, -1, dtype=_index_dtype(self.size))
+        rows[self._ranks] = np.arange(len(self._ranks))
         return _read_only(rows)
 
     def _are_cubes(self, Q: np.ndarray) -> np.ndarray:
@@ -392,59 +394,69 @@ class CubeSet:
         return _read_only(rows)
 
     @cached_property
-    def _face_keys(self) -> tuple[np.ndarray, np.ndarray]:
-        """Keys of the lower and upper axis-0 halves (first and last 2^(n-1)
-        vertices) of every member, n >= 1: each half is numbered by its bytes
-        among all halves, so equal keys are equal vertex tables."""
-        Q, half = self.members, 2 ** (self.dim - 1)
-        halves = np.concatenate([Q[:, :half], Q[:, half:]])
-        _, keys = np.unique(halves.view(np.dtype((np.void, halves.itemsize * half))).ravel(), return_inverse=True)
-        keys = keys.astype(_index_dtype(len(halves)))
-        return _read_only(keys[: len(Q)]), _read_only(keys[len(Q) :])
+    def _potential(self) -> tuple[np.ndarray, np.ndarray]:
+        """The rows of (r(a), a) and (r(a), b) for every member (a, b), n >= 1.
 
-    def _concatenations(self):
-        """The rows (q, q', q o q') of every concatenation of adjacent cubes
-        along axis 0, in blocks of at most ``_BLOCK`` pairs; none when n = 0.
+        A member is the pair of its lower and upper axis-0 faces, and these
+        pairs are an equivalence relation on faces: b has the digits c(S) +
+        c(S u {0}) of the S without 0, so a ~ b exactly when they agree where
+        S u {0} has no digit.  r(a), the least face of the class, keeps a's
+        digits there and is 0 elsewhere, so it depends on a alone.  A table is
+        additive under every concatenation exactly when v(a, b) = v(r, b) -
+        v(r, a) with r = r(a): (r, a) o (a, b) = (r, b), and these telescope.
 
-        q' follows q exactly when c_q'(S) = c_q(S) + c_q(S u {0}) for every
-        S without 0 (the second term is 0 when |S u {0}| > d_j); the digits
-        of q' at the S with 0 in S are free.  q o q' has the digits c_q(S)
-        for S without 0 and c_q(S) + c_q'(S) for S with 0, all mod m_j.
-        Each cube is paired with its followers in the order of their free
-        digits, and each block is certified before it is yielded: the faces
-        of axis 0 are the halves of the vertex order, so q' follows q and
-        q o q' joins them exactly when lower(q') = upper(q), lower(q o q') =
-        lower(q) and upper(q o q') = upper(q'), compared as face keys.
+        Certified on the vertex tables, or "concatenation left the cube set":
+        every looked-up row has the halves asked for, so r agrees on both
+        halves of every member; each upper face is the lower face of the member
+        (b, b); and each face is the lower face of as many members as its class
+        has faces (equal lower faces are adjacent, as the members are sorted),
+        so the members are the full relation.
         """
-        n, D, column = self.dim, self._digit_table, self._digit_column
-        if not n:
-            return
-        _, pos, m, w = self._radix
-        lower, upper = self._face_keys
-        bit = 1 << (n - 1)
-        on, off = np.flatnonzero(pos & bit), np.flatnonzero(~pos & bit)
-        # the digit at S u {0} for each S without 0, or -1 where |S u {0}| > d_j
-        up = np.array([column.get((a, b | bit), -1) for a, b in column if not b & bit], dtype=np.intp)
-        shape = tuple(m[on].tolist())
-        free = np.indices(shape).reshape(len(on), prod(shape)).T
-        free_rank = free @ w[on]
-        # terms[i][c]: the rank term of digit on[i] of q o q' where c_q is c, per choice of free digits
-        terms = [w[t] * ((np.arange(m[t])[:, None] + free[:, i]) % m[t]) for i, t in enumerate(on)]
-        width = min(len(free), _BLOCK)
-        step = _BLOCK // width
-        for s in range(0, len(D), step):
-            cubes = np.arange(s, min(s + step, len(D)))
-            c = D[cubes].astype(np.int64)
-            follower = ((c[:, off] + np.where(up >= 0, c[:, up], 0)) % m[off]) @ w[off]
-            base = c[:, off] @ w[off]
-            low, high = lower[cubes, None], upper[cubes, None]
-            for f in range(0, len(free), width):
-                fs = slice(f, f + width)
-                qp = self._row_of_rank[follower[:, None] + free_rank[fs]]
-                qq = self._row_of_rank[base[:, None] + sum(term[c[:, t], fs] for term, t in zip(terms, on))]
-                if not ((lower[qp] == high).all() and (lower[qq] == low).all() and (upper[qq] == upper[qp]).all()):
-                    raise PostconditionError("concatenation left the cube set")
-                yield np.repeat(cubes, qp.shape[1]), qp.ravel(), qq.ravel()
+        Q, D, column, half = self.members, self._digit_table, self._digit_column, 2 ** (self.dim - 1)
+        jj, pos, m, w = self._radix
+        face = np.flatnonzero(~pos & half)
+        up = np.array([column.get((j, p | half), -1) for j, p in zip(jj[face].tolist(), pos[face].tolist())], dtype=np.intp)
+        free = up >= 0
+        rooted = np.where(free, w[up], w[face])
+
+        def ranks(B):
+            lower = B[:, face].astype(np.int64)
+            upper = (lower + np.where(free, B[:, up], 0)) % m[face]
+            return np.stack([lower @ rooted, upper @ rooted, upper @ w[face]], axis=1)
+
+        R = _blockwise(ranks, D)
+        ra, rb, same = (self._row_of_rank[R[:, i]] for i in range(3))
+        lower, upper = Q[:, :half], Q[:, half:]
+        first = np.ones(len(Q), dtype=bool)
+        first[1:] = (lower[1:] != lower[:-1]).any(axis=1)
+        faces = np.cumsum(first) - 1
+        roots = faces[ra][first]
+        if not (
+            np.array_equal(Q[ra, half:], lower)
+            and np.array_equal(Q[rb, half:], upper)
+            and np.array_equal(Q[ra, :half], Q[rb, :half])
+            and np.array_equal(Q[same, :half], upper)
+            and np.array_equal(np.bincount(faces), np.bincount(roots)[roots])
+        ):
+            raise PostconditionError("concatenation left the cube set")
+        return _read_only(ra), _read_only(rb)
+
+    def _classes(self, split: int, rooted: bool) -> tuple[np.ndarray, ...]:
+        """The classes of cubes q1 x q2 that the coprime average over the first
+        ``split`` factors sums over: those sharing q2 and, if ``rooted``, the
+        root of q1.  Kept per (split, rooted) and read-only, as (the class of
+        each cube, the cubes in stable class order, class starts, class sizes).
+        """
+        if (split, rooted) not in self._class_sets:
+            y2 = FilteredGroupNilspace(self.nilspace.factors[split:])
+            n2 = CubeSet(y2, self.dim).size
+            keys = self._ranks % n2
+            if rooted:
+                keys += (self.members[:, 0] // y2.group.order).astype(np.int64) * n2
+            _, cls, counts = np.unique(keys, return_inverse=True, return_counts=True)
+            arrays = (cls, np.argsort(cls, kind="stable"), np.cumsum(counts) - counts, counts)
+            self._class_sets[split, rooted] = tuple(_read_only(a.astype(_index_dtype(self.size))) for a in arrays)
+        return self._class_sets[split, rooted]
 
 
 # the kept cube sets by (nilspace, n, cap), least recently used first
@@ -682,7 +694,8 @@ def _point_values(g, X: FilteredGroupNilspace, Z: FinAbGroup) -> np.ndarray:
 
 
 def coboundary(X: FilteredGroupNilspace, Z: FinAbGroup, dim: int, g) -> Cocycle:
-    """sigma_dim(g o q): the coboundary cocycle of a point function g."""
+    """sigma_dim(g o q): the coboundary cocycle of a point function g; z orders as for the checks."""
+    _check_z_order(Z.orders)
     cs = cube_set(X, dim)
     return Cocycle._on(cs, Z, _sigma(_point_values(g, X, Z), cs.members, dim, Z.moduli))
 
@@ -690,9 +703,9 @@ def coboundary(X: FilteredGroupNilspace, Z: FinAbGroup, dim: int, g) -> Cocycle:
 def _cocycle_failures(cs: CubeSet, arrays, zmod: np.ndarray) -> list:
     """Why each value array on ``cs`` fails the cocycle checks, or None where it passes.
 
-    The arrays are checked with their columns side by side, on one pass of
-    the transposition rows and of the axis-0 concatenation stream, which
-    stops early only once every array has failed.  A modulus above
+    The arrays are checked with their columns side by side: on the
+    transposition rows, which stop early only once every array has failed,
+    and then on the potential rows of axis 0 in one pass.  A modulus above
     isqrt(2^63 - 1) is refused, as for the averages.
     """
     _check_z_order(zmod)
@@ -708,9 +721,9 @@ def _cocycle_failures(cs: CubeSet, arrays, zmod: np.ndarray) -> list:
     for rows in cs._permuted:
         if note((v[rows] != v).any(axis=0), "not invariant under coordinate permutations"):
             return failures
-    for q, qp, qq in cs._concatenations():
-        if note(((v[qq] - v[q] - v[qp]) % mods).any(axis=0), "not additive under concatenation"):
-            return failures
+    if cs.dim:
+        ra, rb = cs._potential
+        note(((v - v[rb] + v[ra]) % mods).any(axis=0), "not additive under concatenation")
     return failures
 
 
@@ -722,16 +735,6 @@ def is_cocycle(rho: Cocycle, *, raise_on_failure: bool = False) -> bool:
     if failure and raise_on_failure:
         raise PostconditionError(failure)
     return failure is None
-
-
-def _second_factor(rho: Cocycle, split: int) -> FilteredGroupNilspace:
-    """Y2 of X = Y1 x Y2, once gcd(|Y1|, |Z|) = 1 is checked."""
-    y1 = FilteredGroupNilspace(rho.nilspace.factors[:split])
-    if gcd(y1.group.order, rho.codomain.order) != 1:
-        raise CoprimalityError(
-            f"gcd(|Y1|={y1.group.order}, |Z|={rho.codomain.order}) != 1"
-        )
-    return FilteredGroupNilspace(rho.nilspace.factors[split:])
 
 
 def _check_z_order(orders) -> None:
@@ -746,18 +749,20 @@ def _check_z_order(orders) -> None:
         raise CapExceeded(f"z order {top} exceeds isqrt(2^63 - 1) = {isqrt(2**63 - 1)}")
 
 
-def _average(values: np.ndarray, keys: np.ndarray, Z: FinAbGroup) -> np.ndarray:
-    """Coprime average of the value rows over each class of equal keys, per row."""
+def _average(rho: Cocycle, split: int, rooted: bool) -> np.ndarray:
+    """Coprime average of rho over each class of ``CubeSet._classes``, per cube,
+    on X = Y1 x Y2 with gcd(|Y1|, |Z|) = 1."""
+    Z, order1 = rho.codomain, prod(m for m, _ in rho.nilspace.factors[:split])
+    if gcd(order1, Z.order) != 1:
+        raise CoprimalityError(f"gcd(|Y1|={order1}, |Z|={Z.order}) != 1")
     _check_z_order(Z.orders)
-    zmod = Z.moduli
-    _, cls, counts = np.unique(keys, return_inverse=True, return_counts=True)
-    sums = np.zeros((len(counts), values.shape[1]), dtype=np.int64)
-    np.add.at(sums, cls, values)
+    cls, order, starts, counts = rho.carrier._classes(split, rooted)
+    sums = np.add.reduceat(rho.array[order], starts, axis=0) % Z.moduli
     sizes, which = np.unique(counts, return_inverse=True)
     inverse = np.array(
         [[pow(int(c), -1, m) if m > 1 else 0 for m in Z.orders] for c in sizes], dtype=np.int64
     ).reshape(len(sizes), Z.ncoords)
-    return ((sums % zmod) * inverse[which] % zmod)[cls]
+    return (sums * inverse[which] % Z.moduli)[cls]
 
 
 def factor_average(rho: Cocycle, split: int) -> Cocycle:
@@ -775,9 +780,7 @@ def factor_average(rho: Cocycle, split: int) -> Cocycle:
 
 def _factor_average(rho: Cocycle, split: int) -> Cocycle:
     """``factor_average`` before its cocycle check."""
-    y2 = _second_factor(rho, split)
-    q2 = rho.carrier._ranks % cube_set(y2, rho.dim).size
-    return Cocycle._on(rho.carrier, rho.codomain, _average(rho.array, q2, rho.codomain))
+    return Cocycle._on(rho.carrier, rho.codomain, _average(rho, split, False))
 
 
 def rooted_factor_average(rho: Cocycle, split: int) -> ValueTable:
@@ -785,12 +788,8 @@ def rooted_factor_average(rho: Cocycle, split: int) -> ValueTable:
 
     Not necessarily a cocycle; returned as a raw per-cube table.
     """
-    y2 = _second_factor(rho, split)
     cs = rho.carrier
-    n2 = cube_set(y2, rho.dim).size
-    root1 = (cs.members[:, 0] // y2.group.order).astype(np.int64)
-    keys = root1 * n2 + cs._ranks % n2
-    return ValueTable(rho.codomain, _average(rho.array, keys, rho.codomain), lambda: cs.cubes)
+    return ValueTable(rho.codomain, _average(rho, split, True), lambda: cs.cubes)
 
 
 @dataclass(frozen=True)

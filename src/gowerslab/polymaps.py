@@ -113,10 +113,6 @@ class PolyMap:
         return cls._of(domain, value.group, np.tile(np.array(value.coords, dtype=np.int64), (domain.order, 1)))
 
     @classmethod
-    def from_hom(cls, h: Homomorphism) -> "PolyMap":
-        return cls._of(h.domain, h.codomain, h.codomain.coords_array[h.image_index])
-
-    @classmethod
     def from_function(cls, domain, codomain, fn) -> "PolyMap":
         return cls(domain, codomain, [fn(x).coords for x in domain.elements()])
 

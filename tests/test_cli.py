@@ -1,16 +1,21 @@
 """Config execution, result records, exit codes, and the golden suite."""
 
 import copy
+import errno
 import hashlib
+import itertools
 import json
 import math
+import os
 import random
+import stat
 import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gowerslab import cli
 from gowerslab.cli import _dumps, golden_suite, main, run
 from gowerslab.errors import CapExceeded, ConfigError, cap_power
 from record_digests import RECORDS, _run_config, pins
@@ -847,3 +852,77 @@ def test_emitter_refuses_nan_and_infinity(tree):
 def test_emitter_writes_non_string_keys_as_json_does():
     for tree in ({1: "a", 2: [True]}, {2.5: None, -1.0: 0}, {None: 1}, {True: 1, False: 0}):
         assert _dumps(tree) == _json_dumps(tree)
+
+
+@st.composite
+def _int_nests(draw):
+    """Nests of lists of depth 1-4, rectangular tables of ints until up to two
+    changes make a list ragged or put a bool, float, large int or empty list
+    in a cell; sometimes below a key, so indented."""
+    shape = draw(st.lists(st.integers(0, 3), min_size=1, max_size=4))
+
+    def build(dims):
+        return [build(dims[1:]) for _ in range(dims[0])] if dims else draw(_INTS)
+
+    tree, lists = build(shape), []
+
+    def walk(node):
+        if isinstance(node, list):
+            lists.append(node)
+            for x in node:
+                walk(x)
+
+    walk(tree)
+    odd = st.booleans() | _FLOATS | st.sampled_from([2**63, -(2**63) - 1, 2**100]) | st.just([])
+    for _ in range(draw(st.integers(0, 2))):
+        node = draw(st.sampled_from(lists))
+        change = draw(st.sampled_from(["pop", "append", "cell"]))
+        if change == "append":
+            node.append(draw(_INTS | odd))
+        elif node and change == "pop":
+            node.pop()
+        elif node:
+            node[draw(st.integers(0, len(node) - 1))] = draw(odd)
+    return {"k": [tree]} if draw(st.booleans()) else tree
+
+
+@settings(max_examples=300, deadline=None)
+@given(_int_nests())
+def test_emitter_writes_int_tables_of_any_depth_as_json_does(tree):
+    assert _dumps(tree) == _json_dumps(tree)
+
+
+def test_atomic_write_leaves_the_old_record_when_a_write_fails(tmp_path, monkeypatch):
+    out = tmp_path / "r.json"
+    write, calls = os.write, []
+
+    def short_writes(fd, data):
+        calls.append(len(data))
+        return write(fd, bytes(data[:7]))
+
+    monkeypatch.setattr(cli.os, "write", short_writes)
+    cli._atomic_write(str(out), "old record\n" * 3)
+    assert out.read_text() == "old record\n" * 3 and len(calls) == 5
+    assert stat.S_IMODE(out.stat().st_mode) == 0o600
+
+    def failing(fd, data):
+        if len(calls) == 7:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return short_writes(fd, data)
+
+    monkeypatch.setattr(cli.os, "write", failing)
+    with pytest.raises(OSError, match="No space"):
+        cli._atomic_write(str(out), "new record\n" * 3)
+    monkeypatch.undo()
+    assert out.read_text() == "old record\n" * 3
+    assert [p.name for p in tmp_path.iterdir()] == ["r.json"]
+
+
+def test_atomic_write_steps_over_a_stale_temporary_file(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_tmp_numbers", itertools.count())
+    out = tmp_path / "r.json"
+    stale = tmp_path / f"r.json.{os.getpid()}.0.tmp"
+    stale.write_text("stale")
+    cli._atomic_write(str(out), "record\n")
+    assert out.read_text() == "record\n" and stale.read_text() == "stale"
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["r.json", stale.name])

@@ -148,6 +148,82 @@ def oracle_concatenations(cs, axis):
     return np.stack([q, qp, qq])
 
 
+def face_keys(cs):
+    """Keys of the lower and upper axis-0 halves (first and last 2^(n-1)
+    vertices) of every member, n >= 1: each half is numbered by its bytes
+    among all halves, so equal keys are equal vertex tables."""
+    Q, half = cs.members, 2 ** (cs.dim - 1)
+    halves = np.concatenate([Q[:, :half], Q[:, half:]])
+    _, keys = np.unique(halves.view(np.dtype((np.void, halves.itemsize * half))).ravel(), return_inverse=True)
+    return keys[: len(Q)], keys[len(Q) :]
+
+
+def concatenations(cs):
+    """The rows (q, q', q o q') of every concatenation of adjacent cubes
+    along axis 0, in blocks of at most 16,384 pairs; none when n = 0.
+
+    q' follows q exactly when c_q'(S) = c_q(S) + c_q(S u {0}) for every
+    S without 0 (the second term is 0 when |S u {0}| > d_j); the digits
+    of q' at the S with 0 in S are free.  q o q' has the digits c_q(S)
+    for S without 0 and c_q(S) + c_q'(S) for S with 0, all mod m_j.
+    Each cube is paired with its followers in the order of their free
+    digits, and each block is certified before it is yielded: the faces
+    of axis 0 are the halves of the vertex order, so q' follows q and
+    q o q' joins them exactly when lower(q') = upper(q), lower(q o q') =
+    lower(q) and upper(q o q') = upper(q'), compared as face keys.
+    """
+    n, D, column = cs.dim, cs._digit_table, cs._digit_column
+    if not n:
+        return
+    _, pos, m, w = cs._radix
+    lower, upper = face_keys(cs)
+    bit = 1 << (n - 1)
+    on, off = np.flatnonzero(pos & bit), np.flatnonzero(~pos & bit)
+    # the digit at S u {0} for each S without 0, or -1 where |S u {0}| > d_j
+    up = np.array([column.get((a, b | bit), -1) for a, b in column if not b & bit], dtype=np.intp)
+    shape = tuple(m[on].tolist())
+    free = np.indices(shape).reshape(len(on), int(np.prod(shape))).T
+    free_rank = free @ w[on]
+    # terms[i][c]: the rank term of digit on[i] of q o q' where c_q is c, per choice of free digits
+    terms = [w[t] * ((np.arange(m[t])[:, None] + free[:, i]) % m[t]) for i, t in enumerate(on)]
+    width = min(len(free), 16_384)
+    step = 16_384 // width
+    for s in range(0, len(D), step):
+        cubes = np.arange(s, min(s + step, len(D)))
+        c = D[cubes].astype(np.int64)
+        follower = ((c[:, off] + np.where(up >= 0, c[:, up], 0)) % m[off]) @ w[off]
+        base = c[:, off] @ w[off]
+        low, high = lower[cubes, None], upper[cubes, None]
+        for f in range(0, len(free), width):
+            fs = slice(f, f + width)
+            qp = cs._row_of_rank[follower[:, None] + free_rank[fs]]
+            qq = cs._row_of_rank[base[:, None] + sum(term[c[:, t], fs] for term, t in zip(terms, on))]
+            if not ((lower[qp] == high).all() and (lower[qq] == low).all() and (upper[qq] == upper[qp]).all()):
+                raise PostconditionError("concatenation left the cube set")
+            yield np.repeat(cubes, qp.shape[1]), qp.ravel(), qq.ravel()
+
+
+def stream_cocycle_failures(cs, arrays, zmod):
+    """``nilcube._cocycle_failures`` with additivity checked on every
+    concatenation of the stream instead of on the potential rows."""
+    v = np.hstack(arrays)
+    mods = np.tile(zmod, len(arrays))
+    failures = [None] * len(arrays)
+
+    def note(bad_columns, msg):
+        for i in np.flatnonzero(bad_columns.reshape(len(arrays), -1).any(axis=1)).tolist():
+            failures[i] = failures[i] or msg
+        return all(failures)
+
+    for rows in cs._permuted:
+        if note((v[rows] != v).any(axis=0), "not invariant under coordinate permutations"):
+            return failures
+    for q, qp, qq in concatenations(cs):
+        if note(((v[qq] - v[q] - v[qp]) % mods).any(axis=0), "not additive under concatenation"):
+            return failures
+    return failures
+
+
 def oracle_enumerate_morphisms(X, Y):
     """Every table of |Y|^|X|, kept when it maps each cube to a face-sum cube."""
     GX, GY = X.group, Y.group
@@ -456,15 +532,45 @@ def test_average_rejects_non_coprime():
 
 @pytest.mark.parametrize("z", [2**32 + 1, 2**62 + 1])
 def test_average_refuses_a_z_order_above_isqrt_int64(z):
-    # the residue products would overflow int64 and fail the cocycle check
-    Z = FinAbGroup((z,))
-    rho, _, _ = random_cocycle(random.Random(59), D1Z2, D1Z3, Z, 2)
+    # the residue products would overflow int64 and fail the cocycle check;
+    # coboundary refuses such z, so the table is summed in Python ints
+    Z, X = FinAbGroup((z,)), D1Z2.product(D1Z3)
+    rho = Cocycle(X, Z, 2, int_coboundary(X, z, 2, random_points(random.Random(59), X, z)))
     with pytest.raises(CapExceeded, match="isqrt"):
         factor_average(rho, 1)
     with pytest.raises(CapExceeded, match="isqrt"):
         rooted_factor_average(rho, 1)
     with pytest.raises(CapExceeded, match="isqrt"):
         split_cocycle(rho, 1)
+
+
+def int_coboundary(X, z, dim, g):
+    """sigma_dim(g o q) mod z for a point function g (a list of ints in
+    element order), one row per cube in carrier order, summed in Python ints."""
+    signs = [(-1) ** sum(v) for v in iproduct((0, 1), repeat=dim)]
+    rows = cube_set(X, dim).members.tolist()
+    return np.array([[sum(s * g[x] for s, x in zip(signs, q)) % z] for q in rows], dtype=np.int64)
+
+
+def random_points(rng, X, z):
+    return [rng.randrange(z) for _ in range(X.group.order)]
+
+
+def test_coboundary_at_isqrt_int64_matches_python_ints():
+    X, z = D1Z2.product(D1Z3), 3_037_000_499
+    g = random_points(random.Random(69), X, z)
+    rho = coboundary(X, FinAbGroup((z,)), 2, np.array(g, dtype=np.int64)[:, None])
+    assert np.array_equal(rho.array, int_coboundary(X, z, 2, g))
+
+
+@pytest.mark.parametrize("z", [3_037_000_501, 2**63 - 1])
+def test_coboundary_refuses_a_z_order_above_isqrt_int64(z):
+    # the int64 vertex sums overflow here: at 2^63 - 1, 46 of these 216 rows
+    # used to differ from the Python-int sums
+    X = D1Z2.product(D1Z3)
+    g = random_points(random.Random(69), X, z)
+    with pytest.raises(CapExceeded, match="isqrt"):
+        coboundary(X, FinAbGroup((z,)), 2, np.array(g, dtype=np.int64)[:, None])
 
 
 def test_is_cocycle_accepts_a_z_order_at_isqrt_int64():
@@ -476,8 +582,10 @@ def test_is_cocycle_accepts_a_z_order_at_isqrt_int64():
 @pytest.mark.parametrize("z", [3_037_000_501, 2**62 + 1, 2**63 - 1])
 def test_is_cocycle_refuses_a_z_order_above_isqrt_int64(z):
     # the int64 differences of the checks overflow here: at 2^63 - 1 the
-    # verdict on this cocycle used to be False
-    rho, _, _ = random_cocycle(random.Random(5), D1Z2, D1Z3, FinAbGroup((z,)), 2)
+    # verdict on a cocycle used to be False; coboundary refuses such z, so
+    # the table is summed in Python ints
+    X = D1Z2.product(D1Z3)
+    rho = Cocycle(X, FinAbGroup((z,)), 2, int_coboundary(X, z, 2, random_points(random.Random(5), X, z)))
     with pytest.raises(CapExceeded, match="isqrt"):
         is_cocycle(rho)
     with pytest.raises(CapExceeded, match="isqrt"):
@@ -736,7 +844,7 @@ def test_cube_maps_match_oracle(factors, dim):
     cs = cube_set(FilteredGroupNilspace(factors), dim)
     assert cs._permuted.shape == (max(dim - 1, 0), cs.size)
     assert np.array_equal(cs._permuted, oracle_permuted(cs, transpositions(dim)))
-    blocks = [np.stack(block) for block in cs._concatenations()]
+    blocks = [np.stack(block) for block in concatenations(cs)]
     if dim == 0:
         assert blocks == []
         return
@@ -767,7 +875,7 @@ def test_axis_zero_additive_table_is_refused_as_not_invariant(factors, dim):
     order = cs.nilspace.group.order
     Q, zmod = cs.members, np.array([order])
     rho = ((Q[:, 2 ** (dim - 1)] - Q[:, 0]) % order)[:, None]
-    for q, qp, qq in cs._concatenations():
+    for q, qp, qq in concatenations(cs):
         assert not ((rho[qq] - rho[q] - rho[qp]) % order).any()
     assert _cocycle_failures(cs, [rho], zmod) == ["not invariant under coordinate permutations"]
 
@@ -800,7 +908,8 @@ def test_cocycle_failures_match_the_all_permutations_oracle(factors, dim):
 
 def test_is_cocycle_memory_is_bounded():
     # D2(Z4) at dim 3: 16,384 cubes and 16,384 * 64 = 1,048,576 adjacent pairs
-    # along axis 0, 12 MB as stored int32 triples; the check streams them
+    # along axis 0, 12 MB as stored int32 triples; the check gathers two
+    # potential rows per cube instead
     X = FilteredGroupNilspace(((4, 2),))
     Z5 = FinAbGroup((5,))
     rho = coboundary(X, Z5, 3, np.random.default_rng(5).integers(0, 5, size=(4, 1)))
@@ -834,9 +943,9 @@ def test_face_key_certificate_agrees_with_the_vertex_table_comparison(factors, d
 
     X = FilteredGroupNilspace(factors)
     cs = CubeSet(X, dim)
-    q, qp, qq = np.concatenate([np.stack(block) for block in cs._concatenations()], axis=1)
+    q, qp, qq = np.concatenate([np.stack(block) for block in concatenations(cs)], axis=1)
     Q, half = cs.members, 2 ** (dim - 1)
-    lower, upper = cs._face_keys
+    lower, upper = face_keys(cs)
     rng = np.random.default_rng(dim)
     swaps = [(0, 0), _first_pair(lower), _first_pair(upper), tuple(rng.integers(0, cs.size, size=2).tolist())]
     for a, b in [pair for pair in swaps if pair is not None]:
@@ -851,7 +960,7 @@ def test_face_key_certificate_agrees_with_the_vertex_table_comparison(factors, d
         corrupted = CubeSet(X, dim)
         corrupted.__dict__["_row_of_rank"] = swap[cs._row_of_rank]
         try:
-            list(corrupted._concatenations())
+            list(concatenations(corrupted))
             certified = True
         except PostconditionError as e:
             assert str(e) == "concatenation left the cube set"
@@ -882,13 +991,13 @@ def test_equal_nilspaces_share_one_cube_set():
 
 def test_cached_cube_arrays_reject_writes():
     cs = cube_set(D1Z2.product(D2Z3), 3)
-    cached = [cs.members, cs._digit_table, cs._ranks, cs._row_of_rank, cs._permuted, *cs._face_keys]
+    cached = [cs.members, cs._digit_table, cs._ranks, cs._row_of_rank, cs._permuted, *cs._potential]
     for a in cached:
         with pytest.raises(ValueError, match="read-only"):
             a[0] = a[0]
     with pytest.raises(TypeError):
         cs.cubes[next(iter(cs.cubes))] = 0
-    assert list(cs._concatenations())
+    assert list(concatenations(cs))
 
 
 def test_a_small_cap_still_raises_after_a_larger_cap_build():
@@ -918,7 +1027,7 @@ def test_a_cube_set_let_go_by_the_budget_is_rebuilt_identically(monkeypatch):
     monkeypatch.setattr(nilcube, "_KEPT_ENTRIES", 216 * 4 + 36 * 2)
     X = D1Z2.product(D1Z3)
     first = cube_set(X, 2)  # 864 entries
-    arrays = [first.members, first._ranks, first._permuted, *first._face_keys]
+    arrays = [first.members, first._ranks, first._permuted, *first._potential]
     small = cube_set(X, 1)  # 72 entries: both fit
     assert cube_set(X, 2) is first and cube_set(X, 1) is small
     cube_set(D1Z3, 2)  # 27 * 4 entries: lets the least recently used, dimension 2, go
@@ -926,8 +1035,138 @@ def test_a_cube_set_let_go_by_the_budget_is_rebuilt_identically(monkeypatch):
     assert sum(cs.size << cs.dim for cs in nilcube._kept.values()) <= nilcube._KEPT_ENTRIES
     again = cube_set(X, 2)
     assert again is not first
-    for a, b in zip(arrays, [again.members, again._ranks, again._permuted, *again._face_keys]):
+    for a, b in zip(arrays, [again.members, again._ranks, again._permuted, *again._potential]):
         assert np.array_equal(a, b)
-    assert [np.stack(b).tolist() for b in again._concatenations()] == [
-        np.stack(b).tolist() for b in first._concatenations()
+    assert [np.stack(b).tolist() for b in concatenations(again)] == [
+        np.stack(b).tolist() for b in concatenations(first)
     ]
+
+
+def _orbit(cs, i):
+    """The rows of cube i under every permutation of the vertex coordinates."""
+    orbit = {i}
+    while len(grown := orbit | set(cs._permuted[:, sorted(orbit)].ravel().tolist())) > len(orbit):
+        orbit = grown
+    return sorted(orbit)
+
+
+@pytest.mark.parametrize("factors,dim", ORACLE_CARRIERS)
+def test_potential_check_agrees_with_the_stream(factors, dim):
+    # verdicts and messages of the potential rows against every concatenation
+    # of the stream: a coboundary, 30 single-entry corruptions, each also
+    # spread over its permutation orbit (invariant, so only additivity can
+    # refuse it), and one random table
+    from gowerslab.nilcube import _cocycle_failures
+
+    X, Z = FilteredGroupNilspace(factors), FinAbGroup((4, 3))
+    cs = cube_set(X, dim)
+    rng = np.random.default_rng(len(factors) * 10 + dim)
+    good = coboundary(X, Z, dim, rng.integers(0, 12, size=(X.group.order, 2))).array
+    arrays = [good, rng.integers(0, 12, size=good.shape) % Z.moduli]
+    for _ in range(30):
+        i, delta = int(rng.integers(len(good))), rng.integers(1, 4, size=2)
+        for rows in ([i], _orbit(cs, i)):
+            bad = good.copy()
+            bad[rows] += delta
+            arrays.append(bad % Z.moduli)
+    expected = [stream_cocycle_failures(cs, [a], Z.moduli)[0] for a in arrays]
+    assert expected[0] is None
+    assert [_cocycle_failures(cs, [a], Z.moduli)[0] for a in arrays] == expected
+    if dim >= 1:
+        assert "not additive under concatenation" in expected
+
+
+def _non_member(cs, q):
+    """q with its last vertex changed so that it is not a cube, or None."""
+    for x in range(cs.nilspace.group.order):
+        table = q.copy()
+        table[-1] = x
+        if cs.position(table[None])[0] < 0:
+            return table
+    return None
+
+
+@pytest.mark.parametrize("factors,dim", [(f, d) for f, d in ORACLE_CARRIERS if d >= 1])
+def test_potential_build_refuses_a_set_not_closed_under_concatenation(factors, dim):
+    from gowerslab.nilcube import CubeSet
+
+    X = FilteredGroupNilspace(factors)
+    Q = cube_set(X, dim).members
+    rng = np.random.default_rng(dim)
+    i = int(rng.integers(len(Q)))
+    damaged = [np.delete(Q, i, axis=0)]
+    table = _non_member(cube_set(X, dim), Q[i])
+    if table is not None:
+        replaced = Q.copy()
+        replaced[i] = table
+        damaged.append(replaced[np.lexsort(replaced.T[::-1])])
+    assert table is not None or all(d >= dim for _, d in factors)
+    for members in damaged:
+        cs = CubeSet(X, dim)
+        cs.__dict__["members"] = members
+        with pytest.raises(PostconditionError, match="concatenation left the cube set"):
+            cs._potential
+
+
+@pytest.mark.parametrize("factors,dim", [(f, d) for f, d in ORACLE_CARRIERS if d >= 1])
+def test_potential_certificate_fires_on_a_corrupted_rank_map(factors, dim):
+    # the rank map swaps the rows of two members: the build must refuse it when
+    # a swapped row is one it looks up, (r(a), a) or (b, b), and give the same
+    # rows when neither is
+    from gowerslab.nilcube import CubeSet
+
+    X = FilteredGroupNilspace(factors)
+    cs = CubeSet(X, dim)
+    ra, rb = cs._potential
+    Q, half = cs.members, 2 ** (dim - 1)
+    rooted = np.zeros(cs.size, dtype=bool)
+    rooted[ra] = True
+    diagonal = (Q[:, :half] == Q[:, half:]).all(axis=1)
+    rng = np.random.default_rng(dim)
+    for pick, refused in ((rooted, True), (diagonal & ~rooted, True), (~rooted & ~diagonal, False)):
+        rows = np.flatnonzero(pick)
+        others = np.arange(cs.size) if refused else rows
+        if not len(rows) or len(others) < 2:
+            continue
+        a = rng.choice(rows)
+        b = rng.choice(others[others != a])
+        swap = np.arange(cs.size)
+        swap[[a, b]] = [b, a]
+        corrupted = CubeSet(X, dim)
+        corrupted.__dict__["_row_of_rank"] = swap[cs._row_of_rank]
+        if refused:
+            with pytest.raises(PostconditionError, match="concatenation left the cube set"):
+                corrupted._potential
+        else:
+            assert all(map(np.array_equal, corrupted._potential, (ra, rb)))
+
+
+def test_averaging_classes_are_kept_read_only_and_match_np_unique():
+    # D1(Z2) x D1(Z3) x D1(Z5) at dim 2 split after each factor
+    X = FilteredGroupNilspace(((2, 1), (3, 1), (5, 1)))
+    cs = cube_set(X, 2)
+    for split in (1, 2):
+        y2 = FilteredGroupNilspace(X.factors[split:])
+        n2 = cube_set(y2, 2).size
+        for rooted in (False, True):
+            classes = cs._classes(split, rooted)
+            assert cs._classes(split, rooted) is classes
+            cls, order, starts, counts = classes
+            keys = cs._ranks % n2 + rooted * (cs.members[:, 0] // y2.group.order) * n2
+            _, fresh, fresh_counts = np.unique(keys, return_inverse=True, return_counts=True)
+            assert np.array_equal(cls, fresh) and np.array_equal(counts, fresh_counts)
+            assert np.array_equal(order, np.argsort(fresh, kind="stable"))
+            assert np.array_equal(starts, np.cumsum(counts) - counts)
+            for a in classes:
+                with pytest.raises(ValueError, match="read-only"):
+                    a[0] = a[0]
+    assert sorted(cs._class_sets) == [(1, False), (1, True), (2, False), (2, True)]
+
+
+def test_split_on_279936_cubes():
+    # D2(Z3) x D2(Z2) into Z2 at k = 2: the carrier of dimension 3 holds
+    # 279,936 cubes and about 61 M concatenations along axis 0
+    rho, _, _ = random_cocycle(random.Random(83), D2Z3, D2Z2, FinAbGroup((2,)), 3)
+    assert rho.carrier.size == 279_936
+    result = split_cocycle(rho, 1)
+    assert not result.residual.array.any()
