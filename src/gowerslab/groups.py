@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product as iproduct
-from math import gcd, prod
+from math import gcd, lcm, prod
 from operator import index
 
 import numpy as np
@@ -70,10 +70,6 @@ def _factorize(n: int) -> dict[int, int]:
     if n > 1:
         out[n] = out.get(n, 0) + 1
     return out
-
-
-def _lcm(a: int, b: int) -> int:
-    return a * b // gcd(a, b)
 
 
 # about as many entries live at once in one step of a streamed array computation
@@ -119,10 +115,7 @@ class FinAbGroup:
     @cached_property
     def torsion(self) -> int:
         """Exponent of the group: the least m with m*x = 0 for all x."""
-        m = 1
-        for o in self.orders:
-            m = _lcm(m, o)
-        return m
+        return lcm(*self.orders)
 
     @cached_property
     def rank(self) -> int:
@@ -238,10 +231,7 @@ class GroupElement:
 
     def order(self) -> int:
         """Additive order: lcm of coordinate orders m_j / gcd(x_j, m_j)."""
-        n = 1
-        for c, m in zip(self.coords, self.group.orders):
-            n = _lcm(n, m // gcd(c, m))
-        return n
+        return lcm(*(m // gcd(c, m) for c, m in zip(self.coords, self.group.orders)))
 
     def __lt__(self, other: "GroupElement") -> bool:
         return self.coords < other.coords
@@ -299,10 +289,6 @@ class Homomorphism:
         """The endomorphism of G whose matrix is the identity with entry (i, j) set to c."""
         n = G.ncoords
         return cls(G, G, [[c if (a, b) == (i, j) else int(a == b) for b in range(n)] for a in range(n)])
-
-    @classmethod
-    def zero(cls, domain: FinAbGroup, codomain: FinAbGroup) -> "Homomorphism":
-        return cls(domain, codomain, [[0] * domain.ncoords] * codomain.ncoords)
 
     def __call__(self, x: GroupElement) -> GroupElement:
         if x.group != self.domain:

@@ -120,32 +120,6 @@ def _signs(dim: int) -> tuple[int, ...]:
     return tuple(-1 if sum(v) % 2 else 1 for v in _vertices(dim))
 
 
-@lru_cache(maxsize=None)
-def _faces(dim: int, k: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """All k-faces of {0,1}^dim as ((vertex index, sign), ...) lists.
-
-    A face is a choice of k free coordinates and an assignment of the rest;
-    the sign is the alternating sign (-1)^|v| of the full vertex.
-    """
-    verts = _vertices(dim)
-    index = {v: i for i, v in enumerate(verts)}
-    out = []
-    for free in combinations(range(dim), k):
-        fixed = [i for i in range(dim) if i not in free]
-        for assign in iproduct((0, 1), repeat=len(fixed)):
-            entries = []
-            for bits in iproduct((0, 1), repeat=k):
-                v = [0] * dim
-                for i, b in zip(free, bits):
-                    v[i] = b
-                for i, b in zip(fixed, assign):
-                    v[i] = b
-                vt = tuple(v)
-                entries.append((index[vt], -1 if sum(vt) % 2 else 1))
-            out.append(tuple(entries))
-    return tuple(out)
-
-
 def _index_dtype(bound: int):
     """The narrowest of int32 and int64 that holds 0 .. bound - 1."""
     return np.int32 if bound <= np.iinfo(np.int32).max else np.int64
@@ -338,19 +312,6 @@ class CubeSet:
 
         return _blockwise(rows, Q)
 
-    def contains(self, q) -> bool:
-        """Membership by vanishing alternating sums over all (d_j+1)-faces."""
-        if len(q) != 2**self.dim:
-            return False
-        for j, (m, d) in enumerate(self.nilspace.factors):
-            if d + 1 > self.dim:
-                continue  # no (d+1)-face: constraint vacuous
-            for face in _faces(self.dim, d + 1):
-                total = sum(sign * q[vi][j] for vi, sign in face)
-                if total % m:
-                    return False
-        return True
-
     @cached_property
     def cubes(self) -> dict:
         """Each cube as a tuple of vertex coordinate vectors, mapped to its row.
@@ -513,11 +474,13 @@ def _preserving(T: np.ndarray, pairs) -> np.ndarray:
 def is_morphism(table, X: FilteredGroupNilspace, Y: FilteredGroupNilspace, *, dims=None, cap: int = 2_000_000) -> bool:
     """Whether the map given by ``table`` sends cubes of X to cubes of Y.
 
-    ``table`` is indexed by X element index (row-major).  Cube preservation
-    is checked in dimensions 1 .. step(Y)+1, which suffices for group
-    nilspaces (cross-checked one dimension higher on small instances in the
-    suite).
+    ``table`` holds one value per X element index (row-major); any other
+    length is refused with ValueError.  Cube preservation is checked in
+    dimensions 1 .. step(Y)+1, which suffices for group nilspaces
+    (cross-checked one dimension higher on small instances in the suite).
     """
+    if len(table) != X.group.order:
+        raise ValueError(f"a morphism table needs one value per element of X ({X.group.order} expected)")
     if dims is None:
         dims = range(1, Y.step + 2)
     T = np.array([[Y.group.index_of(v) for v in table]], dtype=np.int64)
@@ -548,6 +511,12 @@ def enumerate_morphisms(X: FilteredGroupNilspace, Y: FilteredGroupNilspace, *, c
 # cocycles
 
 
+def _inverses(counts, orders) -> list[list[int]]:
+    """count^-1 mod each order m of Z, per count, as Python ints; 0 where m = 1.
+    Each count must be prime to every order m > 1."""
+    return [[pow(int(c), -1, m) if m > 1 else 0 for m in orders] for c in counts]
+
+
 def avg_coprime(values, count: int, Z: FinAbGroup) -> GroupElement:
     """The unique z in Z with count * z = sum(values); needs gcd(count,|Z|)=1."""
     if gcd(count, Z.order) != 1:
@@ -559,11 +528,8 @@ def avg_coprime(values, count: int, Z: FinAbGroup) -> GroupElement:
         n += 1
     if n != count:
         raise ValueError("count does not match the number of values")
-    coords = tuple(
-        (c * pow(count, -1, m)) % m if m > 1 else 0
-        for c, m in zip(total.coords, Z.orders)
-    )
-    return GroupElement(Z, coords)
+    (inverse,) = _inverses([count], Z.orders)
+    return GroupElement(Z, tuple(c * i % m for c, i, m in zip(total.coords, inverse, Z.orders)))
 
 
 class ValueTable(Mapping):
@@ -648,10 +614,6 @@ class Cocycle:
 
     def __call__(self, q) -> GroupElement:
         return self.table[q]
-
-    def values_in_order(self) -> list:
-        """Values listed by cube in sorted carrier order (the wire format)."""
-        return self.table.values()
 
 
 def _sigma(points: np.ndarray, Q: np.ndarray, dim: int, zmod: np.ndarray) -> np.ndarray:
@@ -759,9 +721,7 @@ def _average(rho: Cocycle, split: int, rooted: bool) -> np.ndarray:
     cls, order, starts, counts = rho.carrier._classes(split, rooted)
     sums = np.add.reduceat(rho.array[order], starts, axis=0) % Z.moduli
     sizes, which = np.unique(counts, return_inverse=True)
-    inverse = np.array(
-        [[pow(int(c), -1, m) if m > 1 else 0 for m in Z.orders] for c in sizes], dtype=np.int64
-    ).reshape(len(sizes), Z.ncoords)
+    inverse = np.array(_inverses(sizes, Z.orders), dtype=np.int64).reshape(len(sizes), Z.ncoords)
     return (sums * inverse[which] % Z.moduli)[cls]
 
 

@@ -112,10 +112,6 @@ class PolyMap:
     def constant(cls, domain: FinAbGroup, value: GroupElement) -> "PolyMap":
         return cls._of(domain, value.group, np.tile(np.array(value.coords, dtype=np.int64), (domain.order, 1)))
 
-    @classmethod
-    def from_function(cls, domain, codomain, fn) -> "PolyMap":
-        return cls(domain, codomain, [fn(x).coords for x in domain.elements()])
-
     def __call__(self, x: GroupElement) -> GroupElement:
         if x.group != self.domain:
             raise ValueError("element not in the domain")

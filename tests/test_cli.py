@@ -641,7 +641,7 @@ def test_cocycle_table_wire_format_round_trip():
     X = y1.product(y2)
     g = [[i % 3] for i in range(X.group.order)]
     rho = coboundary(X, Z, 2, [tuple(v) for v in g])
-    values = [list(v.coords) for v in rho.values_in_order()]
+    values = rho.array.tolist()
     params = {
         "y1": [[2, 1]],
         "y2": [[3, 1]],

@@ -3,7 +3,7 @@
 import random
 import tracemalloc
 from functools import lru_cache
-from itertools import permutations, product as iproduct
+from itertools import combinations, permutations, product as iproduct
 
 import numpy as np
 import pytest
@@ -224,6 +224,46 @@ def stream_cocycle_failures(cs, arrays, zmod):
     return failures
 
 
+@lru_cache(maxsize=None)
+def _faces(dim, k):
+    """All k-faces of {0,1}^dim as ((vertex index, sign), ...) lists.
+
+    A face is a choice of k free coordinates and an assignment of the rest;
+    the sign is the alternating sign (-1)^|v| of the full vertex.
+    """
+    verts = list(iproduct((0, 1), repeat=dim))
+    index = {v: i for i, v in enumerate(verts)}
+    out = []
+    for free in combinations(range(dim), k):
+        fixed = [i for i in range(dim) if i not in free]
+        for assign in iproduct((0, 1), repeat=len(fixed)):
+            entries = []
+            for bits in iproduct((0, 1), repeat=k):
+                v = [0] * dim
+                for i, b in zip(free, bits):
+                    v[i] = b
+                for i, b in zip(fixed, assign):
+                    v[i] = b
+                vt = tuple(v)
+                entries.append((index[vt], -1 if sum(vt) % 2 else 1))
+            out.append(tuple(entries))
+    return tuple(out)
+
+
+def oracle_contains(cs, q):
+    """Membership of q (vertex coordinate vectors) in cs by the definition:
+    vanishing alternating sums over all (d_j+1)-faces, per coordinate j."""
+    if len(q) != 2**cs.dim:
+        return False
+    for j, (m, d) in enumerate(cs.nilspace.factors):
+        if d + 1 > cs.dim:
+            continue  # no (d+1)-face: constraint vacuous
+        for face in _faces(cs.dim, d + 1):
+            if sum(sign * q[vi][j] for vi, sign in face) % m:
+                return False
+    return True
+
+
 def oracle_enumerate_morphisms(X, Y):
     """Every table of |Y|^|X|, kept when it maps each cube to a face-sum cube."""
     GX, GY = X.group, Y.group
@@ -232,7 +272,7 @@ def oracle_enumerate_morphisms(X, Y):
     out = []
     for table in iproduct(points, repeat=GX.order):
         if all(
-            cs_y.contains(tuple(table[GX.index_of(v)] for v in q))
+            oracle_contains(cs_y, tuple(table[GX.index_of(v)] for v in q))
             for cubes, cs_y in checks
             for q in cubes
         ):
@@ -275,7 +315,7 @@ def test_degree_two_constraints_vacuous_in_dim_two():
 def test_membership_matches_enumeration(nilspace, n):
     # oracle: filter every vertex assignment through the face conditions
     cs = cube_set(nilspace, n)
-    brute = [q for q in all_maps(nilspace, n) if cs.contains(q)]
+    brute = [q for q in all_maps(nilspace, n) if oracle_contains(cs, q)]
     assert set(brute) == set(cs.cubes)
     assert len(cs.members) == len(set(cs.cubes))
 
@@ -332,6 +372,14 @@ def test_identity_is_morphism():
     assert is_morphism(table, D1Z2, D1Z2)
 
 
+@pytest.mark.parametrize("length", [1, 3])
+def test_is_morphism_refuses_a_table_of_the_wrong_length(length):
+    # a table needs one value per element of X = D1(Z2): a longer one was read
+    # on its first two entries, a shorter one ended in an IndexError
+    with pytest.raises(ValueError, match="one value per element of X"):
+        is_morphism(((0,),) * length, D1Z2, D1Z2)
+
+
 def test_morphisms_to_coprime_target_are_constant():
     morphs = enumerate_morphisms(D1Z2, D1Z3)
     assert len(morphs) == 3
@@ -379,6 +427,19 @@ def test_avg_coprime_forced_values():
     assert z0.coords == (0,)  # 2z = 0  ->  z = 0
     z = avg_coprime([Z3.element((1,)), Z3.element((2,)), Z3.zero, Z3.zero], 4, Z3)
     assert z.coords == (0,)
+
+
+@pytest.mark.parametrize("orders", [(3, 5), (2**32 + 15,), (3, 2**62 + 135)])
+def test_avg_coprime_matches_a_python_int_oracle(orders):
+    # several coordinates, and z orders whose residue times inverse passes 2^63:
+    # z is the one residue per coordinate with count * z = sum mod m
+    Z = FinAbGroup(orders)
+    rng = random.Random(repr(orders))
+    for count in (1, 2, 4, 7):
+        vals = [Z.element(tuple(rng.randrange(m) for m in orders)) for _ in range(count)]
+        z = avg_coprime(vals, count, Z).coords
+        for j, m in enumerate(orders):
+            assert 0 <= z[j] < m and (count * z[j] - sum(v.coords[j] for v in vals)) % m == 0
 
 
 def test_avg_coprime_rejects_shared_factor():
@@ -883,6 +944,23 @@ def test_axis_zero_additive_table_is_refused_as_not_invariant(factors, dim):
 # the oracle carriers of at most 10,000 cubes: the dict oracle takes up to 3 s on
 # each, and 6-23 s on each of the two larger ones
 SMALL_ORACLE_CARRIERS = [(f, d) for f, d in ORACLE_CARRIERS if cube_set(FilteredGroupNilspace(f), d).size <= 10_000]
+
+
+@pytest.mark.parametrize("factors,dim", SMALL_ORACLE_CARRIERS)
+def test_position_agrees_with_the_face_sum_oracle(factors, dim):
+    # members sit at their own rows; a member changed at one vertex has a row
+    # exactly when the face sums still vanish, and that row holds it
+    rng = np.random.default_rng(dim)
+    cs = cube_set(FilteredGroupNilspace(factors), dim)
+    order = cs.nilspace.group.order
+    assert np.array_equal(cs.position(cs.members), np.arange(cs.size))
+    Q = cs.members[rng.integers(0, cs.size, size=200)].astype(np.int64)
+    vertex = rng.integers(0, 2**dim, size=len(Q))
+    Q[np.arange(len(Q)), vertex] = (Q[np.arange(len(Q)), vertex] + rng.integers(1, order, size=len(Q))) % order
+    rows = cs.position(Q)
+    coords = cs.nilspace.group.coords_array
+    assert [r >= 0 for r in rows.tolist()] == [oracle_contains(cs, coords[q].tolist()) for q in Q]
+    assert np.array_equal(cs.members[rows[rows >= 0]], Q[rows >= 0])
 
 
 @pytest.mark.parametrize("factors,dim", SMALL_ORACLE_CARRIERS)

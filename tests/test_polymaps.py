@@ -244,7 +244,7 @@ def test_degree_invariant_under_coordinate_permutation():
     for _ in range(50):
         table = tuple((rng.randrange(4),) for _ in range(G.order))
         P = PolyMap(G, cod, table)
-        Pswapped = PolyMap.from_function(Gp, cod, lambda y: P(_inverse(swap)(y)))
+        Pswapped = PolyMap(Gp, cod, [P(_inverse(swap)(y)).coords for y in Gp.elements()])
         assert P.degree == Pswapped.degree
 
 
