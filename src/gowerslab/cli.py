@@ -31,6 +31,7 @@ from .groups import (
     FinAbGroup,
     Homomorphism,
     Subgroup,
+    _rows,
     complemented_enlarge,
     complemented_hull,
     find_complement,
@@ -200,10 +201,6 @@ def _hom(domain: FinAbGroup, codomain: FinAbGroup, matrix) -> Homomorphism:
         raise ConfigError(f"bad homomorphism matrix: {e}")
 
 
-def _zvals(values) -> list:
-    return [list(v.coords) for v in values]
-
-
 def _zrows(rows, count: int, Z: FinAbGroup, what: str) -> np.ndarray:
     """``count`` values of Z, each a list of ncoords(Z) integers, reduced mod Z."""
     ok = isinstance(rows, list) and len(rows) == count and set(map(type, rows)) <= {list}
@@ -298,11 +295,13 @@ def _run_cutnorm(params, seed, cap, tol):
         raise ConfigError("'iters' must be an integer >= 1")
     if seed is None:
         raise ConfigError("a seed is mandatory for cut-norm maximization")
+    if seed < 0:  # numpy's generator takes no negative seed
+        raise ConfigError("'seed' must be an integer >= 0 for cut-norm maximization")
     _capped(cut_norm_work(G, d, restarts, iters), cap, "predicted cut-norm work")
     f = _function(_need(params, "function", dict), G, seed)
     res = cut_norm_lower(f, d, restarts=restarts, iters=iters, seed=seed, cap=cap)
     witnesses = {
-        ",".join(map(str, blk)): [[float(v.real), float(v.imag)] for v in w.reshape(-1)]
+        ",".join(map(str, blk)): np.stack((w.real, w.imag), axis=-1).reshape(-1, 2)
         for blk, w in res.witnesses.items()
     }
     inputs = {"group": list(G.orders), "d": d, "restarts": restarts, "iters": iters}
@@ -325,13 +324,13 @@ def _run_complement(params, seed, cap, tol):
             else:
                 Hh, Kh = complemented_enlarge(H)
             outputs["complemented_hull"] = {
-                "generators": _zvals(Hh.generators),
+                "generators": _rows(Hh.generators, G.ncoords),
                 "order": Hh.order,
-                "complement_generators": _zvals(Kh.generators),
+                "complement_generators": _rows(Kh.generators, G.ncoords),
                 "complement_order": Kh.order,
             }
     else:
-        outputs["complement"] = {"generators": _zvals(K.generators), "order": K.order}
+        outputs["complement"] = {"generators": _rows(K.generators, G.ncoords), "order": K.order}
     return inputs, outputs, []
 
 
@@ -342,10 +341,10 @@ def _run_shrink(params, seed, cap, tol):
     Hp, K = mtorsion_complemented_shrink(H)
     inputs = {"group": list(G.orders), "generators": [list(g.coords) for g in H.generators], "index": H.index}
     outputs = {
-        "shrunk_generators": _zvals(Hp.generators),
+        "shrunk_generators": _rows(Hp.generators, G.ncoords),
         "shrunk_order": Hp.order,
         "shrunk_index": Hp.index,
-        "complement_generators": _zvals(K.generators),
+        "complement_generators": _rows(K.generators, G.ncoords),
         "complement_order": K.order,
     }
     return inputs, outputs, []
@@ -362,7 +361,7 @@ def _run_crosssection(params, seed, cap, tol):
     inputs = {"domain": list(B.orders), "codomain": list(A.orders), "matrix": [list(r) for r in tau.matrix]}
     outputs = {
         "degree": iota.degree,
-        "table": iota.values.tolist(),
+        "table": iota.values,
         "torsions": [A.torsion, B.torsion],
     }
     return inputs, outputs, []
@@ -387,7 +386,7 @@ def _projected_phase(params, cap) -> ProjectedPhase:
 
 def _run_project(params, seed, cap, tol):
     pp = _projected_phase(params, cap)
-    phi, A = pp.phi, pp.tau.codomain
+    phi, A, values = pp.phi, pp.tau.codomain, pp.function.values
     inputs = {
         "domain": list(phi.domain.orders),
         "codomain": list(A.orders),
@@ -395,7 +394,7 @@ def _run_project(params, seed, cap, tol):
         "degree": pp.degree,
     }
     outputs = {
-        "values": [[float(v.real), float(v.imag)] for v in pp.function.values],
+        "values": np.stack((values.real, values.imag), axis=1),
         "fiber_size": pp.fiber_size,
         "torsion": list(pp.torsion),
         "rank_preserving": pp.rank_preserving,
@@ -431,8 +430,8 @@ def _run_avg_split(params, seed, cap, tol):
     Ep = rooted_factor_average(rho, split)
     outputs = {
         "cube_count": len(rho.carrier.members),
-        "e_values": E.array.tolist(),
-        "eprime_values": Ep.array.tolist(),
+        "e_values": E.array,
+        "eprime_values": Ep.array,
         "e_is_cocycle": True,
     }
     return meta, outputs, []
@@ -444,8 +443,8 @@ def _run_cocycle_split(params, seed, cap, tol):
     residual = res.residual.array
     outputs = {
         "cube_count": len(rho.carrier.members),
-        "kappa_values": res.kappa.array.tolist(),
-        "g": res.g.array.tolist(),
+        "kappa_values": res.kappa.array,
+        "g": res.g.array,
         "residual_max": int(residual.max(initial=0)),
         "residual_all_zero": not residual.any(),
     }
@@ -456,11 +455,12 @@ def _run_morphisms(params, seed, cap, tol):
     X = _nilspace(_need(params, "x", list))
     Y = _nilspace(_need(params, "y", list))
     morphs = enumerate_morphisms(X, Y, cap=cap)
+    tables = np.array(morphs, dtype=np.int64).reshape(len(morphs), X.group.order, Y.group.ncoords)
     inputs = {"x": list(X.factors), "y": list(Y.factors)}
     outputs = {
         "count": len(morphs),
-        "tables": [[list(v) for v in t] for t in morphs],
-        "constants": sum(1 for t in morphs if len(set(t)) == 1),
+        "tables": tables,
+        "constants": int((tables == tables[:, :1]).all(axis=(1, 2)).sum()),
     }
     return inputs, outputs, []
 
@@ -724,34 +724,22 @@ def _scalar(v) -> str:
 
 
 @functools.lru_cache(maxsize=64)
-def _table_template(shape: tuple[int, ...], indent: str) -> str:
-    """The text of a rectangular nest of lists of ints of this shape, with %d for each int."""
+def _table_template(shape: tuple[int, ...], indent: str, cell: str) -> str:
+    """The text of a nest of lists of this shape, with the format ``cell`` for each entry."""
     if not shape[0]:
         return "[]"
     inner = indent + "  "
-    cell = _table_template(shape[1:], inner) if len(shape) > 1 else "%d"
-    return "[\n" + inner + (",\n" + inner).join([cell] * shape[0]) + "\n" + indent + "]"
-
-
-def _int_table(v: list | tuple) -> tuple[tuple[int, ...], list] | None:
-    """The shape and the ints of v when it is a rectangular nest of lists of
-    plain ints (bools are not written with %d) of depth >= 2, else None."""
-    shape, cells = [len(v)], v
-    while cells and set(map(type, cells)) <= {list, tuple}:
-        widths = set(map(len, cells))
-        if len(widths) != 1:
-            return None
-        shape.append(widths.pop())
-        cells = list(chain.from_iterable(cells))
-    return (tuple(shape), cells) if len(shape) > 1 and set(map(type, cells)) <= {int} else None
+    item = _table_template(shape[1:], inner, cell) if len(shape) > 1 else cell
+    return "[\n" + inner + (",\n" + inner).join([item] * shape[0]) + "\n" + indent + "]"
 
 
 def _dumps(v, indent: str = "") -> str:
-    """``json.dumps(v, indent=2, sort_keys=True, allow_nan=False)``, byte for byte.
+    """``json.dumps(v, indent=2, sort_keys=True, allow_nan=False)``, byte for byte,
+    with each int or float numpy array written as its nested lists.
 
     With an indent the standard library falls back to its pure-Python
-    encoder, one call per value.  Here a list of scalars is one join and a
-    rectangular table of plain ints, of any depth, is one %-template.
+    encoder, one call per value.  Here a list of scalars is one join and an
+    array, of any shape, is one %-template.
     """
     if isinstance(v, dict):
         if not v:
@@ -762,6 +750,12 @@ def _dumps(v, indent: str = "") -> str:
             for k, x in sorted(v.items())
         )
         return "{\n" + inner + body + "\n" + indent + "}"
+    if isinstance(v, np.ndarray):
+        # tolist gives Python ints and floats, so %r is float.__repr__, as json.dumps writes
+        floats = v.dtype.kind == "f"
+        if floats and not np.isfinite(v).all():
+            raise ValueError("Out of range float values are not JSON compliant")
+        return _table_template(v.shape, indent, "%r" if floats else "%d") % tuple(v.ravel().tolist())
     if not isinstance(v, (list, tuple)):
         return _scalar(v)
     if not v:
@@ -771,8 +765,6 @@ def _dumps(v, indent: str = "") -> str:
     types = set(map(type, v))
     if types <= _SCALARS:
         body = sep.join(map(_scalar, v))
-    elif types <= {list, tuple} and (table := _int_table(v)):
-        return _table_template(table[0], indent) % tuple(table[1])
     else:
         body = sep.join([_dumps(x, inner) for x in v])
     return "[\n" + inner + body + "\n" + indent + "]"
@@ -855,7 +847,7 @@ def main(argv=None) -> int:
     except (PostconditionError, CoprimalityError) as e:
         print(f"postcondition failure: {e}", file=sys.stderr)
         return 4
-    except (ConfigError, FileNotFoundError, json.JSONDecodeError, ValueError) as e:
+    except (ConfigError, OSError, json.JSONDecodeError, ValueError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return 2
 

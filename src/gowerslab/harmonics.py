@@ -191,21 +191,6 @@ class GroupFunction:
             return GroupFunction._exact(G, self.phase_num[row], self.modulus)
         return GroupFunction(G, self.values[row])
 
-    def to_json(self) -> dict:
-        out = {"group": list(self.group.orders)}
-        if self.is_exact():
-            out["phases"] = [[p.numerator, p.denominator] for p in self.phases]
-        else:
-            out["values"] = [[float(v.real), float(v.imag)] for v in self.values]
-        return out
-
-    @classmethod
-    def from_json(cls, data: dict) -> "GroupFunction":
-        G = FinAbGroup(tuple(data["group"]))
-        if "phases" in data:
-            return cls._from_ratios(G, data["phases"])
-        return cls(G, [complex(re, im) for re, im in data["values"]])
-
 
 # ---------------------------------------------------------------------------
 # Gowers norms

@@ -137,17 +137,6 @@ class PolyMap:
     def degree(self) -> int | None:
         return degree(self)
 
-    def to_json(self) -> dict:
-        return {
-            "domain": list(self.domain.orders),
-            "codomain": list(self.codomain.orders),
-            "table": self.values.tolist(),
-        }
-
-    @classmethod
-    def from_json(cls, data: dict) -> "PolyMap":
-        return cls(FinAbGroup(tuple(data["domain"])), FinAbGroup(tuple(data["codomain"])), data["table"])
-
 
 def _shifts(G: FinAbGroup, directions: np.ndarray) -> np.ndarray:
     """(len(directions), |G|): row t holds the index of x + h_t for every index x of G."""

@@ -11,9 +11,11 @@ import random
 import stat
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from gowerslab import cli
 from gowerslab.cli import _dumps, golden_suite, main, run
@@ -26,6 +28,15 @@ def cfg(command, params, **extra):
     out = {"schema": "gowerslab/config-1", "command": command, "params": params}
     out.update(extra)
     return out
+
+
+def plain(tree):
+    """``tree`` with each numpy array in it as its nested lists."""
+    if isinstance(tree, np.ndarray):
+        return tree.tolist()
+    if isinstance(tree, dict):
+        return {k: plain(v) for k, v in tree.items()}
+    return tree
 
 
 # ---------------------------------------------------------------------------
@@ -72,7 +83,7 @@ def test_crosssection_record():
         cfg("crosssection", {"domain": [9], "codomain": [3], "matrix": [[1]]})
     )
     assert record["outputs"]["degree"] == 3
-    assert record["outputs"]["table"] == [[0], [1], [2]]
+    assert plain(record)["outputs"]["table"] == [[0], [1], [2]]
 
 
 def test_project_record():
@@ -176,7 +187,44 @@ def test_determinism_identical_records():
     b, _ = run(copy.deepcopy(config))
     a.pop("runtime_ms")
     b.pop("runtime_ms")
-    assert a == b
+    assert plain(a) == plain(b)
+
+
+_EMPTY_SPLIT = {"y1": [[2, 1]], "y2": [[3, 1]], "z": [], "k": 1, "cocycle": {"kind": "random"}}
+_TRIVIAL_SURJECTION = {"domain": [], "codomain": [], "matrix": []}
+
+
+@pytest.mark.parametrize(
+    "command, params, arrays",
+    [
+        ("morphisms", {"x": [], "y": [[2, 1]]}, ["tables"]),
+        ("morphisms", {"x": [[2, 1]], "y": []}, ["tables"]),
+        ("avg-split", _EMPTY_SPLIT, ["e_values", "eprime_values"]),
+        ("cocycle-split", _EMPTY_SPLIT, ["kappa_values", "g"]),
+        ("crosssection", _TRIVIAL_SURJECTION, ["table"]),
+        ("project", dict(_TRIVIAL_SURJECTION, phase_table=[1], phase_modulus=2), ["values"]),
+        ("complement", {"group": [], "generators": []}, ["complement.generators"]),
+        ("shrink", {"group": [], "generators": []}, ["shrunk_generators", "complement_generators"]),
+    ],
+)
+def test_empty_dimensions_write_their_arrays_as_json_does(tmp_path, monkeypatch, command, params, arrays):
+    # the record main writes, taken from run(): its tables stay numpy arrays up to the writer
+    records = []
+
+    def keep(config):
+        records.append(run(config))
+        return records[-1]
+
+    monkeypatch.setattr(cli, "run", keep)
+    out = tmp_path / "r.json"
+    assert main([command, "--config", _write(tmp_path, "c.json", cfg(command, params, seed=3)), "--out", str(out)]) == 0
+    (record, _), = records
+    assert out.read_text() == json.dumps(plain(record), indent=2, sort_keys=True) + "\n"
+    for path in arrays:
+        field = record["outputs"]
+        for key in path.split("."):
+            field = field[key]
+        assert isinstance(field, np.ndarray), path
 
 
 def test_unknown_command_rejected():
@@ -225,6 +273,31 @@ def test_main_command_mismatch_exit_2(tmp_path):
         tmp_path, "c.json", cfg("norm", {"group": [6], "order": 2, "function": {"kind": "ones"}})
     )
     assert main(["boxnorm", "--config", path]) == 2
+
+
+def test_main_config_directory_exit_2(tmp_path, capsys):
+    assert main(["decompose", "--config", str(tmp_path)]) == 2
+    assert "Is a directory" in capsys.readouterr().err
+
+
+def test_main_out_directory_exit_2(tmp_path, capsys):
+    path = _write(tmp_path, "c.json", cfg("decompose", {"group": [12]}))
+    out = tmp_path / "out"
+    out.mkdir()
+    assert main(["decompose", "--config", path, "--out", str(out)]) == 2
+    assert "Is a directory" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json", "out"] and not any(out.iterdir())
+
+
+def test_main_cutnorm_negative_seed_exit_2(tmp_path, capsys):
+    params = {"group": [2, 3], "d": 1, "function": {"kind": "ones"}}
+    path = _write(tmp_path, "c.json", cfg("cutnorm", params, seed=-1))
+    assert main(["cutnorm", "--config", path]) == 2
+    assert "'seed'" in capsys.readouterr().err
+    path = _write(tmp_path, "d.json", cfg("cutnorm", params, seed=4))
+    assert main(["cutnorm", "--config", path, "--seed", "-1"]) == 2
+    assert "'seed'" in capsys.readouterr().err
+    assert main(["cutnorm", "--config", path, "--seed", "0"]) == 0
 
 
 def test_main_cap_exit_3(tmp_path):
@@ -653,8 +726,9 @@ def test_cocycle_table_wire_format_round_trip():
     assert rec["outputs"]["residual_all_zero"] is True
     params_g = dict(params, cocycle={"kind": "coboundary", "g": g})
     rec2, _ = run(cfg("cocycle-split", params_g))
-    assert rec["outputs"]["kappa_values"] == rec2["outputs"]["kappa_values"]
-    assert rec["outputs"]["g"] == rec2["outputs"]["g"]
+    out, out2 = plain(rec)["outputs"], plain(rec2)["outputs"]
+    assert out["kappa_values"] == out2["kappa_values"]
+    assert out["g"] == out2["g"]
 
 
 # ---------------------------------------------------------------------------
@@ -886,10 +960,31 @@ def _int_nests(draw):
     return {"k": [tree]} if draw(st.booleans()) else tree
 
 
+_ARRAY_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072e-308, 1e308, -1e308]
+)
+
+
+@st.composite
+def _arrays(draw):
+    """An int64 or float64 array of 1-4 dimensions, some of size 0, below 1-3 keys;
+    a quarter of the float arrays of size > 0 hold one NaN or infinity."""
+    dtype = draw(st.sampled_from([np.int64, np.float64]))
+    shape = hnp.array_shapes(min_dims=1, max_dims=4, min_side=0, max_side=3)
+    elements = st.integers(-(2**63), 2**63 - 1) if dtype is np.int64 else _ARRAY_FLOATS
+    a = draw(hnp.arrays(dtype, shape, elements=elements))
+    if dtype is np.float64 and a.size and draw(st.integers(0, 3)) == 0:
+        a.flat[draw(st.integers(0, a.size - 1))] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+    tree = a
+    for _ in range(draw(st.integers(1, 3))):
+        tree = {"k": tree, "z": 0}
+    return tree
+
+
 @settings(max_examples=300, deadline=None)
-@given(_int_nests())
+@given(_int_nests() | _arrays())
 def test_emitter_writes_int_tables_of_any_depth_as_json_does(tree):
-    assert _dumps(tree) == _json_dumps(tree)
+    assert _outcome(_dumps, tree) == _outcome(_json_dumps, plain(tree))
 
 
 def test_atomic_write_leaves_the_old_record_when_a_write_fails(tmp_path, monkeypatch):

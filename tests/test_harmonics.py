@@ -108,11 +108,6 @@ def test_from_phases_and_ratios_match_fraction_oracle(case):
     ph = _oracle_from_phases(Fraction(n, d) for n, d in pairs)
     _assert_is_oracle(GroupFunction.from_phases(G, [Fraction(n, d) for n, d in pairs]), ph)
     _assert_is_oracle(GroupFunction._from_ratios(G, pairs), ph)
-    data = {"group": [5], "phases": [list(p) for p in pairs]}
-    g = GroupFunction.from_json(data)
-    _assert_is_oracle(g, ph)
-    assert g.to_json()["phases"] == [[p.numerator, p.denominator] for p in ph]
-    _assert_is_oracle(GroupFunction.from_json(g.to_json()), ph)
 
 
 def test_from_phases_accepts_ints_and_strings():
@@ -1030,23 +1025,3 @@ def test_projected_phase_dual_bound_random(seed):
     f = random_bounded_function(rng, tau.codomain)
     rep = obstruction_check(f, pp)
     assert rep.correlation <= rep.norm + TOL
-
-
-# ---------------------------------------------------------------------------
-# wire format
-
-
-def test_group_function_json_round_trip_phases():
-    G = FinAbGroup((4,))
-    f = GroupFunction.from_phases(G, [Fraction(1, 4), Fraction(0), Fraction(1, 2), Fraction(3, 4)])
-    data = f.to_json()
-    assert data["phases"] == [[1, 4], [0, 1], [1, 2], [3, 4]]
-    g = GroupFunction.from_json(data)
-    assert g.phases == f.phases
-
-
-def test_group_function_json_round_trip_values():
-    G = FinAbGroup((3,))
-    f = GroupFunction(G, [0.5, -0.25 + 0.1j, 1j])
-    g = GroupFunction.from_json(f.to_json())
-    assert np.allclose(g.values, f.values)

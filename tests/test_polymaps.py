@@ -555,16 +555,7 @@ def test_cross_section_random_surjections(seed):
 
 
 # ---------------------------------------------------------------------------
-# wire format and determinism
-
-
-def test_polymap_json_round_trip():
-    lift = cyclic_lift(3, 1, 2)
-    data = lift.to_json()
-    assert data["domain"] == [3] and data["codomain"] == [9]
-    assert data["table"] == [[0], [1], [2]]
-    back = PolyMap.from_json(data)
-    assert back.table == lift.table and back.domain == lift.domain
+# determinism
 
 
 def test_cross_section_is_deterministic():
