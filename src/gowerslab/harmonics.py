@@ -176,11 +176,6 @@ class GroupFunction:
             return GroupFunction._exact(self.group, (a + b) % N, N)
         return GroupFunction(self.group, self.values * other.values)
 
-    def conjugate(self) -> "GroupFunction":
-        if self.is_exact():
-            return GroupFunction._exact(self.group, -self.phase_num % self.modulus, self.modulus)
-        return GroupFunction(self.group, np.conj(self.values))
-
     def translate(self, a: GroupElement) -> "GroupFunction":
         """x -> f(x + a)."""
         if a.group != self.group:

@@ -299,10 +299,6 @@ class CubeSet:
         rows[self._ranks] = np.arange(len(self._ranks))
         return _read_only(rows)
 
-    def _are_cubes(self, Q: np.ndarray) -> np.ndarray:
-        """Whether each row of Q (element indices at the vertices) is a cube."""
-        return _blockwise(lambda B: self._is_cube(self._coefficients(B)), Q)
-
     def position(self, Q: np.ndarray) -> np.ndarray:
         """Row in ``members`` of each row of Q, or -1 where it is not a cube."""
 
@@ -446,65 +442,64 @@ def cube_set(X: FilteredGroupNilspace, n: int, *, cap: int = 2_000_000) -> CubeS
 # morphisms
 
 
-def _cube_pairs(X, Y, dims, cap) -> list[tuple[np.ndarray, CubeSet]]:
-    return [(cube_set(X, n, cap=cap).members, cube_set(Y, n, cap=cap)) for n in dims]
+def _into_factor(T: np.ndarray, X: FilteredGroupNilspace, m: int, d: int) -> np.ndarray:
+    """The rows of T (residue tables mod m, one value per X element index)
+    whose alternating sum over every (d+1)-cube of X is 0 mod m.
 
-
-def _preserving(T: np.ndarray, pairs) -> np.ndarray:
-    """Which rows of T (maps as tables of target element indices) send every
-    source cube of every (source cubes, target cube set) pair to a cube.
-
-    A row is dropped at its first failing block of cubes; each block holds
-    at most ``_BLOCK`` images.
+    The cubes stream in blocks of at most ``_BLOCK`` images, and a row is
+    dropped at its first failing block.  A sum is at most 2^d (m - 1) in
+    magnitude, so it is taken in int64 where that fits and in Python ints
+    above.
     """
-    alive = np.arange(len(T))
-    for QX, cy in pairs:
-        start = 0
-        while alive.size and start < len(QX):
-            stop = start + max(1, _BLOCK // alive.size)
-            images = T[alive][:, QX[start:stop]]
-            ok = cy._are_cubes(images.reshape(-1, QX.shape[1])).reshape(alive.size, -1).all(axis=1)
-            alive = alive[ok]
-            start = stop
-    mask = np.zeros(len(T), dtype=bool)
-    mask[alive] = True
-    return mask
+    dtype = np.int64 if (m - 1) << d < 2**63 else object
+    Q, signs = cube_set(X, d + 1).members, np.array(_signs(d + 1), dtype=dtype)
+    T, start = T.astype(dtype, copy=False), 0
+    while len(T) and start < len(Q):
+        stop = start + max(1, _BLOCK // len(T))
+        T = T[(T[:, Q[start:stop]] @ signs % m == 0).all(axis=1)]
+        start = stop
+    return T
 
 
-def is_morphism(table, X: FilteredGroupNilspace, Y: FilteredGroupNilspace, *, dims=None, cap: int = 2_000_000) -> bool:
+def is_morphism(table, X: FilteredGroupNilspace, Y: FilteredGroupNilspace) -> bool:
     """Whether the map given by ``table`` sends cubes of X to cubes of Y.
 
-    ``table`` holds one value per X element index (row-major); any other
-    length is refused with ValueError.  Cube preservation is checked in
-    dimensions 1 .. step(Y)+1, which suffices for group nilspaces
-    (cross-checked one dimension higher on small instances in the suite).
+    ``table`` holds one value per X element index (row-major), each value
+    ncoords(Y) integers; any other length is refused with ValueError.  A
+    cube of Y is a cube of each factor D_d(Z_m) in its coordinate, and a
+    map into D_d(Z_m) is a cube exactly when each of its (d+1)-faces has
+    alternating sum 0 mod m.  Every face of a cube of X is a cube of X, and
+    below dimension d+1 every map is a cube of D_d(Z_m), so coordinate j of
+    the table is checked on the (d_j+1)-cubes of X alone.
     """
-    if len(table) != X.group.order:
-        raise ValueError(f"a morphism table needs one value per element of X ({X.group.order} expected)")
-    if dims is None:
-        dims = range(1, Y.step + 2)
-    T = np.array([[Y.group.index_of(v) for v in table]], dtype=np.int64)
-    return bool(_preserving(T, _cube_pairs(X, Y, dims, cap))[0])
+    GX, GY = X.group, Y.group
+    if len(table) != GX.order:
+        raise ValueError(f"a morphism table needs one value per element of X ({GX.order} expected)")
+    if any(len(v) != GY.ncoords for v in table):
+        raise ValueError(f"each value of a morphism table needs ncoords(Y) = {GY.ncoords} coordinates")
+    T = np.array([[c % m for c, m in zip(v, GY.orders)] for v in table], dtype=object)
+    return all(len(_into_factor(T[None, :, j], X, m, d)) for j, (m, d) in enumerate(Y.factors))
 
 
 def enumerate_morphisms(X: FilteredGroupNilspace, Y: FilteredGroupNilspace, *, cap: int = 10**6) -> list[tuple]:
-    """All morphisms X -> Y as value tables, at desk scale.
+    """All morphisms X -> Y as value tables, in the row-major order of the
+    value tuples, at desk scale.
 
-    The |Y|^|X| candidate tables run in ``iproduct`` order, |Y|^r at a time
-    with |Y|^r <= ``_BLOCK``, and each block is checked at once.
+    The cubes of a product are the products of cubes, so Hom(X, Y) is the
+    product of the Hom(X, D_d(Z_m)) over the factors of Y.  Each is found
+    by the face test of ``is_morphism`` on its m^|X| tables, taken in
+    row-major order ``_BLOCK`` at a time.  ``cap`` bounds |Y|^|X|, which
+    bounds the sum of the m^|X|.
     """
-    GX, GY = X.group, Y.group
-    cap_power(GY.order, GX.order, cap, "|Y|^|X|")
-    pairs = _cube_pairs(X, Y, range(1, Y.step + 2), 2_000_000)
-    r = 0
-    while r < GX.order and GY.order ** (r + 1) <= _BLOCK:
-        r += 1
-    tail = np.indices((GY.order,) * r).reshape(r, GY.order**r).T
-    found = []
-    for head in iproduct(range(GY.order), repeat=GX.order - r):
-        T = np.hstack([np.broadcast_to(np.array(head, dtype=tail.dtype), (len(tail), len(head))), tail])
-        found.append(T[_preserving(T, pairs)])
-    return [tuple(map(tuple, t)) for t in GY.coords_array[np.concatenate(found)].tolist()]
+    GY, n = Y.group, X.group.order
+    cap_power(GY.order, n, cap, "|Y|^|X|")
+    index = np.zeros((1, n), dtype=np.int64)  # the tables as Y element indices, factor by factor
+    for m, d in Y.factors:
+        weights = m ** np.arange(n - 1, -1, -1)
+        blocks = (np.arange(s, min(s + _BLOCK, m**n))[:, None] // weights % m for s in range(0, m**n, _BLOCK))
+        index = (index[:, None] * m + np.concatenate([_into_factor(T, X, m, d) for T in blocks])).reshape(-1, n)
+    index = index[np.lexsort(index.T[::-1])]
+    return [tuple(map(tuple, t)) for t in GY.coords_array[index].tolist()]
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,8 @@ import math
 import os
 import random
 import stat
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -700,6 +702,26 @@ def test_main_golden_exit_codes(tmp_path):
     data["cases"]["box_norm_bilinear_l1"]["expected"] = 0.1
     path = _write(tmp_path, "bad.json", data)
     assert main(["golden", "--golden-file", str(path)]) == 1
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    # `python -m gowerslab` is cli.main in a fresh interpreter
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(cli.__file__)))
+
+    def python_m(*args):
+        argv = [sys.executable, "-m", "gowerslab", *args]
+        return subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+
+    golden = python_m("golden", "--filter", "box_norm_bilinear_l1")
+    assert golden.returncode == 0, golden.stderr
+    path = _write(tmp_path, "c.json", cfg("decompose", {"group": [12, 18]}))
+    assert python_m("decompose", "--config", path, "--out", str(tmp_path / "r.json")).returncode == 0
+    assert main(["decompose", "--config", path, "--out", str(tmp_path / "s.json")]) == 0
+    texts = [
+        [line for line in (tmp_path / name).read_text().splitlines() if '"runtime_ms"' not in line]
+        for name in ("r.json", "s.json")
+    ]
+    assert texts[0] == texts[1]
 
 
 def test_cocycle_table_wire_format_round_trip():

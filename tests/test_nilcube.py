@@ -8,6 +8,7 @@ from itertools import combinations, permutations, product as iproduct
 import numpy as np
 import pytest
 
+import gowerslab.nilcube as nilcube
 from gowerslab.errors import CapExceeded, CoprimalityError, PostconditionError
 from gowerslab.groups import FinAbGroup
 from gowerslab.instances import random_cocycle
@@ -264,6 +265,41 @@ def oracle_contains(cs, q):
     return True
 
 
+def block_preserving(T, X, Y, dims):
+    """Which rows of T (tables of Y element indices) send every cube of X of
+    each dimension in ``dims`` to a cube of Y, by Y's coefficient test.
+
+    The block search that enumerated morphisms before the per-factor face
+    test: a row is dropped at its first failing block of at most
+    ``nilcube._BLOCK`` images.  Y's cube sets are private, so none is kept.
+    """
+    alive = np.arange(len(T))
+    for n in dims:
+        QX, cy = cube_set(X, n).members, nilcube.CubeSet(Y, n)
+        start = 0
+        while alive.size and start < len(QX):
+            stop = start + max(1, nilcube._BLOCK // alive.size)
+            images = T[alive][:, QX[start:stop]].reshape(-1, 2**n)
+            alive = alive[cy._is_cube(cy._coefficients(images)).reshape(alive.size, -1).all(axis=1)]
+            start = stop
+    mask = np.zeros(len(T), dtype=bool)
+    mask[alive] = True
+    return mask
+
+
+def block_is_morphism(table, X, Y, dims):
+    return bool(block_preserving(np.array([[Y.group.index_of(v) for v in table]]), X, Y, dims)[0])
+
+
+def block_enumerate_morphisms(X, Y):
+    """Every table of |Y|^|X| in row-major order, kept when it maps each cube
+    of dimension 1 .. step(Y)+1 to a cube."""
+    GX, GY = X.group, Y.group
+    T = np.indices((GY.order,) * GX.order).reshape(GX.order, -1).T
+    T = T[block_preserving(T, X, Y, range(1, Y.step + 2))]
+    return [tuple(map(tuple, t)) for t in GY.coords_array[T].tolist()]
+
+
 def oracle_enumerate_morphisms(X, Y):
     """Every table of |Y|^|X|, kept when it maps each cube to a face-sum cube."""
     GX, GY = X.group, Y.group
@@ -380,6 +416,32 @@ def test_is_morphism_refuses_a_table_of_the_wrong_length(length):
         is_morphism(((0,),) * length, D1Z2, D1Z2)
 
 
+def test_is_morphism_refuses_a_value_with_the_wrong_number_of_coordinates():
+    with pytest.raises(ValueError, match=r"ncoords\(Y\) = 1 coordinates"):
+        is_morphism(((0, 0), (1, 0)), D1Z2, D1Z2)
+
+
+@pytest.mark.parametrize("m", [2**62, 2**63 - 4, 2**64])
+def test_is_morphism_is_exact_for_moduli_near_and_above_int64(m):
+    # face sums of residues near 2^63 leave int64, and the verdicts must be the
+    # face-sum oracle's in Python ints: at m = 2^63 - 4 the int64 sum 2c of the
+    # non-morphism (0, 0, c, c), c = m/2 + 4, wraps to a multiple of m
+    X, Y = D1Z2.product(D1Z2), FilteredGroupNilspace(((m, 1),))
+    c, rng = m // 2 + 4, random.Random(m)
+    tables = [
+        [((a0 * x0 + a1 * x1 - 1) % m,) for x0, x1 in iproduct((0, 1), repeat=2)]
+        for a0, a1 in ((0, 0), (m // 2, 0), (m // 2, m // 2))
+    ]
+    tables += [[(0,), (0,), (c,), (c,)], [(0,), (c,), (0,), (c,)]]
+    tables += [[(rng.randrange(m),) for _ in range(4)] for _ in range(3)]
+    cubes = [(cube_set(Y, n), list(cube_set(X, n).cubes)) for n in (1, 2)]
+    verdicts = [is_morphism(t, X, Y) for t in tables]
+    oracle = [
+        all(oracle_contains(cs, tuple(t[X.group.index_of(v)] for v in q)) for cs, qs in cubes for q in qs) for t in tables
+    ]
+    assert verdicts == oracle and verdicts[:5] == [True, True, True, False, False]
+
+
 def test_morphisms_to_coprime_target_are_constant():
     morphs = enumerate_morphisms(D1Z2, D1Z3)
     assert len(morphs) == 3
@@ -407,13 +469,73 @@ def test_translations_preserve_morphisms():
     [(D1Z2, D1Z3), (D1Z2, D1Z2), (D1Z2, D2Z3), (D1Z3, D1Z2)],
 )
 def test_morphism_dimension_cap_cross_check(X, Y):
-    # checking up to step(Y)+1 equals checking up to step(Y)+2 on tiny cases
+    # the (d_j+1)-face test equals the block check of every cube of dimension
+    # up to step(Y)+2 on tiny cases
     GX, GY = X.group, Y.group
     points = [x.coords for x in GY.elements()]
     for table in iproduct(points, repeat=GX.order):
         a = is_morphism(table, X, Y)
-        b = is_morphism(table, X, Y, dims=range(1, Y.step + 3))
+        b = block_is_morphism(table, X, Y, range(1, Y.step + 3))
         assert a == b
+
+
+_GRID_X = [(), ((1, 1),), ((2, 1),), ((3, 1),), ((4, 1),), ((2, 2),), ((2, 1), (2, 1)), ((2, 1), (3, 1)), ((3, 2), (1, 1))]
+_GRID_Y = [
+    (),
+    ((2, 1),),
+    ((3, 1),),
+    ((4, 1),),
+    ((2, 2),),
+    ((3, 2),),
+    ((4, 2),),
+    ((2, 3),),
+    ((2, 1), (2, 1)),
+    ((2, 1), (3, 1)),
+    ((2, 2), (2, 1)),
+    ((3, 1), (2, 2)),
+    ((2, 1), (2, 1), (2, 1)),
+    ((2, 1), (2, 2), (2, 3)),
+    ((2, 2), (3, 1), (2, 1)),
+]
+_GRID = [
+    (x, y)
+    for x in _GRID_X
+    for y in _GRID_Y
+    if FilteredGroupNilspace(y).group.order ** FilteredGroupNilspace(x).group.order <= 4096
+]
+
+
+@pytest.mark.parametrize("x,y", _GRID, ids=[f"{x}->{y}" for x, y in _GRID])
+def test_enumerate_morphisms_matches_the_block_search(x, y):
+    X, Y = FilteredGroupNilspace(x), FilteredGroupNilspace(y)
+    assert enumerate_morphisms(X, Y) == block_enumerate_morphisms(X, Y)
+
+
+@pytest.mark.parametrize("y", [(), ((1, 1),), ((1, 1), (1, 1))])
+def test_a_codomain_of_order_one_takes_a_domain_of_64_elements(y):
+    # one candidate per factor, the constant map; a numpy array holds at most
+    # 64 axes, so the candidates cannot take one axis per element of X
+    X = FilteredGroupNilspace(((2, 1),) * 6)
+    assert enumerate_morphisms(X, FilteredGroupNilspace(y)) == [((0,) * len(y),) * 64]
+
+
+def test_a_morphism_call_keeps_no_cube_set_of_y(monkeypatch):
+    monkeypatch.setattr(nilcube, "_kept", {})
+    X = FilteredGroupNilspace(((2, 1), (2, 1)))
+    Y = FilteredGroupNilspace(((2, 2), (3, 1)))
+    morphs = enumerate_morphisms(X, Y)
+    assert len(morphs) == 2**4 * 3 and is_morphism(morphs[-1], X, Y)
+    assert nilcube._kept and {key[0] for key in nilcube._kept} == {X}
+
+
+def test_d1z6_to_d2z6_morphisms_pass_the_face_sum_oracle():
+    X, Y = FilteredGroupNilspace(((6, 1),)), FilteredGroupNilspace(((6, 2),))
+    morphs = enumerate_morphisms(X, Y)
+    assert len(morphs) == 108 and morphs == sorted(set(morphs))
+    for n in range(1, Y.step + 2):
+        cubes, cs_y = list(cube_set(X, n).cubes), cube_set(Y, n)
+        for t in morphs:
+            assert all(oracle_contains(cs_y, tuple(t[v[0]] for v in q)) for q in cubes)
 
 
 # ---------------------------------------------------------------------------
