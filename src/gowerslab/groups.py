@@ -28,7 +28,7 @@ lifts of the invariant-factor generators of A/H.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import product as iproduct
 from math import gcd, lcm, prod
 from operator import index
@@ -75,6 +75,19 @@ def _factorize(n: int) -> dict[int, int]:
 # about as many entries live at once in one step of a streamed array computation
 # (here the sums of verify_complement, in harmonics the norm kernels)
 _BLOCK = 2**17
+# the most elements of a chunk: a run of cyclic axes with its own add table and character factor
+_CHUNK = 256
+
+
+@lru_cache(maxsize=8)
+def _chunk_add(orders: tuple[int, ...]) -> np.ndarray:
+    """Index table T[h, x] = index of h + x in a chunk Z_{m_1} x ..., row-major, built one axis at a time."""
+    out = np.zeros((1, 1), dtype=np.int64)
+    for m in orders:
+        a = np.arange(m)
+        out = (out[:, None, :, None] * m + ((a[:, None] + a) % m)[:, None]).reshape(len(out) * m, -1)
+    out.flags.writeable = False
+    return out
 
 
 def _rows(elements, ncoords: int) -> np.ndarray:
@@ -140,6 +153,25 @@ class FinAbGroup:
         """The |A| x n int64 residues of every element, in row-major (lexicographic) order."""
         return np.indices(self.orders, dtype=np.int64).reshape(self.ncoords, self.order).T
 
+    @cached_property
+    def chunks(self) -> tuple[tuple[int, ...], ...]:
+        """The orders cut, left to right, into runs of at most _CHUNK elements (a longer axis alone), at least one run."""
+        runs = [()]
+        for m in self.orders:
+            if runs[-1] and prod(runs[-1]) * m > _CHUNK:
+                runs.append(())
+            runs[-1] += (m,)
+        return tuple(runs)
+
+    def shift_index(self, h) -> np.ndarray:
+        """(len(h), |A|) int64: row t holds the index of x + h_t for every index x, h being element indices;
+        chunk by chunk, a row of the chunk's add table or, on an axis longer than _CHUNK, (x + h) mod m."""
+        sizes, out = [prod(run) for run in self.chunks], None
+        for run, s, hc in zip(self.chunks, sizes, np.unravel_index(np.asarray(h, dtype=np.int64), sizes)):
+            rows = _chunk_add(run)[hc] if s <= _CHUNK else (np.arange(s) + hc[:, None]) % s
+            out = rows if out is None else (out[:, :, None] * s + rows[:, None, :]).reshape(-1, out.shape[1] * s)
+        return out
+
     @property
     def zero(self) -> "GroupElement":
         return GroupElement(self, (0,) * self.ncoords)
@@ -159,13 +191,6 @@ class FinAbGroup:
         for c, m in zip(coords, self.orders, strict=True):
             i = i * m + (c % m)
         return i
-
-    def coords_at(self, index: int) -> tuple[int, ...]:
-        coords = []
-        for m in reversed(self.orders):
-            coords.append(index % m)
-            index //= m
-        return tuple(reversed(coords))
 
     def generators(self) -> list["GroupElement"]:
         """Standard generators e_j of the coordinates with order > 1."""
@@ -393,7 +418,7 @@ class Subgroup:
         """The subgroup with members ``target``; each generator is the least member not yet spanned."""
         members, gens, mask = np.flatnonzero(target), [], _span(parent, ())
         while len(rest := members[~mask[members]]):
-            gens.append(GroupElement(parent, parent.coords_at(int(rest[0]))))
+            gens.append(GroupElement(parent, tuple(parent.coords_array[rest[0]].tolist())))
             mask = _span(parent, gens[-1:], mask)
         if np.count_nonzero(mask) != len(members):
             raise ValueError("element set is not closed under the group operation")
@@ -654,7 +679,7 @@ def _first_lifts(quo: Quotient, *, same_order: bool = False) -> list[GroupElemen
             cand = cand[orders == d]
         if not len(cand):
             return None
-        lifts.append(GroupElement(A, A.coords_at(int(cand[0]))))
+        lifts.append(GroupElement(A, tuple(A.coords_array[cand[0]].tolist())))
     return lifts
 
 
@@ -732,7 +757,7 @@ class _PresentedSubgroup:
         v = int(self._to_view[self.parent.index_of(x.coords)])
         if v < 0:
             raise ValueError("element not in the subgroup")
-        return GroupElement(self.group, self.group.coords_at(v))
+        return GroupElement(self.group, tuple(self.group.coords_array[v].tolist()))
 
     def pull_subgroup(self, sub_in_view: Subgroup) -> Subgroup:
         A, V = self.parent, self.group

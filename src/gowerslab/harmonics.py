@@ -13,9 +13,8 @@ Norms:
                            with D_h f(x) = f(x+h) conj(f(x)), down to the
                            U^2 base ||g||_{U^2}^4 = sum_xi |g_hat(xi)|^4:
                            the k-1 fold derivatives are built as blocks of
-                           rows and each block meets the exact character
-                           matrix in one dense product, |G|^(k+1) complex
-                           multiplies in all (U^1 is |E f|),
+                           rows, each transformed one chunk factor of the
+                           exact character matrix at a time (U^1 is |E f|),
   * ``gowers_norm_exact``- the same value via exact phase counting: the
                            last derivative direction is the autocorrelation
                            of phase histograms, so |G|^(order-1) rows are
@@ -43,7 +42,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import CapExceeded, PostconditionError, cap_power
-from .groups import _BLOCK, FinAbGroup, GroupElement, Homomorphism, kernel
+from .groups import _BLOCK, _CHUNK, FinAbGroup, GroupElement, Homomorphism, kernel
 from .polymaps import PolyMap
 
 __all__ = [
@@ -68,32 +67,16 @@ __all__ = [
 _TOL = 1e-9
 
 
-# Both caches are keyed on the cyclic orders and keep the last eight tables:
-# an add table has |G|^2 entries, a block of characters about _BLOCK.
-
-
 @lru_cache(maxsize=8)
-def _add_table(orders: tuple[int, ...]) -> np.ndarray:
-    """Index table T[h, x] = index of h + x, in row-major element order."""
-    n = math.prod(orders)
-    out = np.zeros((n, n), dtype=np.int64)
-    for dj, m in zip(FinAbGroup(orders).coords_array.T, orders):
-        out = out * m + (dj[:, None] + dj[None, :]) % m
-    out.flags.writeable = False
-    return out
+def _character_factor(orders: tuple[int, ...]) -> np.ndarray:
+    """W[x, xi] = e(-sum_j x_j xi_j / m_j) on one chunk of at most _CHUNK elements.
 
-
-@lru_cache(maxsize=8)
-def _characters(orders: tuple[int, ...], start: int, stop: int) -> np.ndarray:
-    """Columns start:stop of W[x, xi] = e(-sum_j x_j xi_j / m_j).
-
-    The phase sum_j x_j xi_j exp(G)/m_j is an exact integer mod exp(G),
-    then a root of unity of that order.
+    The phase sum_j x_j xi_j E/m_j, with E the lcm of the chunk's orders, is
+    an exact integer mod E, then a root of unity of that order.
     """
     E = math.lcm(*orders)
-    G = FinAbGroup(orders)
-    X = G.coords_array
-    phase = X @ (X[start:stop] * (E // G.moduli)).T % E
+    X = FinAbGroup(orders).coords_array
+    phase = X @ (X * (E // np.array(orders, dtype=np.int64))).T % E
     out = np.exp(-2j * np.pi * np.arange(E) / E)[phase]
     out.flags.writeable = False
     return out
@@ -181,7 +164,7 @@ class GroupFunction:
         if a.group != self.group:
             raise ValueError("translation by an element of a different group")
         G = self.group
-        row = (G.coords_array + np.array(a.coords, dtype=np.int64)) % G.moduli @ G.radix  # index of x + a
+        (row,) = G.shift_index([G.index_of(a.coords)])
         if self.is_exact():
             return GroupFunction._exact(G, self.phase_num[row], self.modulus)
         return GroupFunction(G, self.values[row])
@@ -191,21 +174,29 @@ class GroupFunction:
 # Gowers norms
 
 
-def _derivative_blocks(M: np.ndarray, depth: int, orders: tuple[int, ...]):
-    """The rows D_{h_1..h_depth} g of every row g of M, in blocks of about _BLOCK entries.
-
-    D_h g(x) = g(x+h) conj(g(x)); one step is one gather through the add table.
-    """
+def _derivative_blocks(M: np.ndarray, depth: int, G: FinAbGroup, diff):
+    """The depth-fold derivatives D_h g(x) = diff(g(x+h), g(x)) of each row g of M, in blocks of about _BLOCK."""
     if depth == 0:
         yield M
         return
-    add = _add_table(orders)
     R, n = M.shape
     step = max(1, _BLOCK // (R * n))
-    cM = np.conj(M)[:, None, :]
     for i in range(0, n, step):
-        D = (M[:, add[i : i + step]] * cM).reshape(-1, n)
-        yield from _derivative_blocks(D, depth - 1, orders)
+        D = diff(M[:, G.shift_index(np.arange(i, min(i + step, n)))], M[:, None, :]).reshape(-1, n)
+        yield from _derivative_blocks(D, depth - 1, G, diff)
+
+
+def _transform(M: np.ndarray, G: FinAbGroup) -> np.ndarray:
+    """M W for the character matrix W of G, the Kronecker product of the chunk factors.
+
+    Each step contracts the leading chunk axis and moves it last, so the axes end in order.  An axis
+    longer than _CHUNK goes through np.fft.fft; on at most _CHUNK elements the one step is M @ W itself."""
+    F = M.T
+    for run in G.chunks:
+        s = math.prod(run)
+        F = F.reshape(s, -1).T
+        F = F @ _character_factor(run) if s <= _CHUNK else np.fft.fft(F)
+    return F
 
 
 def gowers_norm(f: GroupFunction, order: int, *, cap: int = 2**30) -> float:
@@ -215,11 +206,10 @@ def gowers_norm(f: GroupFunction, order: int, *, cap: int = 2**30) -> float:
     (h_1, ..., h_{order-2}) of ||D_{h_1..h_{order-2}} f||_{U^2}^4, and
     ||g||_{U^2}^4 = sum_xi |g_hat(xi)|^4 (Tao-Vu, Additive Combinatorics,
     11.1).  The derivative rows are built in blocks of about 2^17 entries,
-    and each block M goes through a block of columns of the exact character
-    matrix in one dense product F = M W, so the power is
-    sum |F|^4 / |G|^(order+2).  That is |G|^order complex multiplies, the
-    cost compared with ``cap``; memory is a few blocks, plus the |G| x |G|
-    add table from order 3 on.
+    each block M goes through the exact character matrix W of G one chunk
+    factor at a time, F = M W, and the power is sum |F|^4 / |G|^(order+2).
+    ``cap`` bounds |G|^order, more than the chunked products make.  Memory
+    is a few blocks and the chunk tables, each at most _CHUNK^2 entries.
     """
     if order < 1:
         raise ValueError("the norm order must be at least 1")
@@ -230,13 +220,10 @@ def gowers_norm(f: GroupFunction, order: int, *, cap: int = 2**30) -> float:
         p = abs(complex(f.values.mean())) ** 2
     else:
         p = 0.0
-        step = max(1, _BLOCK // n)
-        for start in range(0, n, step):
-            W = _characters(G.orders, start, start + step)
-            for M in _derivative_blocks(f.values[None, :], order - 2, G.orders):
-                F = M @ W
-                S = F.real**2 + F.imag**2
-                p += float(np.sum(S * S))
+        for M in _derivative_blocks(f.values[None, :], order - 2, G, lambda a, b: a * np.conj(b)):
+            F = _transform(M, G)
+            S = F.real**2 + F.imag**2
+            p += float(np.sum(S * S))
         p /= n ** (order + 2)
     return max(p, 0.0) ** (1.0 / 2**order)
 
@@ -252,16 +239,9 @@ class ExactNorm:
 
     @property
     def power_value(self) -> float:
-        re = math.fsum(
-            c * math.cos(2 * math.pi * a / self.modulus)
-            for a, c in enumerate(self.counts)
-            if c
-        )
-        im = math.fsum(
-            c * math.sin(2 * math.pi * a / self.modulus)
-            for a, c in enumerate(self.counts)
-            if c
-        )
+        terms = [(c, 2 * math.pi * a / self.modulus) for a, c in enumerate(self.counts) if c]
+        re = math.fsum(c * math.cos(t) for c, t in terms)
+        im = math.fsum(c * math.sin(t) for c, t in terms)
         if abs(im) > 1e-6 * max(1.0, abs(re)):
             raise PostconditionError("norm power has a nonreal exact value")
         return re / self.scale
@@ -269,15 +249,6 @@ class ExactNorm:
     @property
     def value(self) -> float:
         return max(self.power_value, 0.0) ** (1.0 / 2**self.order)
-
-
-def _derivatives(D: np.ndarray, depth: int, add: np.ndarray, N: int):
-    """Every iterated derivative D_{h_1..h_depth} D mod N, depth first."""
-    if depth == 0:
-        yield D
-        return
-    for row in add:
-        yield from _derivatives((D[row] - D) % N, depth - 1, add, N)
 
 
 def _histogram_gram(M: np.ndarray, N: int) -> np.ndarray:
@@ -289,16 +260,15 @@ def _histogram_gram(M: np.ndarray, N: int) -> np.ndarray:
 
 
 def _difference_counts(M: np.ndarray, N: int) -> np.ndarray:
-    """counts[c] = #{(r, x, y) : M[r, y] - M[r, x] = c mod N}, in bounded blocks.
+    """counts[c] = #{(r, x, y) : M[r, y] - M[r, x] = c mod N}, in runs of x of about 2^22 differences.
 
     The entries lie in [0, N), so M[r, y] - M[r, x] + N lies in (0, 2N): each
-    block is counted in 2N bins, and bin c + N folds onto bin c.
+    run is counted in 2N bins, and bin c + N folds onto bin c.
     """
     counts = np.zeros(N, dtype=np.int64)
-    step = max(1, 2**22 // M.shape[1] ** 2)
-    for i in range(0, M.shape[0], step):
-        B = M[i : i + step]
-        shifted = np.bincount(((B + N)[:, None, :] - B[:, :, None]).ravel(), minlength=2 * N)
+    step, lifted = max(1, 2**22 // M.size), M + N
+    for j in range(0, M.shape[1], step):
+        shifted = np.bincount((lifted[:, None, :] - M[:, j : j + step, None]).ravel(), minlength=2 * N)
         counts += shifted[:N] + shifted[N:]
     return counts
 
@@ -312,18 +282,14 @@ def gowers_norm_exact(f: GroupFunction, order: int, *, cap: int = 2**24) -> Exac
     direction is never enumerated: for a fixed derivative table D the map
     (x, h) -> (x, x+h) is a bijection of G x G, so
     sum_h #{x : D(x+h) - D(x) = c} = #{(x, y) : D(y) - D(x) = c}, the
-    cyclic autocorrelation of the phase histogram of D.  The first
-    order - 2 directions are a Python loop; the next one is a single
-    |G| x |G| gather M[h, x] = D(x+h) - D(x) per loop step, |G|^(order-1)
-    rows of |G| entries in all.  When N <= |G| the autocorrelations of all
-    rows are read off the N x N Gram matrix sum H^T H of their histograms H
-    along its diagonals b - a = c (|G| N^2 integer products per step);
-    otherwise the differences within each row are counted directly (|G|^3
-    per step, in blocks of about 2^22 differences, each counted in a 2N-long
-    transient bincount of the differences shifted by N), which keeps memory
-    at O(|G|^2 + N) for any N.  Every intermediate quantity is an integer,
-    and ``cap`` bounds the number of counted tuples, |G|^(order+1), and the
-    N-long count vector.
+    cyclic autocorrelation of the phase histogram of D.  The |G|^(order-1)
+    tables D come in blocks of rows of about _BLOCK entries, and the counts
+    add up over rows.  When N <= |G| they are read off the N x N Gram
+    matrix sum H^T H of the row histograms H along its diagonals
+    b - a = c; otherwise the differences within each row are counted
+    directly, about 2^22 at a time in a 2N-long transient bincount.  Every
+    intermediate quantity is an integer, and ``cap`` bounds the number of
+    counted tuples, |G|^(order+1), and the N-long count vector.
     """
     if not f.is_exact():
         raise ValueError("exact norm needs exact phases")
@@ -334,11 +300,7 @@ def gowers_norm_exact(f: GroupFunction, order: int, *, cap: int = 2**24) -> Exac
     cap_power(G.order, order + 1, cap, "|G|^(order+1)")
     if N > cap:
         raise CapExceeded(f"the phase modulus N = {N} exceeds cap {cap}")
-    if order == 1:
-        tables = [P[None, :]]
-    else:
-        add = _add_table(G.orders)
-        tables = ((D[add] - D) % N for D in _derivatives(P, order - 2, add, N))
+    tables = _derivative_blocks(P[None, :], order - 1, G, lambda a, b: (a - b) % N)
     if N <= G.order:
         gram = sum(_histogram_gram(M, N) for M in tables)
         a = np.arange(N)
@@ -564,11 +526,12 @@ def cut_norm_lower(
     u_B takes the unit phase of the conditional sum, so the objective
     |E_a f(a) prod_B conj u_B(a_B)| is nondecreasing along every sweep.
     Deterministic all-ones initialization plus ``restarts`` seeded random
-    unimodular restarts; the best value and its witness family are
-    returned.  The value never exceeds the true cut norm and every witness
-    is exactly 1-bounded.  ``cap`` bounds the predicted work before any
-    sweep runs: at most (restarts + 1) * iters sweeps of C(n, d) block
-    updates, each charged C(n, d) products of |G| entries.
+    unimodular restarts; the best finite value and its witness family are
+    returned (ValueError if no restart has one).  The value never exceeds
+    the true cut norm and every witness is exactly 1-bounded.  ``cap``
+    bounds the predicted work before any sweep runs: at most
+    (restarts + 1) * iters sweeps of C(n, d) block updates, each charged
+    C(n, d) products of |G| entries.
 
     A sweep keeps one prefix product, the tensor times the conjugate
     witnesses of the blocks already updated.  Block j's conditional sum is
@@ -639,7 +602,9 @@ def cut_norm_lower(
                     active[r] = False
                 prev[r] = val
         for r in range(R):
-            if prev[r] > best_val:
+            if prev[r] > best_val and math.isfinite(prev[r]):
                 best_val, best_sweeps = prev[r], sweeps[r]
                 best_ws = {blk: w[r].copy() for blk, w in zip(blocks, ws)}
+    if best_ws is None:
+        raise ValueError("no restart ended with a finite objective: the values overflow")
     return CutNormResult(best_val, best_ws, restarts, best_sweeps)

@@ -100,6 +100,7 @@ __all__ = [
 _BLOCK = 16_384
 # total vertex entries (ncubes * 2^n) of the cube sets ``cube_set`` keeps
 _KEPT_ENTRIES = 1 << 22
+_CUBE_CAP = 2_000_000  # the default cap on the cubes of one cube set
 
 
 @lru_cache(maxsize=None)
@@ -180,13 +181,14 @@ class CubeSet:
     every axis: ``_permuted`` holds the row of every cube under each (0 a),
     certified on the vertex tables, and ``_potential`` the rows that certify
     additivity along axis 0 with two gathers per cube.  ``_classes`` holds
-    the classes of the coprime averages, per split.
+    the classes of the coprime averages, per split, and ``_varying`` the
+    members that the morphism face test sums over.
 
     ``cube_set`` shares instances, so every array cached here is read-only;
     build one directly for a private one.
     """
 
-    def __init__(self, nilspace: FilteredGroupNilspace, dim: int, *, cap: int = 2_000_000):
+    def __init__(self, nilspace: FilteredGroupNilspace, dim: int, *, cap: int = _CUBE_CAP):
         self.nilspace = nilspace
         self.dim = dim
         self.cap = cap
@@ -280,6 +282,17 @@ class CubeSet:
         if len(rows) != self.size or (rows[1:] == rows[:-1]).all(axis=1).any():
             raise PostconditionError("cube enumeration is not duplicate-free")
         return _read_only(rows)
+
+    @cached_property
+    def _varying(self) -> np.ndarray:
+        """The members that vary along every axis, in member order: along an axis of constancy
+        each vertex pairs with one of opposite sign at the same point, so the signed sum is 0."""
+        Q = self.members
+        keep = np.ones(len(Q), dtype=bool)
+        for i in range(self.dim):
+            halves = Q.reshape(len(Q), 2**i, 2, -1)  # axis 2 is coordinate i of the vertex
+            keep &= (halves[:, :, 0] != halves[:, :, 1]).any(axis=(1, 2))
+        return _read_only(Q[keep])
 
     @cached_property
     def _digit_table(self) -> np.ndarray:
@@ -420,7 +433,7 @@ class CubeSet:
 _kept: dict[tuple, CubeSet] = {}
 
 
-def cube_set(X: FilteredGroupNilspace, n: int, *, cap: int = 2_000_000) -> CubeSet:
+def cube_set(X: FilteredGroupNilspace, n: int, *, cap: int = _CUBE_CAP) -> CubeSet:
     """The n-dimensional cube set of X with this cap: one shared instance per
     (X, n, cap) while it is kept (see "Kept cube sets" above)."""
     if n < 0:
@@ -446,13 +459,16 @@ def _into_factor(T: np.ndarray, X: FilteredGroupNilspace, m: int, d: int) -> np.
     """The rows of T (residue tables mod m, one value per X element index)
     whose alternating sum over every (d+1)-cube of X is 0 mod m.
 
-    The cubes stream in blocks of at most ``_BLOCK`` images, and a row is
-    dropped at its first failing block.  A sum is at most 2^d (m - 1) in
-    magnitude, so it is taken in int64 where that fits and in Python ints
-    above.
+    Only the cubes that vary along every axis can fail (``CubeSet._varying``).
+    They stream in blocks of at most ``_BLOCK`` images, and a row is dropped
+    at its first failing block.  A sum is at most 2^d (m - 1) in magnitude,
+    so it is taken in int64 where that fits and in Python ints above.  A
+    cube of more vertices than the cube-set cap is refused before any size.
     """
+    if d + 1 >= _CUBE_CAP.bit_length():  # 2^(d+1) > _CUBE_CAP
+        raise CapExceeded(f"a {d + 1}-cube has 2^{d + 1} vertices, more than the cube-set cap {_CUBE_CAP}")
     dtype = np.int64 if (m - 1) << d < 2**63 else object
-    Q, signs = cube_set(X, d + 1).members, np.array(_signs(d + 1), dtype=dtype)
+    Q, signs = cube_set(X, d + 1)._varying, np.array(_signs(d + 1), dtype=dtype)
     T, start = T.astype(dtype, copy=False), 0
     while len(T) and start < len(Q):
         stop = start + max(1, _BLOCK // len(T))

@@ -138,16 +138,11 @@ class PolyMap:
         return degree(self)
 
 
-def _shifts(G: FinAbGroup, directions: np.ndarray) -> np.ndarray:
-    """(len(directions), |G|): row t holds the index of x + h_t for every index x of G."""
-    return (G.coords_array[None] + directions[:, None]) % G.moduli @ G.radix
-
-
 def derivative(P: PolyMap, h: GroupElement) -> PolyMap:
     """Discrete derivative x -> P(x + h) - P(x)."""
     if h.group != P.domain:
         raise ValueError("direction not in the domain of P")
-    (shift,) = _shifts(P.domain, np.array([h.coords], dtype=np.int64))
+    (shift,) = P.domain.shift_index([P.domain.index_of(h.coords)])
     return PolyMap._of(P.domain, P.codomain, (P.values[shift] - P.values) % P.codomain.moduli)
 
 
@@ -161,9 +156,7 @@ def degree(P: PolyMap) -> int | None:
     None is returned.
     """
     dom = P.domain
-    shifts = _shifts(dom, np.eye(dom.ncoords, dtype=np.int64)[dom.moduli > 1])
-    if not len(shifts):
-        return 0
+    shifts = dom.shift_index(dom.radix[dom.moduli > 1])  # e_j has index radix_j
     level, cur, seen = 0, P.values[None], set()
     while cur.any():
         distinct = {t.tobytes(): t for t in cur}

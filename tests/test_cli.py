@@ -408,6 +408,9 @@ _OBSTRUCT_U4 = {  # |A| N = 64, and U^4 on |A| = 16 sums 16^4 = 65,536 terms
         ("avg-split", dict(_SPLIT_PARAMS, k=10**7), {"seed": 1}),
         # obstruct's norm honours the config cap
         ("obstruct", _OBSTRUCT_U4, {"cap": 64}),
+        # a (d+1)-cube of more than 2^20 vertices, refused before it is sized
+        ("morphisms", {"x": [[2, 1]], "y": [[2, 2**40]]}, {}),
+        ("morphisms", {"x": [[1, 1]], "y": [[2, 100]]}, {}),
     ],
     ids=[
         "norm-2^40",
@@ -419,6 +422,8 @@ _OBSTRUCT_U4 = {  # |A| N = 64, and U^4 on |A| = 16 sums 16^4 = 65,536 terms
         "norm-order-10^9",
         "avg-split-k-10^7",
         "obstruct-U4-cap-64",
+        "morphisms-y-degree-2^40",
+        "morphisms-trivial-x-y-degree-100",
     ],
 )
 def test_main_oversized_config_exit_3_within_2s(tmp_path, command, params, extra):
@@ -618,6 +623,8 @@ INF_PAIRS = [[1.0, 0.0], [math.inf, 0.0], [1.0, 0.0], [1.0, 0.0]]
         ("cutnorm", _cut_params(iters=0)),
         ("cutnorm", _cut_params(restarts=True)),
         ("cutnorm", _cut_params(iters=2.5)),
+        # every restart's objective overflows to NaN
+        ("cutnorm", _cut_params(function={"kind": "values", "values": [[1e308, 1e308]] * 4})),
     ],
 )
 def test_main_bad_norm_config_exit_2(tmp_path, command, params):

@@ -75,6 +75,27 @@ def test_constructors_accept_numpy_integers():
 # primary decomposition
 
 
+@pytest.mark.parametrize(
+    "orders, chunks",
+    [
+        ((), ((),)),
+        ((1,), ((1,),)),
+        ((2,) * 10, ((2,) * 8, (2, 2))),
+        ((4, 8, 9, 5), ((4, 8), (9, 5))),
+        ((2, 300, 3, 1, 2), ((2,), (300,), (3, 1, 2))),
+        ((257, 256), ((257,), (256,))),
+    ],
+)
+def test_shift_index_matches_the_coordinate_formula(orders, chunks):
+    # chunks of at most 256 elements read their add tables, a longer axis its residues
+    G = FinAbGroup(orders)
+    assert G.chunks == chunks
+    X = G.coords_array
+    h = np.arange(0, G.order, max(1, G.order // 97))
+    assert np.array_equal(G.shift_index(h), (X[h][:, None] + X[None]) % G.moduli @ G.radix)
+    assert G.shift_index(np.array([], dtype=np.int64)).shape == (0, G.order)
+
+
 def test_primary_z12():
     dec = primary_decompose(FinAbGroup((12,)))
     assert dec.primes == (2, 3)

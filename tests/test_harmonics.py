@@ -5,6 +5,7 @@ import dataclasses
 import math
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -17,9 +18,9 @@ from gowerslab.groups import FinAbGroup, Homomorphism
 from gowerslab.harmonics import (
     ExactNorm,
     GroupFunction,
-    _add_table,
-    _characters,
+    _character_factor,
     _difference_counts,
+    _transform,
     box_norm_4cycle,
     correlation,
     cut_norm_lower,
@@ -239,6 +240,13 @@ def test_float_norm_matches_exact_norm():
             assert abs(gowers_norm(f, order) - exact.value) < TOL
 
 
+def _add_table(orders):
+    """Oracle index table T[h, x] = index of h + x, by the coordinate formula."""
+    G = FinAbGroup(orders)
+    X = G.coords_array
+    return (X[:, None, :] + X[None, :, :]) % G.moduli @ G.radix
+
+
 def _direct_power_oracle(vals, order, add):
     """||vals||_{U^order}^{2^order} by the multiplicative-derivative recursion, one gather per row."""
     if order == 1:
@@ -306,14 +314,34 @@ def test_norm_is_independent_of_the_block_size(monkeypatch, block):
 
 
 def test_character_matrix_is_exact():
-    # W[x, xi] = e(-x.xi) as a table of roots of unity of order exp(G)
+    # W[x, xi] = e(-x.xi) as a table of roots of unity of order exp(G), on one chunk
     G = FinAbGroup((2, 4, 6))
-    W = _characters(G.orders, 0, G.order)
+    assert G.chunks == (G.orders,)
+    W = _character_factor(G.orders)
     for x in G.elements():
         for xi in G.elements():
             theta = sum(Fraction(a * b, m) for a, b, m in zip(x.coords, xi.coords, G.orders))
             expected = cmath.exp(-2j * math.pi * float(theta % 1))
             assert abs(W[G.index_of(x.coords), G.index_of(xi.coords)] - expected) < 1e-15
+
+
+@pytest.mark.parametrize("orders", [(), (7,), (2,) * 10, (4, 8, 9, 5), (2, 300, 3), (257, 2)])
+def test_chunked_transform_is_the_character_matrix(orders):
+    # chunk by chunk, with np.fft.fft on an axis of more than 256 elements,
+    # the identity rows go to W[x, xi] = e(-x.xi), as fourier_coefficients has it
+    G = FinAbGroup(orders)
+    F = _transform(np.eye(G.order, dtype=np.complex128), G).reshape(G.order, G.order)
+    X = G.coords_array
+    theta = (X[:, None, :] * X[None, :, :] % G.moduli / G.moduli).sum(axis=2)
+    assert np.abs(F - np.exp(-2j * np.pi * theta)).max() < 1e-9
+
+
+def test_one_chunk_transform_is_one_product():
+    # on at most 256 elements the transform is M @ W itself, bit for bit
+    G = FinAbGroup((4, 8, 8))
+    rng = random.Random(256)
+    M = np.stack([random_bounded_function(rng, G).values for _ in range(4)])
+    assert np.array_equal(_transform(M, G), M @ _character_factor(G.orders))
 
 
 def test_norm_cost_cap_boundary():
@@ -333,23 +361,47 @@ def test_norm_caps_refuse_a_huge_order_at_once():
                 norm(f, 10**9)
 
 
-def test_table_caches_are_bounded():
-    # U^3 on ten groups reads ten add tables and ten blocks of characters
-    for m in range(2, 12):
-        gowers_norm(GroupFunction.ones(FinAbGroup((m,))), 3)
-    assert _add_table.cache_info().currsize <= 8
-    assert _characters.cache_info().currsize <= 8
-
-
-def test_translate_and_order_one_build_no_add_table():
-    # the table has |G|^2 entries (128 MB on Z_4096); neither call reads it
-    _add_table.cache_clear()
+def test_norms_and_translate_allocate_no_square_array():
+    # an array of |G|^2 int64 or complex entries is 134 or 268 MB on Z_4093;
+    # U^2, U^3, translate and the exact U^1 each stay far below one of them
     G = FinAbGroup((4093,))
     f = random_unimodular_function(random.Random(4093), G, denominator=12)
+    calls = [
+        lambda: gowers_norm(f, 2),
+        lambda: gowers_norm(f, 3, cap=G.order**3),
+        lambda: f.translate(G.element((5,))),
+        lambda: gowers_norm_exact(f, 1),
+    ]
+    for call in calls:
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < G.order**2, peak
     g = f.translate(G.element((5,)))
     assert g.phases[:3] == f.phases[5:8] and g.phases[-5] == f.phases[0]
-    assert gowers_norm_exact(f, 1).order == 1
-    assert _add_table.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("orders", [(2,) * 13, (8192,)], ids=["2^13", "8192"])
+def test_u2_on_8192_elements_matches_the_fourier_coefficients(orders):
+    # ||f||_{U^2}^4 = sum_xi |f_hat(xi)|^4, in two chunk factors or one FFT
+    G = FinAbGroup(orders)
+    f = random_bounded_function(random.Random(8192), G)
+    start = time.perf_counter()
+    value = gowers_norm(f, 2)
+    took = time.perf_counter() - start
+    expected = float(np.sum(np.abs(fourier_coefficients(f)) ** 4)) ** 0.25
+    assert abs(value - expected) < 1e-12
+    assert took < 0.5, took
+
+
+def test_bilinear_l6_u3_at_cap_2_36():
+    # |G| = 4,096: 4,096 derivative rows through factors of 256 and 16 elements
+    f = bilinear_function(6)
+    with deadline(10.0):
+        assert abs(gowers_norm(f, 3, cap=2**36) - 1.0) < TOL
 
 
 def test_bilinear_l5_u3_and_box():
@@ -440,7 +492,7 @@ def test_exact_norm_matches_oracle_large_modulus(orders, N):
 @pytest.mark.parametrize("N", [257, 360, 1009 * 1013])
 def test_difference_counts_fold_matches_modulo_oracle(N):
     # every row holds 0 and N - 1, so differences of +-(N - 1) hit both ends
-    # of the 2N bins; 70 rows of 256 entries run in two blocks of 2^22 // 256^2 = 64
+    # of the 2N bins; 70 rows of 256 entries run in two blocks of 2^22 // (70 * 256) = 234 columns
     rng = np.random.default_rng(N)
     M = rng.integers(0, N, size=(70, 256))
     M[:, 0], M[:, -1] = 0, N - 1
@@ -795,6 +847,14 @@ def test_cut_norm_refuses_iters_below_one(iters):
     f = GroupFunction.ones(FinAbGroup((2, 3)))
     with pytest.raises(ValueError, match="iters"):
         cut_norm_lower(f, 1, iters=iters)
+
+
+def test_cut_norm_refuses_values_whose_objective_overflows():
+    # 1e308 entries overflow every restart's objective to NaN, so no witness
+    # family is kept; the value -1.0 and no witnesses used to come back
+    f = GroupFunction(FinAbGroup((2, 2)), [1e308 + 1e308j] * 4)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match="finite objective"):
+        cut_norm_lower(f, 1)
 
 
 @pytest.mark.parametrize("restarts", [-1, -3])

@@ -25,6 +25,7 @@ from gowerslab.nilcube import (
     rooted_factor_average,
     split_cocycle,
 )
+from test_groups import deadline
 
 D1Z2 = FilteredGroupNilspace(((2, 1),))
 D2Z2 = FilteredGroupNilspace(((2, 2),))
@@ -419,6 +420,35 @@ def test_is_morphism_refuses_a_table_of_the_wrong_length(length):
 def test_is_morphism_refuses_a_value_with_the_wrong_number_of_coordinates():
     with pytest.raises(ValueError, match=r"ncoords\(Y\) = 1 coordinates"):
         is_morphism(((0, 0), (1, 0)), D1Z2, D1Z2)
+
+
+@pytest.mark.parametrize("degree", [20, 100, 2**40])
+def test_a_face_beyond_the_cube_cap_is_refused_at_once(degree):
+    # a (d+1)-cube of 2^(d+1) > 2,000,000 vertices: 2^40 used to end in a
+    # MemoryError at the int64 bound of the face sums, 100 in numpy's
+    # "Maximum allowed size exceeded" while building the cube set
+    for X, table in ((D1Z2, ((0,), (0,))), (FilteredGroupNilspace(((1, 1),)), ((0,),))):
+        Y = FilteredGroupNilspace(((2, degree),))
+        with deadline(2.0), pytest.raises(CapExceeded, match="cube-set cap"):
+            is_morphism(table, X, Y)
+        with deadline(2.0), pytest.raises(CapExceeded, match="cube-set cap"):
+            enumerate_morphisms(X, Y)
+
+
+def test_a_face_at_the_cube_cap_is_summed():
+    # d + 1 = 20: 2^20 vertices, within the cap; the trivial X maps anywhere
+    X = FilteredGroupNilspace(((1, 1),))
+    assert is_morphism(((1,),), X, FilteredGroupNilspace(((2, 19),)))
+
+
+@pytest.mark.parametrize("factors, dim", [(((6, 1),), 3), (((3, 1), (2, 1)), 2), (((2, 2),), 3), (((4, 1),), 1)])
+def test_varying_members_are_those_no_axis_leaves_constant(factors, dim):
+    # a cube constant along an axis has signed sum 0 under every map; the rest stay, in member order
+    cs = cube_set(FilteredGroupNilspace(factors), dim)
+    flips = [[v ^ (1 << (dim - 1 - i)) for v in range(2**dim)] for i in range(dim)]
+    expected = [q for q in cs.members.tolist() if all(any(q[v] != q[w] for v, w in enumerate(f)) for f in flips)]
+    assert cs._varying.tolist() == expected
+    assert not cs._varying.flags.writeable
 
 
 @pytest.mark.parametrize("m", [2**62, 2**63 - 4, 2**64])
