@@ -31,7 +31,6 @@ from .groups import (
     FinAbGroup,
     Homomorphism,
     Subgroup,
-    _rows,
     complemented_enlarge,
     complemented_hull,
     find_complement,
@@ -210,11 +209,7 @@ def _zrows(rows, count: int, Z: FinAbGroup, what: str) -> np.ndarray:
         raise ConfigError(
             f"{what} ({count} expected), each a list of {Z.ncoords} integers"
         )
-    try:
-        values = np.array(flat, dtype=np.int64)
-    except OverflowError:  # beyond int64: reduce as Python ints
-        values = np.array(flat, dtype=object)
-    return (values.reshape(count, Z.ncoords) % Z.moduli.astype(values.dtype)).astype(np.int64)
+    return Z.residues(rows)
 
 
 def _capped(cost: int, cap: int, what: str) -> None:
@@ -314,23 +309,23 @@ def _run_complement(params, seed, cap, tol):
     _capped(2 * G.order, cap, "2|A|")  # find_complement's cost, compared before H's mask exists
     H = _subgroup(G, _need(params, "generators", list))
     K = find_complement(H, cap=cap)
-    inputs = {"group": list(G.orders), "generators": [list(g.coords) for g in H.generators], "subgroup_order": H.order}
+    inputs = {"group": list(G.orders), "generators": H.rows, "subgroup_order": H.order}
     outputs: dict = {}
     if K is None:
         outputs["complement"] = None
         if G.is_pgroup():
-            if len(H.generators) == 1:
+            if len(H.rows) == 1:
                 Hh, Kh = complemented_hull(H.generators[0])
             else:
                 Hh, Kh = complemented_enlarge(H)
             outputs["complemented_hull"] = {
-                "generators": _rows(Hh.generators, G.ncoords),
+                "generators": Hh.rows,
                 "order": Hh.order,
-                "complement_generators": _rows(Kh.generators, G.ncoords),
+                "complement_generators": Kh.rows,
                 "complement_order": Kh.order,
             }
     else:
-        outputs["complement"] = {"generators": _rows(K.generators, G.ncoords), "order": K.order}
+        outputs["complement"] = {"generators": K.rows, "order": K.order}
     return inputs, outputs, []
 
 
@@ -339,12 +334,12 @@ def _run_shrink(params, seed, cap, tol):
     _capped(G.order, cap, "|A|")
     H = _subgroup(G, _need(params, "generators", list))
     Hp, K = mtorsion_complemented_shrink(H)
-    inputs = {"group": list(G.orders), "generators": [list(g.coords) for g in H.generators], "index": H.index}
+    inputs = {"group": list(G.orders), "generators": H.rows, "index": H.index}
     outputs = {
-        "shrunk_generators": _rows(Hp.generators, G.ncoords),
+        "shrunk_generators": Hp.rows,
         "shrunk_order": Hp.order,
         "shrunk_index": Hp.index,
-        "complement_generators": _rows(K.generators, G.ncoords),
+        "complement_generators": K.rows,
         "complement_order": K.order,
     }
     return inputs, outputs, []

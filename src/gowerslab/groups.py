@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import product as iproduct
+from itertools import chain, product as iproduct
 from math import gcd, lcm, prod
 from operator import index
 
@@ -77,9 +77,11 @@ def _factorize(n: int) -> dict[int, int]:
 _BLOCK = 2**17
 # the most elements of a chunk: a run of cyclic axes with its own add table and character factor
 _CHUNK = 256
+# the chunks whose add table and character factor stay cached, each at most _CHUNK^2 entries
+_CHUNK_RUNS = 32
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=_CHUNK_RUNS)
 def _chunk_add(orders: tuple[int, ...]) -> np.ndarray:
     """Index table T[h, x] = index of h + x in a chunk Z_{m_1} x ..., row-major, built one axis at a time."""
     out = np.zeros((1, 1), dtype=np.int64)
@@ -88,11 +90,6 @@ def _chunk_add(orders: tuple[int, ...]) -> np.ndarray:
         out = (out[:, None, :, None] * m + ((a[:, None] + a) % m)[:, None]).reshape(len(out) * m, -1)
     out.flags.writeable = False
     return out
-
-
-def _rows(elements, ncoords: int) -> np.ndarray:
-    """The coordinates of a sequence of elements as the rows of an int64 array."""
-    return np.array([x.coords for x in elements], dtype=np.int64).reshape(len(elements), ncoords)
 
 
 def _integer(x) -> int:
@@ -185,6 +182,15 @@ class FinAbGroup:
         for coords in iproduct(*(range(m) for m in self.orders)):
             yield GroupElement(self, coords)
 
+    def residues(self, rows) -> np.ndarray:
+        """Integer rows of ncoords entries each (Python ints past int64 too) reduced mod the orders, as int64."""
+        flat = list(chain.from_iterable(rows))  # numpy converts one flat list several times faster than nested ones
+        try:
+            values = np.array(flat, dtype=np.int64)
+        except OverflowError:  # beyond int64: reduce as Python ints
+            values = np.array(flat, dtype=object)
+        return (values.reshape(len(rows), self.ncoords) % self.moduli.astype(values.dtype)).astype(np.int64)
+
     def index_of(self, coords) -> int:
         """Row-major (first coordinate major) index of a residue vector."""
         i = 0
@@ -194,13 +200,7 @@ class FinAbGroup:
 
     def generators(self) -> list["GroupElement"]:
         """Standard generators e_j of the coordinates with order > 1."""
-        gens = []
-        for j, m in enumerate(self.orders):
-            if m > 1:
-                c = [0] * self.ncoords
-                c[j] = 1
-                gens.append(GroupElement(self, tuple(c)))
-        return gens
+        return [GroupElement(self, tuple(c)) for c in np.eye(self.ncoords, dtype=np.int64)[self.moduli > 1].tolist()]
 
     def is_pgroup(self) -> bool:
         return len(_factorize(self.order)) <= 1
@@ -375,8 +375,13 @@ def image(h: Homomorphism) -> "Subgroup":
 # subgroups
 
 
-def _span(parent: FinAbGroup, gens, mask: np.ndarray | None = None) -> np.ndarray:
-    """Membership mask of the subgroup generated by ``gens`` and the members of ``mask`` (or 0).
+def _orders(A: FinAbGroup, rows: np.ndarray) -> np.ndarray:
+    """The additive order of each coordinate row: the lcm of m_j / gcd(x_j, m_j)."""
+    return np.lcm.reduce(A.moduli // np.gcd(rows, A.moduli), axis=1, initial=1)
+
+
+def _span(parent: FinAbGroup, rows: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
+    """Membership mask of the subgroup generated by the coordinate rows ``rows`` and the members of ``mask`` (or 0).
 
     With d the least k >= 1 such that k*g lies in the span S, adding g
     makes S the disjoint union of the cosets S + k*g, 0 <= k < d: one
@@ -388,10 +393,8 @@ def _span(parent: FinAbGroup, gens, mask: np.ndarray | None = None) -> np.ndarra
         mask[0] = True
     else:
         mask, span = mask.copy(), parent.coords_array[mask]
-    for g in gens:
-        if g.group != parent:
-            raise ValueError("generator not in the parent group")
-        multiples = np.arange(1, g.order() + 1)[:, None] * np.array(g.coords, dtype=np.int64) % m
+    for g, order in zip(rows, _orders(parent, rows).tolist()):
+        multiples = np.arange(1, order + 1)[:, None] * g % m
         d = 1 + int(mask[multiples @ w].argmax())  # the last multiple is 0, always in S
         if d > 1:
             new = ((span[None] + multiples[: d - 1, None]) % m).reshape(-1, parent.ncoords)
@@ -402,35 +405,54 @@ def _span(parent: FinAbGroup, gens, mask: np.ndarray | None = None) -> np.ndarra
 
 @dataclass(frozen=True, eq=False)
 class Subgroup:
-    """A subgroup of ``parent``: its generators and its membership mask over the parent's indices."""
+    """A subgroup of ``parent``: its generators, the rows of a read-only int64 (r, ncoords) array of
+    residues, and its membership mask over the parent's indices, spanned from the rows when not given."""
 
     parent: FinAbGroup
-    generators: tuple[GroupElement, ...]
-    mask: np.ndarray
+    rows: np.ndarray
+    mask: np.ndarray | None = None
+
+    def __post_init__(self):
+        self.rows.flags.writeable = False
+        if self.mask is None:
+            object.__setattr__(self, "mask", _span(self.parent, self.rows))
 
     @classmethod
     def from_generators(cls, parent: FinAbGroup, gens) -> "Subgroup":
-        gens = tuple(parent.element(g) if not isinstance(g, GroupElement) else g for g in gens)
-        return cls(parent, gens, _span(parent, gens))
+        """The subgroup generated by ``gens``, each an element of ``parent`` or a list of integer coordinates."""
+        coords = []
+        for g in gens:
+            if isinstance(g, GroupElement) and g.group != parent:
+                raise ValueError("generator not in the parent group")
+            coords.append([_integer(c) for c in (g.coords if isinstance(g, GroupElement) else g)])
+        if any(len(c) != parent.ncoords for c in coords):
+            raise ValueError(f"a generator needs one coordinate per cyclic factor, {parent.ncoords}")
+        return cls(parent, parent.residues(coords))
 
     @classmethod
     def _from_mask(cls, parent: FinAbGroup, target: np.ndarray) -> "Subgroup":
         """The subgroup with members ``target``; each generator is the least member not yet spanned."""
-        members, gens, mask = np.flatnonzero(target), [], _span(parent, ())
+        members, firsts, mask = np.flatnonzero(target), [], cls.trivial(parent).mask
         while len(rest := members[~mask[members]]):
-            gens.append(GroupElement(parent, tuple(parent.coords_array[rest[0]].tolist())))
-            mask = _span(parent, gens[-1:], mask)
+            firsts.append(rest[0])
+            mask = _span(parent, parent.coords_array[rest[:1]], mask)
         if np.count_nonzero(mask) != len(members):
             raise ValueError("element set is not closed under the group operation")
-        return cls(parent, tuple(gens), mask)
+        return cls(parent, parent.coords_array[firsts], mask)
 
     @classmethod
     def trivial(cls, parent: FinAbGroup) -> "Subgroup":
-        return cls(parent, (), _span(parent, ()))
+        return cls(parent, np.zeros((0, parent.ncoords), dtype=np.int64))
 
     @classmethod
     def full(cls, parent: FinAbGroup) -> "Subgroup":
-        return cls(parent, tuple(reversed(parent.generators())), np.ones(parent.order, dtype=bool))
+        rows = np.eye(parent.ncoords, dtype=np.int64)[parent.moduli > 1][::-1]
+        return cls(parent, rows, np.ones(parent.order, dtype=bool))
+
+    @cached_property
+    def generators(self) -> tuple[GroupElement, ...]:
+        """The generator rows as ``GroupElement``s, built on first use."""
+        return tuple(GroupElement(self.parent, tuple(c)) for c in self.rows.tolist())
 
     @cached_property
     def order(self) -> int:
@@ -455,11 +477,11 @@ class Subgroup:
         return isinstance(x, GroupElement) and x.group == A and bool(self.mask[A.index_of(x.coords)])
 
     def __eq__(self, other) -> bool:
-        same = isinstance(other, Subgroup) and (self.parent, self.generators) == (other.parent, other.generators)
-        return same and np.array_equal(self.mask, other.mask)
+        same = isinstance(other, Subgroup) and self.parent == other.parent
+        return same and np.array_equal(self.rows, other.rows) and np.array_equal(self.mask, other.mask)
 
     def __hash__(self):
-        return hash((self.parent, self.generators, self.mask.tobytes()))
+        return hash((self.parent, self.rows.tobytes(), self.mask.tobytes()))
 
     def issubset(self, other: "Subgroup") -> bool:
         return self.parent == other.parent and not np.any(self.mask & ~other.mask)
@@ -468,8 +490,10 @@ class Subgroup:
         return Subgroup._from_mask(self.parent, self.mask & other.mask)
 
     def join(self, other: "Subgroup") -> "Subgroup":
-        mask = _span(self.parent, other.generators, self.mask)
-        return Subgroup(self.parent, self.generators + other.generators, mask)
+        if other.parent != self.parent:
+            raise ValueError("subgroups of different groups")
+        mask = _span(self.parent, other.rows, self.mask)
+        return Subgroup(self.parent, np.concatenate((self.rows, other.rows)), mask)
 
     def __repr__(self):
         return f"Subgroup(order={self.order} of {self.parent!r})"
@@ -550,11 +574,7 @@ def quotient(G: FinAbGroup, H: Subgroup) -> Quotient:
     if H.parent != G:
         raise ValueError("H is not a subgroup of G")
     r = G.ncoords
-    cols = [list(g.coords) for g in H.generators]
-    mat = [[G.orders[i] if i == j else 0 for j in range(r)] for i in range(r)]
-    for col in cols:
-        for i in range(r):
-            mat[i].append(col[i])
+    mat = [[G.orders[i] * (i == j) for j in range(r)] + col for i, col in enumerate(H.rows.T.tolist())]
     U, S, _ = smith_normal_form(mat)
     divisors = [S[i][i] for i in range(r)]
     keep = [i for i, d in enumerate(divisors) if d != 1]
@@ -601,13 +621,7 @@ def primary_decompose(G: FinAbGroup) -> PrimaryDecomposition:
     product = FinAbGroup(tuple(prod_orders))
 
     # iso: reduce each coordinate into its prime-power parts
-    iso_rows = []
-    for p in primes:
-        for j in sources[p]:
-            row = [0] * G.ncoords
-            row[j] = 1
-            iso_rows.append(row)
-    iso = Homomorphism(G, product, iso_rows)
+    iso = Homomorphism(G, product, [[int(j == src) for j in range(G.ncoords)] for p in primes for src in sources[p]])
 
     # inverse: CRT reconstruction coefficients per original coordinate
     inv_rows = []
@@ -663,8 +677,8 @@ def verify_complement(A: FinAbGroup, H: Subgroup, K: Subgroup) -> None:
         raise PostconditionError("H + K does not cover A")
 
 
-def _first_lifts(quo: Quotient, *, same_order: bool = False) -> list[GroupElement] | None:
-    """First preimage in lexicographic order of each generator e_j of A/H.
+def _first_lifts(quo: Quotient, *, same_order: bool = False) -> np.ndarray | None:
+    """First preimage in lexicographic order of each generator e_j of A/H, as coordinate rows.
 
     With ``same_order`` a preimage must also have the order d_j of e_j.
     Read off the projection's image table; None when some e_j has no such
@@ -675,12 +689,11 @@ def _first_lifts(quo: Quotient, *, same_order: bool = False) -> list[GroupElemen
     for d, w in zip(Q.orders, Q.radix.tolist()):  # every d_j > 1, so e_j has index w_j
         cand = np.flatnonzero(quo.projection.image_index == w)
         if same_order:
-            orders = np.lcm.reduce(A.moduli // np.gcd(A.coords_array[cand], A.moduli), axis=1, initial=1)
-            cand = cand[orders == d]
+            cand = cand[_orders(A, A.coords_array[cand]) == d]
         if not len(cand):
             return None
-        lifts.append(GroupElement(A, tuple(A.coords_array[cand[0]].tolist())))
-    return lifts
+        lifts.append(cand[0])
+    return A.coords_array[lifts]
 
 
 def find_complement(H: Subgroup, *, cap: int = 10**7) -> Subgroup | None:
@@ -702,41 +715,40 @@ def find_complement(H: Subgroup, *, cap: int = 10**7) -> Subgroup | None:
     lifts = _first_lifts(quotient(A, H), same_order=True)
     if lifts is None:
         return None
-    K = Subgroup.from_generators(A, lifts)
+    K = Subgroup(A, lifts)
     verify_complement(A, H, K)
     return K
 
 
-def _subgroup_basis(H: Subgroup) -> list[GroupElement]:
-    """Independent generators of H, of orders e_1 | e_2 | ..., from H.generators.
+def _subgroup_basis(H: Subgroup) -> np.ndarray:
+    """Independent generators of H, of orders e_1 | e_2 | ..., as rows, from the rows of H.
 
     H = Z^r / L for the relation lattice L of its generators h_1, ..., h_r.
     In the Smith form U M V = S of M = [h_1 ... h_r | diag(orders)], the last
     r columns of V span the kernel of M; their first r rows form an R with
     L = R Z^r.  With U2 R V2 = diag(e), column i of U2^-1 is column i of
     R V2 over e_i, so b_i = sum_j ((R V2)_{ji} / e_i) h_j has order e_i and
-    H is their direct sum; the e_i = 1 terms are 0.
+    H is their direct sum; the e_i = 1 terms are dropped.  The coefficients
+    are Python ints, so the one product with the rows of H is exact.
     """
-    A, gens = H.parent, H.generators
-    r, n = len(gens), A.ncoords
+    A, gens = H.parent, H.rows
+    r, n = gens.shape
     if r == 0 or n == 0:  # no generators, or the group of no coordinates
-        return []
-    M = [[g.coords[i] for g in gens] + [A.orders[i] * (k == i) for k in range(n)] for i in range(n)]
+        return np.zeros((0, n), dtype=np.int64)
+    M = [col + [A.orders[i] * (k == i) for k in range(n)] for i, col in enumerate(gens.T.tolist())]
     R = [row[n:] for row in smith_normal_form(M)[2][:r]]
     _, E, V2 = smith_normal_form(R)
-    basis = []
-    for i in range(r):
-        if E[i][i] != 1:
-            col = (sum(a * v[i] for a, v in zip(row, V2)) // E[i][i] for row in R)
-            basis.append(sum((c * h for c, h in zip(col, gens)), A.zero))
-    return basis
+    keep = [i for i in range(r) if E[i][i] != 1]
+    RV = (np.array(R, dtype=object) @ np.array(V2, dtype=object))[:, keep]
+    coeffs = RV.T // np.array([E[i][i] for i in keep], dtype=object).reshape(-1, 1)
+    return A.residues(coeffs @ gens.astype(object))
 
 
 class _PresentedSubgroup:
     """A subgroup of A rewritten as a product of cyclic groups.
 
-    The view group is Z_{ord b_1} x ... x Z_{ord b_l} for the basis b_i of
-    ``_subgroup_basis``.  Two index arrays translate both ways: view to
+    The view group is Z_{ord b_1} x ... x Z_{ord b_l} for the basis rows b_i
+    of ``_subgroup_basis``.  Two index arrays translate both ways: view to
     parent is (view coords @ basis) mod the orders, parent to view holds -1
     off the subgroup.  The first is checked to biject onto the subgroup, so
     the hull/enlarge recursion can run inside any subgroup.
@@ -745,26 +757,25 @@ class _PresentedSubgroup:
     def __init__(self, sub: Subgroup):
         A = self.parent = sub.parent
         self.basis = _subgroup_basis(sub)
-        self.group = FinAbGroup(tuple(b.order() for b in self.basis))
-        B = _rows(self.basis, A.ncoords)
-        self._to_parent = (self.group.coords_array @ B) % A.moduli @ A.radix
+        self.group = FinAbGroup(_orders(A, self.basis).tolist())
+        self._to_parent = (self.group.coords_array @ self.basis) % A.moduli @ A.radix
         self._to_view = np.full(A.order, -1, dtype=np.int64)
         self._to_view[self._to_parent] = np.arange(self.group.order)
         if self.group.order != sub.order or not np.array_equal(self._to_view >= 0, sub.mask):
             raise PostconditionError("basis is not an independent generating set of the subgroup")
 
-    def view_coords(self, x: GroupElement) -> GroupElement:
-        v = int(self._to_view[self.parent.index_of(x.coords)])
-        if v < 0:
+    def to_view(self, rows: np.ndarray) -> np.ndarray:
+        """The view coordinates of parent coordinate rows; ValueError off the subgroup."""
+        v = self._to_view[rows @ self.parent.radix]
+        if np.any(v < 0):
             raise ValueError("element not in the subgroup")
-        return GroupElement(self.group, tuple(self.group.coords_array[v].tolist()))
+        return self.group.coords_array[v]
 
     def pull_subgroup(self, sub_in_view: Subgroup) -> Subgroup:
         A, V = self.parent, self.group
-        gens = A.coords_array[self._to_parent[_rows(sub_in_view.generators, V.ncoords) @ V.radix]].tolist()
         mask = np.zeros(A.order, dtype=bool)
         mask[self._to_parent[sub_in_view.mask]] = True
-        return Subgroup(A, tuple(GroupElement(A, tuple(g)) for g in gens), mask)
+        return Subgroup(A, A.coords_array[self._to_parent[sub_in_view.rows @ V.radix]], mask)
 
 
 def complemented_hull(x: GroupElement) -> tuple[Subgroup, Subgroup]:
@@ -780,7 +791,11 @@ def complemented_hull(x: GroupElement) -> tuple[Subgroup, Subgroup]:
     j0, so is 0, and the orders multiply to |block|.  Returns (H, K) with K
     a verified complement of H.
     """
-    A = x.group
+    return _hull(x.group, x.coords)
+
+
+def _hull(A: FinAbGroup, x: tuple[int, ...]) -> tuple[Subgroup, Subgroup]:
+    """``complemented_hull`` of the element with residues x."""
     p, n = A.pgroup_data()
     if A.order == 1:
         t = Subgroup.trivial(A)
@@ -788,7 +803,7 @@ def complemented_hull(x: GroupElement) -> tuple[Subgroup, Subgroup]:
     h_gens: list[tuple[int, ...]] = []
     k_axes: list[int] = []  # the coordinates j whose e_j generate K
     active = [j for j in range(A.ncoords) if A.orders[j] > 1]
-    y = x.coords  # zero off the active coordinates
+    y = x  # zero off the active coordinates
     while any(y[j] for j in active):
         while not any(c % p for c in y):
             y = tuple(c // p for c in y)
@@ -803,9 +818,9 @@ def complemented_hull(x: GroupElement) -> tuple[Subgroup, Subgroup]:
         y = tuple(c // p if j in active else 0 for j, c in enumerate(y))
     # the untouched block goes entirely into the complement
     k_axes.extend(active)
-    H = Subgroup.from_generators(A, h_gens)
-    K = Subgroup.from_generators(A, np.eye(A.ncoords, dtype=np.int64)[k_axes].tolist())
-    if x not in H:
+    H = Subgroup(A, np.array(h_gens, dtype=np.int64).reshape(len(h_gens), A.ncoords))
+    K = Subgroup(A, np.eye(A.ncoords, dtype=np.int64)[k_axes])
+    if not H.mask[A.index_of(x)]:
         raise PostconditionError("hull does not contain x")
     if H.order > p ** (n * n):
         raise PostconditionError(f"|H| = {H.order} exceeds p^(n^2) = {p ** (n * n)}")
@@ -816,40 +831,30 @@ def complemented_hull(x: GroupElement) -> tuple[Subgroup, Subgroup]:
 def complemented_enlarge(H: Subgroup) -> tuple[Subgroup, Subgroup]:
     """Complemented H' >= H with |H'| <= p^(n^2 r), r = number of generators.
 
-    Recursion on the generator count: enlarge the first r-1 generators,
-    write the last one as g + k along the split, take the complemented hull
-    of k inside the complement, and join.
+    One generator x at a time, with H' (+) K = A for the generators so far
+    (first 0 and A): write x as g + k along the split, k the first member
+    of K with x - k in H', take the complemented hull of k inside K, and
+    join it to H'.
     """
     A = H.parent
     p, n = A.pgroup_data()
-    r = len(H.generators)
-    Hp, K = _enlarge_rec(A, list(H.generators))
+    r = len(H.rows)
+    Hp, K = Subgroup.trivial(A), Subgroup.full(A)
+    for x in H.rows:
+        ks = A.coords_array[K.mask]  # in sorted order
+        hits = Hp.mask[(x - ks) % A.moduli @ A.radix]
+        if not hits.any():
+            raise PostconditionError("element does not decompose along the claimed split")
+        if (k := ks[np.argmax(hits)]).any():
+            view = _PresentedSubgroup(K)
+            c_v, kp_v = _hull(view.group, tuple(view.to_view(k[None])[0].tolist()))
+            Hp, K = Hp.join(view.pull_subgroup(c_v)), view.pull_subgroup(kp_v)
     if not H.issubset(Hp):
         raise PostconditionError("enlarged subgroup does not contain H")
     if Hp.order > p ** (n * n * max(r, 1)) and Hp.order > 1:
         raise PostconditionError("enlarged subgroup exceeds the p^(n^2 r) bound")
     verify_complement(A, Hp, K)
     return Hp, K
-
-
-def _enlarge_rec(A: FinAbGroup, gens: list[GroupElement]) -> tuple[Subgroup, Subgroup]:
-    if not gens:
-        return Subgroup.trivial(A), Subgroup.full(A)
-    Gp, K = _enlarge_rec(A, gens[:-1])
-    x = gens[-1]
-    ks = A.coords_array[K.mask]  # in sorted order
-    hits = Gp.mask[(np.array(x.coords, dtype=np.int64) - ks) % A.moduli @ A.radix]
-    if not hits.any():
-        raise PostconditionError("element does not decompose along the claimed split")
-    k = GroupElement(A, tuple(ks[np.argmax(hits)].tolist()))  # the first k of K with x - k in Gp
-    if k.is_zero():
-        return Gp, K
-    view = _PresentedSubgroup(K)
-    c_v, kp_v = complemented_hull(view.view_coords(k))
-    C = view.pull_subgroup(c_v)
-    Kp = view.pull_subgroup(kp_v)
-    Hp = Gp.join(C)
-    return Hp, Kp
 
 
 def complemented_shrink(H: Subgroup) -> tuple[Subgroup, Subgroup]:
@@ -866,18 +871,15 @@ def complemented_shrink(H: Subgroup) -> tuple[Subgroup, Subgroup]:
         Hp, K = Subgroup.full(A), Subgroup.trivial(A)
         verify_complement(A, Hp, K)
         return Hp, K
-    T = Subgroup.from_generators(A, _first_lifts(quotient(A, H)))
+    T = Subgroup(A, _first_lifts(quotient(A, H)))
     if H.join(T).order != A.order:
         raise PostconditionError("lifted transversal subgroup does not cover A")
     Q = H.intersection(T)
 
     view = _PresentedSubgroup(H)
-    q_gens_v = [view.view_coords(b) for b in _subgroup_basis(Q)]
-    Qp_v, K_v = complemented_enlarge(Subgroup.from_generators(view.group, q_gens_v))
+    Qp_v, K_v = complemented_enlarge(Subgroup(view.group, view.to_view(_subgroup_basis(Q))))
     Qp = view.pull_subgroup(Qp_v)
-    K = view.pull_subgroup(K_v)
-
-    Hp = K
+    Hp = view.pull_subgroup(K_v)
     complement = Qp.join(T)
     if Hp.index > r ** (n * n + n):
         raise PostconditionError(
@@ -893,24 +895,20 @@ def mtorsion_complemented_shrink(H: Subgroup) -> tuple[Subgroup, Subgroup]:
     """Complemented H' <= H for general bounded torsion.
 
     Splits A by primary decomposition, shrinks each prime component, and
-    recombines through the decomposition isomorphism: the generators of H
-    go through ``iso`` as coordinate rows, and each component's results come
-    back through ``iso_inv`` as rows that are zero off its slice.
+    recombines through the decomposition isomorphism: the generator rows of
+    H go through ``iso``, and each component's results come back through
+    ``iso_inv`` as rows that are zero off its slice.
     """
     A = H.parent
     dec = primary_decompose(A)
-    parts = dec.iso.images(_rows(H.generators, A.ncoords))
-    hp_gens: list[list[int]] = []
-    k_gens: list[list[int]] = []
+    parts, width = dec.iso.images(H.rows), dec.product.ncoords
+    found = [[np.zeros((0, width), dtype=np.int64)] for _ in range(2)]  # blocks of the rows of H' and of K
     for p in dec.primes:
         a, b = dec.slices[p]
-        Hp_p, K_p = complemented_shrink(Subgroup.from_generators(dec.components[p], parts[:, a:b].tolist()))
-        for S, gens in ((Hp_p, hp_gens), (K_p, k_gens)):
-            rows = np.zeros((len(S.generators), dec.product.ncoords), dtype=np.int64)
-            rows[:, a:b] = _rows(S.generators, b - a)
-            gens.extend(dec.iso_inv.images(rows).tolist())
-    Hp = Subgroup.from_generators(A, hp_gens)
-    K = Subgroup.from_generators(A, k_gens)
+        for rows, S in zip(found, complemented_shrink(Subgroup(dec.components[p], parts[:, a:b]))):
+            rows.append(np.zeros((len(S.rows), width), dtype=np.int64))
+            rows[-1][:, a:b] = S.rows
+    Hp, K = (Subgroup(A, dec.iso_inv.images(np.concatenate(rows))) for rows in found)
     if not Hp.issubset(H):
         raise PostconditionError("shrunk subgroup is not contained in H")
     verify_complement(A, Hp, K)

@@ -42,7 +42,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import CapExceeded, PostconditionError, cap_power
-from .groups import _BLOCK, _CHUNK, FinAbGroup, GroupElement, Homomorphism, kernel
+from .groups import _BLOCK, _CHUNK, _CHUNK_RUNS, FinAbGroup, GroupElement, Homomorphism, kernel
 from .polymaps import PolyMap
 
 __all__ = [
@@ -67,7 +67,7 @@ __all__ = [
 _TOL = 1e-9
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=_CHUNK_RUNS)
 def _character_factor(orders: tuple[int, ...]) -> np.ndarray:
     """W[x, xi] = e(-sum_j x_j xi_j / m_j) on one chunk of at most _CHUNK elements.
 
@@ -251,12 +251,16 @@ class ExactNorm:
         return max(self.power_value, 0.0) ** (1.0 / 2**self.order)
 
 
-def _histogram_gram(M: np.ndarray, N: int) -> np.ndarray:
-    """H^T H for the row histograms H[r, a] = #{x : M[r, x] = a}, built in one bincount."""
-    R = M.shape[0]
-    offsets = (N * np.arange(R))[:, None]
-    H = np.bincount((M + offsets).ravel(), minlength=R * N).reshape(R, N)
-    return H.T @ H
+def _gram_diagonals(M: np.ndarray, N: int) -> np.ndarray:
+    """counts[c] = sum_a (H^T H)[a, a + c mod N] for the row histograms H[r, a] = #{x : M[r, x] = a}:
+    H is one bincount, and the Gram matrix H^T H comes a block of rows of about _BLOCK entries at a time."""
+    R, c = M.shape[0], np.arange(N)
+    H = np.bincount((M + (N * np.arange(R))[:, None]).ravel(), minlength=R * N).reshape(R, N)
+    counts, step = np.zeros(N, dtype=np.int64), max(1, _BLOCK // N)
+    for a in range(0, N, step):
+        rows = np.arange(a, min(a + step, N))[:, None]
+        counts += (H[:, a : a + step].T @ H)[rows - a, (rows + c) % N].sum(axis=0)
+    return counts
 
 
 def _difference_counts(M: np.ndarray, N: int) -> np.ndarray:
@@ -286,8 +290,9 @@ def gowers_norm_exact(f: GroupFunction, order: int, *, cap: int = 2**24) -> Exac
     tables D come in blocks of rows of about _BLOCK entries, and the counts
     add up over rows.  When N <= |G| they are read off the N x N Gram
     matrix sum H^T H of the row histograms H along its diagonals
-    b - a = c; otherwise the differences within each row are counted
-    directly, about 2^22 at a time in a 2N-long transient bincount.  Every
+    b - a = c, a block of its rows at a time; otherwise the differences
+    within each row are counted directly, about 2^22 at a time in a
+    2N-long transient bincount.  Every
     intermediate quantity is an integer, and ``cap`` bounds the number of
     counted tuples, |G|^(order+1), and the N-long count vector.
     """
@@ -301,12 +306,7 @@ def gowers_norm_exact(f: GroupFunction, order: int, *, cap: int = 2**24) -> Exac
     if N > cap:
         raise CapExceeded(f"the phase modulus N = {N} exceeds cap {cap}")
     tables = _derivative_blocks(P[None, :], order - 1, G, lambda a, b: (a - b) % N)
-    if N <= G.order:
-        gram = sum(_histogram_gram(M, N) for M in tables)
-        a = np.arange(N)
-        counts = gram[a[:, None], (a[:, None] + a) % N].sum(axis=0)
-    else:
-        counts = sum(_difference_counts(M, N) for M in tables)
+    counts = sum((_gram_diagonals if N <= G.order else _difference_counts)(M, N) for M in tables)
     return ExactNorm(N, tuple(int(c) for c in counts), G.order ** (order + 1), order)
 
 

@@ -189,6 +189,8 @@ class CubeSet:
     """
 
     def __init__(self, nilspace: FilteredGroupNilspace, dim: int, *, cap: int = _CUBE_CAP):
+        if dim >= cap.bit_length():  # 2^dim > cap, on any carrier: refused before anything is sized
+            raise CapExceeded(f"a {dim}-cube has 2^{dim} vertices, more than the cube-set cap {cap}")
         self.nilspace = nilspace
         self.dim = dim
         self.cap = cap
@@ -463,12 +465,12 @@ def _into_factor(T: np.ndarray, X: FilteredGroupNilspace, m: int, d: int) -> np.
     They stream in blocks of at most ``_BLOCK`` images, and a row is dropped
     at its first failing block.  A sum is at most 2^d (m - 1) in magnitude,
     so it is taken in int64 where that fits and in Python ints above.  A
-    cube of more vertices than the cube-set cap is refused before any size.
+    cube of more vertices than the cube-set cap is refused (by ``CubeSet``)
+    before any size.
     """
-    if d + 1 >= _CUBE_CAP.bit_length():  # 2^(d+1) > _CUBE_CAP
-        raise CapExceeded(f"a {d + 1}-cube has 2^{d + 1} vertices, more than the cube-set cap {_CUBE_CAP}")
+    Q = cube_set(X, d + 1)._varying
     dtype = np.int64 if (m - 1) << d < 2**63 else object
-    Q, signs = cube_set(X, d + 1)._varying, np.array(_signs(d + 1), dtype=dtype)
+    signs = np.array(_signs(d + 1), dtype=dtype)
     T, start = T.astype(dtype, copy=False), 0
     while len(T) and start < len(Q):
         stop = start + max(1, _BLOCK // len(T))

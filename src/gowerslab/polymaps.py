@@ -80,12 +80,7 @@ class PolyMap:
         rows = [[_integer(c) for c in row] for row in table]
         if len(rows) != domain.order or any(len(r) != codomain.ncoords for r in rows):
             raise ValueError("table must have one value of ncoords(codomain) integers per domain element")
-        try:
-            values = np.array(rows, dtype=np.int64)
-        except OverflowError:  # beyond int64: reduce as Python ints
-            values = np.array(rows, dtype=object)
-        values = values.reshape(domain.order, codomain.ncoords) % codomain.moduli.astype(values.dtype)
-        values = values.astype(np.int64)
+        values = codomain.residues(rows)
         values.flags.writeable = False
         vars(self).update(domain=domain, codomain=codomain, values=values)
 

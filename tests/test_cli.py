@@ -381,6 +381,7 @@ def test_main_huge_group_exit_3(tmp_path, command, params):
 
 
 _SPLIT_PARAMS = {"y1": [[2, 1]], "y2": [[3, 1]], "z": [3], "k": 1, "cocycle": {"kind": "random"}}
+_TRIVIAL_SPLIT = dict(_SPLIT_PARAMS, y1=[[1, 1]], y2=[[1, 1]])
 _OBSTRUCT_U4 = {  # |A| N = 64, and U^4 on |A| = 16 sums 16^4 = 65,536 terms
     "domain": [16],
     "codomain": [16],
@@ -411,6 +412,11 @@ _OBSTRUCT_U4 = {  # |A| N = 64, and U^4 on |A| = 16 sums 16^4 = 65,536 terms
         # a (d+1)-cube of more than 2^20 vertices, refused before it is sized
         ("morphisms", {"x": [[2, 1]], "y": [[2, 2**40]]}, {}),
         ("morphisms", {"x": [[1, 1]], "y": [[2, 100]]}, {}),
+        # a trivial carrier has one cube, but of 2^(k+1) vertices: beyond the cube-set cap
+        ("avg-split", dict(_TRIVIAL_SPLIT, k=30), {"seed": 1}),
+        ("cocycle-split", dict(_TRIVIAL_SPLIT, k=30), {"seed": 1}),
+        ("avg-split", dict(_TRIVIAL_SPLIT, k=100), {"seed": 1}),
+        ("cocycle-split", dict(_TRIVIAL_SPLIT, k=100), {"seed": 1}),
     ],
     ids=[
         "norm-2^40",
@@ -424,6 +430,10 @@ _OBSTRUCT_U4 = {  # |A| N = 64, and U^4 on |A| = 16 sums 16^4 = 65,536 terms
         "obstruct-U4-cap-64",
         "morphisms-y-degree-2^40",
         "morphisms-trivial-x-y-degree-100",
+        "avg-split-trivial-carrier-k-30",
+        "cocycle-split-trivial-carrier-k-30",
+        "avg-split-trivial-carrier-k-100",
+        "cocycle-split-trivial-carrier-k-100",
     ],
 )
 def test_main_oversized_config_exit_3_within_2s(tmp_path, command, params, extra):

@@ -734,7 +734,7 @@ def test_full_subgroup_matches_element_scan(orders):
 def test_subgroup_basis_matches_greedy_oracle(orders):
     G = FinAbGroup(orders)
     for H in all_subgroups(G):
-        basis = _subgroup_basis(H)
+        basis = [G.element(b) for b in _subgroup_basis(H).tolist()]
         assert closure_set(G, basis) == H.elements
         assert prod(b.order() for b in basis) == H.order
         assert sorted(b.order() for b in basis) == sorted(b.order() for b in _pgroup_basis(G, H.elements))
@@ -820,10 +820,10 @@ def _verify_complement(A, H, K):
 
 
 class _DictPresentedSubgroup:
-    """The view of a subgroup as two dicts, every view element summed from the basis."""
+    """The view of a subgroup as two dicts, every view element summed from the basis elements."""
 
     def __init__(self, sub):
-        self.basis = _subgroup_basis(sub)
+        self.basis = [sub.parent.element(b) for b in _subgroup_basis(sub).tolist()]
         self.group = FinAbGroup(tuple(b.order() for b in self.basis))
         self.to_parent, self.to_view = {}, {}
         for coords in iproduct(*(range(m) for m in self.group.orders)):
@@ -892,7 +892,8 @@ def _complement_pairs():
                 mask = np.zeros(G.order, dtype=bool)
                 mask[[0] + rng.sample(range(1, G.order), size - 1)] = True
                 masks.append(mask)
-            out.append((G, Subgroup(G, (), masks[0]), Subgroup(G, (), masks[1])))
+            no_rows = np.zeros((0, G.ncoords), dtype=np.int64)
+            out.append((G, Subgroup(G, no_rows, masks[0]), Subgroup(G, no_rows, masks[1])))
     G, other = FinAbGroup((4, 2)), FinAbGroup((8,))
     out.append((G, Subgroup.trivial(other), Subgroup.full(G)))
     return out
@@ -936,14 +937,48 @@ def test_presented_subgroup_matches_dict_oracle(orders):
     G = FinAbGroup(orders)
     for H in all_subgroups(G):
         view, oracle = _PresentedSubgroup(H), _DictPresentedSubgroup(H)
-        assert view.basis == oracle.basis and view.group == oracle.group
-        assert {x: view.view_coords(x).coords for x in H.elements} == oracle.to_view
+        assert view.basis.tolist() == [list(b.coords) for b in oracle.basis] and view.group == oracle.group
+        members = G.coords_array[H.mask]
+        assert dict(zip(H.sorted_elements, map(tuple, view.to_view(members).tolist()))) == oracle.to_view
+        assert view._to_parent[view.to_view(members) @ view.group.radix].tolist() == np.flatnonzero(H.mask).tolist()
         # the oracle's view elements run in row-major order, as the indices of _to_parent do
         assert view._to_parent.tolist() == [G.index_of(x.coords) for x in oracle.to_parent.values()]
         for S in all_subgroups(view.group):
             P = view.pull_subgroup(S)
-            assert P.generators == tuple(oracle.to_parent[g.coords] for g in S.generators)
+            assert P.rows.tolist() == [list(oracle.to_parent[g.coords].coords) for g in S.generators]
             assert P.elements == frozenset(oracle.to_parent[v.coords] for v in S.elements)
+
+
+def test_complement_algorithms_build_no_group_element(monkeypatch):
+    # GroupElement is the API's element type: the algorithms run on coordinate rows
+    A, P = FinAbGroup((4, 8, 9, 27, 5, 25)), FinAbGroup((2, 4, 8))
+    H = Subgroup.from_generators(A, [(2, 4, 3, 9, 1, 5), (0, 2, 0, 3, 0, 5)])
+    HP = Subgroup.from_generators(P, [(1, 1, 1), (1, 0, 6)])
+    x = P.element((0, 2, 4))
+    calls = [
+        lambda: find_complement(H),
+        lambda: mtorsion_complemented_shrink(H),
+        lambda: complemented_shrink(HP),
+        lambda: complemented_enlarge(HP),
+        lambda: complemented_hull(x),
+    ]
+    expected = [call() for call in calls]
+    built = []
+    init = GroupElement.__init__
+    monkeypatch.setattr(GroupElement, "__init__", lambda self, *args: (built.append(args), init(self, *args))[1])
+    assert [call() for call in calls] == expected and built == []
+    assert expected[1][0].generators and built  # the generator view is where elements are made
+
+
+def test_generator_rows_refuse_foreign_or_misshapen_generators():
+    G, other = FinAbGroup((4, 2)), FinAbGroup((8,))
+    for gens in ([other.element((1,))], [(1, 2, 3)], [(1.5, 2)]):
+        with pytest.raises(ValueError):
+            Subgroup.from_generators(G, gens)
+    with pytest.raises(ValueError, match="different groups"):
+        Subgroup.trivial(G).join(Subgroup.trivial(other))
+    H = Subgroup.from_generators(G, [(2**70 + 1, -3)])  # reduced exactly, past int64
+    assert H.rows.tolist() == [[1, 1]] and not H.rows.flags.writeable
 
 
 def test_elements_are_built_on_demand_from_the_mask():

@@ -14,7 +14,7 @@ import pytest
 
 from gowerslab import harmonics
 from gowerslab.errors import CapExceeded, PostconditionError
-from gowerslab.groups import FinAbGroup, Homomorphism
+from gowerslab.groups import FinAbGroup, Homomorphism, _chunk_add
 from gowerslab.harmonics import (
     ExactNorm,
     GroupFunction,
@@ -366,11 +366,14 @@ def test_norms_and_translate_allocate_no_square_array():
     # U^2, U^3, translate and the exact U^1 each stay far below one of them
     G = FinAbGroup((4093,))
     f = random_unimodular_function(random.Random(4093), G, denominator=12)
+    # x -> x^2/4093 has N = |G|: its Gram matrix of row histograms is 4093 x 4093
+    square = GroupFunction._exact(G, np.arange(G.order) ** 2 % G.order, G.order)
     calls = [
         lambda: gowers_norm(f, 2),
         lambda: gowers_norm(f, 3, cap=G.order**3),
         lambda: f.translate(G.element((5,))),
         lambda: gowers_norm_exact(f, 1),
+        lambda: gowers_norm_exact(square, 1),
     ]
     for call in calls:
         tracemalloc.start()
@@ -382,6 +385,37 @@ def test_norms_and_translate_allocate_no_square_array():
         assert peak < G.order**2, peak
     g = f.translate(G.element((5,)))
     assert g.phases[:3] == f.phases[5:8] and g.phases[-5] == f.phases[0]
+    P = square.phase_num[None]
+    assert gowers_norm_exact(square, 1).counts == tuple(_difference_counts(P, G.order).tolist())
+
+
+@pytest.mark.parametrize("block", [1, 7, 300, None])
+@pytest.mark.parametrize("N", [1, 12, 64])
+def test_gram_diagonals_in_blocks_match_the_difference_counts(monkeypatch, block, N):
+    # blocks of one Gram row, of a few, of several per block, and the default
+    rng = np.random.default_rng(N)
+    M = rng.integers(0, N, size=(5, 64))
+    if block is not None:
+        monkeypatch.setattr(harmonics, "_BLOCK", block)
+    counts = harmonics._gram_diagonals(M, N)
+    assert counts.dtype == np.int64 and np.array_equal(counts, _difference_counts(M, N))
+
+
+def test_a_second_pass_over_many_chunks_misses_no_cache():
+    # twelve distinct chunk runs, more than the eight each cache used to keep
+    rng = random.Random(12)
+    groups_ = [FinAbGroup(o) for o in [(2,), (3,), (5,), (6,), (7,), (9,), (10,), (11,), (13,), (2, 3, 5), (4, 4), (2, 2, 7)]]
+    fs = [random_bounded_function(rng, G) for G in groups_]
+    caches = (harmonics._character_factor, _chunk_add)
+
+    def run():  # U^3 reads both the add table and the character factor of each chunk
+        return [gowers_norm(f, 3) for f in fs]
+
+    first = run()
+    misses = [c.cache_info().misses for c in caches]
+    assert all(c.cache_info().currsize >= len(fs) for c in caches)
+    assert run() == first
+    assert [c.cache_info().misses for c in caches] == misses
 
 
 @pytest.mark.parametrize("orders", [(2,) * 13, (8192,)], ids=["2^13", "8192"])

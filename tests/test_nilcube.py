@@ -435,6 +435,15 @@ def test_a_face_beyond_the_cube_cap_is_refused_at_once(degree):
             enumerate_morphisms(X, Y)
 
 
+@pytest.mark.parametrize("dim", [21, 31, 101])
+def test_a_cube_set_beyond_the_cube_cap_is_refused_on_a_trivial_carrier(dim):
+    # one cube of 2^dim > 2,000,000 vertices: 2^31 used to end in a 16 GiB
+    # MemoryError, 2^101 in numpy's "Maximum allowed size exceeded"
+    X = FilteredGroupNilspace(((1, 1),))
+    with deadline(2.0), pytest.raises(CapExceeded, match="cube-set cap"):
+        cube_set(X, dim).members
+
+
 def test_a_face_at_the_cube_cap_is_summed():
     # d + 1 = 20: 2^20 vertices, within the cap; the trivial X maps anywhere
     X = FilteredGroupNilspace(((1, 1),))
