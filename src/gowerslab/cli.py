@@ -73,21 +73,6 @@ CONFIG_SCHEMA = "gowerslab/config-1"
 RESULT_SCHEMA = "gowerslab/result-1"
 GOLDEN_SCHEMA = "gowerslab/goldens-1"
 
-COMMANDS = (
-    "norm",
-    "cutnorm",
-    "boxnorm",
-    "complement",
-    "shrink",
-    "crosssection",
-    "project",
-    "obstruct",
-    "avg-split",
-    "cocycle-split",
-    "morphisms",
-    "decompose",
-)
-
 DEFAULT_CAP = 2**30
 DEFAULT_TOL = 1e-9
 
@@ -487,6 +472,7 @@ _RUNNERS = {
     "morphisms": _run_morphisms,
     "decompose": _run_decompose,
 }
+COMMANDS = tuple(_RUNNERS)
 
 
 def run(config: dict) -> tuple[dict, list]:

@@ -442,7 +442,9 @@ class Subgroup:
 
     @classmethod
     def trivial(cls, parent: FinAbGroup) -> "Subgroup":
-        return cls(parent, np.zeros((0, parent.ncoords), dtype=np.int64))
+        mask = np.zeros(parent.order, dtype=bool)
+        mask[0] = True
+        return cls(parent, np.zeros((0, parent.ncoords), dtype=np.int64), mask)
 
     @classmethod
     def full(cls, parent: FinAbGroup) -> "Subgroup":

@@ -16,7 +16,7 @@ import numpy as np
 
 from .groups import FinAbGroup, Homomorphism, Subgroup
 from .harmonics import GroupFunction
-from .nilcube import Cocycle, FilteredGroupNilspace, coboundary
+from .nilcube import Cocycle, FilteredGroupNilspace, ValueTable, coboundary
 from .polymaps import PolyMap
 
 __all__ = [
@@ -177,31 +177,30 @@ def random_cocycle(
     y2: FilteredGroupNilspace,
     Z: FinAbGroup,
     dim: int,
-) -> tuple[Cocycle, dict, dict]:
+) -> tuple[Cocycle, ValueTable, ValueTable]:
     """Cocycle = coboundary(g0) + pullback of a coboundary on Y2.
 
     Returns (rho, g0, g2) so the split can be checked against the
-    generating data.  The pullback of the coboundary of g2: Y2 -> Z along
-    the second projection is the coboundary of g2 o pi_2.
+    generating data; g0 and g2 map the coordinate tuples of X and of Y2 to
+    their values, drawn per point in element order.  The pullback of the
+    coboundary of g2: Y2 -> Z along the second projection is the coboundary
+    of g2 o pi_2.
     """
     X = y1.product(y2)
     G, G2 = X.group, y2.group
-    g0 = {
-        x.coords: Z.element(tuple(rng.randrange(m) for m in Z.orders))
-        for x in G.elements()
-    }
-    g2 = {
-        y.coords: Z.element(tuple(rng.randrange(m) for m in Z.orders))
-        for y in G2.elements()
-    }
-    g0a, g2a = (
-        np.array([v.coords for v in g.values()], dtype=np.int64).reshape(len(g), Z.ncoords)
-        for g in (g0, g2)
-    )
+
+    def draw(H: FinAbGroup) -> np.ndarray:
+        values = [[rng.randrange(m) for m in Z.orders] for _ in range(H.order)]
+        return np.array(values, dtype=np.int64).reshape(H.order, Z.ncoords)
+
+    def points(H: FinAbGroup, values: np.ndarray) -> ValueTable:
+        return ValueTable(Z, values, lambda: {tuple(c): i for i, c in enumerate(H.coords_array.tolist())})
+
+    g0a, g2a = draw(G), draw(G2)
     # sigma is additive in g, and x = (y1, y2) has row-major index
     # |Y2| * index(y1) + index(y2)
     rho = coboundary(X, Z, dim, g0a + g2a[np.arange(G.order) % G2.order])
-    return rho, g0, g2
+    return rho, points(G, g0a), points(G2, g2a)
 
 
 def bilinear_function(l: int) -> GroupFunction:

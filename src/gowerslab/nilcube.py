@@ -14,28 +14,31 @@ A cube set is the sorted ``(ncubes, 2^n)`` array of element indices at the
 vertices of {0,1}^n in lexicographic order (0...0 first); the root of a cube
 is its value at vertex 0^n.  A row-major index grows with the lexicographic
 order of the coordinates, so the rows sort as the cubes do as tuples of
-coordinate vectors.  A cube is its coefficient digits: the Moebius
-inversion of coordinate j mod m_j gives the polynomial coefficients, those
-of degree <= d_j are the digits, and a table is a cube exactly when those of
-degree > d_j vanish.  Its rank is its digits in mixed radix, and its row is
-found by rank.  Each ``CubeSet`` keeps the digit table of its members
-(built in blocks of ``_BLOCK`` rows) and derives its index maps from it by
-digit arithmetic: the row of every cube under each transposition (0 a) of
-vertex coordinates (n - 1 entries per cube, each row certified against the
-permuted vertex tables), and two potential rows per cube for additivity
-along axis 0.  A cube is the pair (a, b) of its lower and upper axis-0 faces,
-and these pairs are an equivalence relation on faces; the potential rows are
-those of (r(a), a) and (r(a), b), with r(a) the least face of a's class, and
-their build certifies on the vertex tables that the members are the full
-relation.  A cocycle, or any Z-valued function on cubes, is an ``(ncubes,
-ncoords(Z))`` array of residues in carrier order, so the checks below are
-gathers and compares against those maps, and nothing but the members, their
-digits and ranks, the transposition and potential rows and the averaging
-classes grows with the carrier.
+coordinate vectors, vertex by vertex and factor by factor.
+
+A cube's row is its rank.  Call (v, j) a low digit when the vertex v has
+|v| <= d_j ones.  Any values of coordinate j at the low vertices extend to
+exactly one cube (Moebius inversion on that down-set of vertices), and a
+value q_j(v) at a vertex with |v| > d_j is fixed by q_j on the subsets of
+v, which all come before v.  So two cubes first differ at a low digit, the
+sorted order is the mixed-radix order of the low digits (by v, then j), and
+the row of q is sum_v T[v, q(v)] for one (2^n, |X|) table T.  Each
+``CubeSet`` derives its index maps from T by gathers and certifies them on
+the vertex tables: the row of every cube under each transposition (0 a) of
+vertex coordinates (n - 1 entries per cube), and two potential rows per
+cube for additivity along axis 0.  A cube is the pair (a, b) of its lower
+and upper axis-0 faces, and these pairs are an equivalence relation on
+faces; the potential rows are those of (r(a), a) and (r(a), b), with r(a)
+the least face of a's class, and their build certifies that the members are
+the full relation.  A cocycle, or any Z-valued function on cubes, is an
+``(ncubes, ncoords(Z))`` array of residues in carrier order, so the checks
+below are gathers and compares against those maps, and nothing but the
+members, the transposition and potential rows and the averaging classes
+grows with the carrier.
 
 Kept cube sets.  ``cube_set`` returns one shared ``CubeSet`` per (nilspace,
-n, cap), so a process builds and certifies each set's members, digits,
-ranks, transposition and potential rows once, and the classes of each
+n, cap), so a process builds and certifies each set's members,
+transposition and potential rows once, and the classes of each
 average it is asked for.  The sets are kept in least-recently-used order
 while their vertex entries (ncubes * 2^n each) total at most
 ``_KEPT_ENTRIES``; a larger set is built and returned but not kept.  Every
@@ -70,7 +73,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import combinations, product as iproduct
+from itertools import product as iproduct
 from math import comb, gcd, isqrt, prod
 from types import MappingProxyType
 
@@ -96,7 +99,7 @@ __all__ = [
     "split_cocycle",
 ]
 
-# rows per block of cube lookups and digits, and candidate morphism images
+# rows per block of cube lookups, and candidate morphism images
 _BLOCK = 16_384
 # total vertex entries (ncubes * 2^n) of the cube sets ``cube_set`` keeps
 _KEPT_ENTRIES = 1 << 22
@@ -172,17 +175,17 @@ class FilteredGroupNilspace:
 class CubeSet:
     """The n-dimensional cube set of a filtered group nilspace.
 
-    ``members`` is the sorted ``(ncubes, 2^n)`` array of element indices;
-    ``position`` finds the rows of given vertex tables.  Ranking, membership
-    and the ``size`` formula need no enumeration, so a cube set too large
-    to enumerate can still test membership.  The cocycle maps come from the
-    digit table of the members and cover generators only, as the
-    transpositions (0 a) generate every permutation and carry axis 0 to
-    every axis: ``_permuted`` holds the row of every cube under each (0 a),
-    certified on the vertex tables, and ``_potential`` the rows that certify
-    additivity along axis 0 with two gathers per cube.  ``_classes`` holds
-    the classes of the coprime averages, per split, and ``_varying`` the
-    members that the morphism face test sums over.
+    ``members`` is the sorted ``(ncubes, 2^n)`` array of element indices,
+    and a cube's row is its rank (see "Storage" above): ``_rank`` sums the
+    table T over the vertices, and ``position`` finds the rows of given
+    vertex tables by comparing each with the member of its rank.  The
+    cocycle maps cover generators only, as the transpositions (0 a)
+    generate every permutation and carry axis 0 to every axis:
+    ``_permuted`` holds the row of every cube under each (0 a), and
+    ``_potential`` the rows that certify additivity along axis 0 with two
+    gathers per cube.  ``_classes`` holds the classes of the coprime
+    averages, per split, and ``_varying`` the members that the morphism
+    face test sums over.
 
     ``cube_set`` shares instances, so every array cached here is read-only;
     build one directly for a private one.
@@ -206,66 +209,42 @@ class CubeSet:
         return total
 
     @cached_property
-    def _digits(self) -> list[tuple[int, np.ndarray, np.ndarray]]:
-        """Per factor (m, d): m, and the vertex positions 1_S of the subsets S
-        with |S| <= d (the rank digits, in monomial order) and with |S| > d."""
-        n = self.dim
-        out = []
-        for m, d in self.nilspace.factors:
-            low = [
-                sum(1 << (n - 1 - i) for i in S)
-                for size in range(min(d, n) + 1)
-                for S in combinations(range(n), size)
-            ]
-            high = [v for v in range(2**n) if v.bit_count() > d]
-            out.append((m, _read_only(np.array(low, dtype=np.intp)), _read_only(np.array(high, dtype=np.intp))))
-        return out
-
-    @cached_property
-    def _radix(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Per rank digit, leading digit first: its factor j, its vertex
-        position 1_S, its modulus m_j and its weight, the product of the
-        moduli of the digits after it."""
-        cols = [(j, pos, m) for j, (m, low, _) in enumerate(self._digits) for pos in low.tolist()]
-        mods = [m for _, _, m in cols]
-        table = [c + (prod(mods[t + 1 :]),) for t, c in enumerate(cols)]
-        j, pos, m, w = _read_only(np.array(table, dtype=np.int64).reshape(len(table), 4)).T
-        return j, pos, m, w
-
-    @cached_property
     def _coords(self) -> np.ndarray:
         """(ncoords, |X|): coordinate j of every element index."""
         return _read_only(np.ascontiguousarray(self.nilspace.group.coords_array.T))
 
-    def _coefficients(self, Q: np.ndarray) -> np.ndarray:
-        """Moebius inversion of the rows of Q, unreduced, as (ncoords, 2^n, rows):
-        entry [j, 1_S, i] is sum_{T <= S} (-1)^(|S|-|T|) Q[i](1_T)_j."""
-        A = self._coords[:, Q.T]
-        cube = A.reshape((len(A),) + (2,) * self.dim + (len(Q),))
-        for i in range(self.dim):
-            lead = (slice(None),) * (1 + i)
-            cube[lead + (1,)] -= cube[lead + (0,)]
-        return A
+    @cached_property
+    def _rank_table(self) -> np.ndarray:
+        """T: (2^n, |X|), T[v, x] = sum over the low digits (v, j) of x_j w_(v, j),
+        with w_(v, j) the product of the moduli of the low digits after it."""
+        factors = self.nilspace.factors
+        T = np.zeros((2**self.dim, self.nilspace.group.order), dtype=_index_dtype(self.size))
+        weight = 1
+        for v in reversed(range(2**self.dim)):
+            for j in reversed(range(len(factors))):
+                m, d = factors[j]
+                if v.bit_count() <= d:
+                    T[v] += self._coords[j] * weight
+                    weight *= m
+        return _read_only(T)
 
-    def _rank_digits(self, A: np.ndarray) -> np.ndarray:
-        """(ndigits, columns): the rank digits of each column of A."""
-        j, pos, m, _ = self._radix
-        return A[j, pos] % m[:, None]
-
-    def _rank(self, A: np.ndarray) -> np.ndarray:
-        """Coefficient rank of each column of A: the digits of factor 0 lead."""
-        return self._radix[3] @ self._rank_digits(A)
-
-    def _is_cube(self, A: np.ndarray) -> np.ndarray:
-        ok = np.ones(A.shape[-1], dtype=bool)
-        for j, (m, _, high) in enumerate(self._digits):
-            if len(high):
-                ok &= ~(A[j, high] % m).any(axis=0)
-        return ok
+    def _rank(self, Q: np.ndarray, first: int = 0) -> np.ndarray:
+        """sum_c T[first + c, Q[:, c]] over the columns c of Q: the row of each
+        cube among the rows of Q, or, for the axis-0 faces of cubes (2^(n-1)
+        columns), their share of the row as a lower (first = 0) or upper
+        (first = 2^(n-1)) face."""
+        T = self._rank_table
+        total = T[first, Q[:, 0]]
+        for c in range(1, Q.shape[1]):
+            total += T[first + c, Q[:, c]]
+        return total
 
     @cached_property
     def members(self) -> np.ndarray:
-        """All cubes, sorted; duplicate-free by the coefficient bijection."""
+        """All cubes, sorted: the coefficient enumeration, each row written at its rank.
+
+        Certified: every rank is hit once and the rows strictly increase.
+        """
         if self.size > self.cap:
             raise CapExceeded(f"cube set of size {self.size} exceeds cap {self.cap}")
         nverts = 2**self.dim
@@ -273,17 +252,25 @@ class CubeSet:
         vertex = np.arange(nverts)
         rows = np.zeros((1, nverts), dtype=dtype)
         stride = self.nilspace.group.order
-        for m, low, _ in self._digits:
+        for m, d in self.nilspace.factors:
             stride //= m
-            # monomial prod_{i in S} v_i at vertex v: 1 exactly when 1_S <= v bitwise
+            # monomial prod_{i in S} v_i, |S| <= d, at vertex v: 1 exactly when 1_S <= v bitwise
+            low = vertex[[v.bit_count() <= d for v in range(nverts)]]
             monomials = (np.bitwise_and.outer(low, vertex) == low[:, None]).astype(np.int64)
             coeffs = np.indices((m,) * len(low)).reshape(len(low), -1).T
             tables = ((coeffs @ monomials) % m * stride).astype(dtype)
             rows = (rows[:, None, :] + tables[None, :, :]).reshape(-1, nverts)
-        rows = rows[np.lexsort(rows.T[::-1])]
-        if len(rows) != self.size or (rows[1:] == rows[:-1]).all(axis=1).any():
+        ranks = self._rank(rows)
+        hit = np.zeros(self.size, dtype=bool)
+        hit[ranks] = True
+        members = np.empty_like(rows)
+        members[ranks] = rows
+        later, earlier = members[1:], members[:-1]
+        first = (later != earlier).argmax(axis=1)  # where each row first differs from the one before
+        step = np.arange(len(first))
+        if len(rows) != self.size or not hit.all() or not (later[step, first] > earlier[step, first]).all():
             raise PostconditionError("cube enumeration is not duplicate-free")
-        return _read_only(rows)
+        return _read_only(members)
 
     @cached_property
     def _varying(self) -> np.ndarray:
@@ -296,30 +283,14 @@ class CubeSet:
             keep &= (halves[:, :, 0] != halves[:, :, 1]).any(axis=(1, 2))
         return _read_only(Q[keep])
 
-    @cached_property
-    def _digit_table(self) -> np.ndarray:
-        """(ncubes, ndigits): the rank digits of every member, in carrier order."""
-        dtype = np.min_scalar_type(int(self._radix[2].max(initial=1)) - 1)
-        return _read_only(_blockwise(lambda B: self._rank_digits(self._coefficients(B)).T.astype(dtype), self.members))
-
-    @cached_property
-    def _ranks(self) -> np.ndarray:
-        """Coefficient rank of every member, in carrier order."""
-        return _read_only(_blockwise(lambda D: D @ self._radix[3], self._digit_table))
-
-    @cached_property
-    def _row_of_rank(self) -> np.ndarray:
-        """The row of the member of each rank, or -1 for a rank no member has."""
-        rows = np.full(self.size, -1, dtype=_index_dtype(self.size))
-        rows[self._ranks] = np.arange(len(self._ranks))
-        return _read_only(rows)
-
     def position(self, Q: np.ndarray) -> np.ndarray:
-        """Row in ``members`` of each row of Q, or -1 where it is not a cube."""
+        """Row in ``members`` of each row of Q, or -1 where it is not a cube:
+        its rank, where the member of that rank is the row itself."""
+        members = self.members
 
         def rows(B):
-            A = self._coefficients(B)
-            return np.where(self._is_cube(A), self._row_of_rank[self._rank(A)], -1)
+            r = self._rank(B)
+            return np.where((members[r] == B).all(axis=1), r, -1)
 
         return _blockwise(rows, Q)
 
@@ -334,35 +305,22 @@ class CubeSet:
         return MappingProxyType({tuple(map(tuple, q)): i for i, q in enumerate(coords)})
 
     @cached_property
-    def _digit_column(self) -> dict:
-        """(factor j, vertex position 1_S) -> column of that digit in the digit
-        table, in column order."""
-        j, pos, _, _ = self._radix
-        return {key: t for t, key in enumerate(zip(j.tolist(), pos.tolist()))}
-
-    @cached_property
     def _permuted(self) -> np.ndarray:
         """(max(n - 1, 0), ncubes): row a - 1 holds the row of every cube with
         its vertex coordinates 0 and a swapped.
 
         These transpositions (0 a) generate the symmetric group, so invariance
-        under them is invariance under every permutation.  The cube q o p
-        (vertex v to q(v[p[0]], ..., v[p[n-1]])) has the digit c_q(S) at
-        p(S), so its rank is the digit table times the weights taken at p(S).
-        ``_perm_indices(n, p)`` sends 1_{p(S)} to 1_S, so scattering the
-        weights through it gives them.
+        under them is invariance under every permutation.  Each row is the
+        ``position`` of the permuted vertex tables, so a table that is not a
+        member refuses the build: "permutation left the cube set".
         """
-        n, Q, D, column = self.dim, self.members, self._digit_table, self._digit_column
-        w = self._radix[3]
+        n, Q = self.dim, self.members
         rows = np.empty((max(n - 1, 0), len(Q)), dtype=_index_dtype(self.size))
         for a in range(1, n):
-            idx = _perm_indices(n, (a, *range(1, a), 0, *range(a + 1, n)))
-            weights = np.empty_like(w)
-            weights[[column[j, idx[b]] for j, b in column]] = w
-            rows[a - 1] = self._row_of_rank[_blockwise(lambda B: B @ weights, D)]
-            for s in range(0, len(Q), _BLOCK):
-                if not np.array_equal(Q[rows[a - 1, s : s + _BLOCK]], Q[s : s + _BLOCK][:, idx]):
-                    raise PostconditionError("permutation left the cube set")
+            idx = list(_perm_indices(n, (a, *range(1, a), 0, *range(a + 1, n))))
+            rows[a - 1] = _blockwise(lambda B: self.position(B[:, idx]), Q)
+        if (rows < 0).any():
+            raise PostconditionError("permutation left the cube set")
         return _read_only(rows)
 
     @cached_property
@@ -370,45 +328,37 @@ class CubeSet:
         """The rows of (r(a), a) and (r(a), b) for every member (a, b), n >= 1.
 
         A member is the pair of its lower and upper axis-0 faces, and these
-        pairs are an equivalence relation on faces: b has the digits c(S) +
-        c(S u {0}) of the S without 0, so a ~ b exactly when they agree where
-        S u {0} has no digit.  r(a), the least face of the class, keeps a's
-        digits there and is 0 elsewhere, so it depends on a alone.  A table is
+        pairs are an equivalence relation on faces.  The members of lower face
+        a are adjacent and sorted by their upper faces, so r(a), the least
+        face of a's class, is the upper face of the first of them.  A table is
         additive under every concatenation exactly when v(a, b) = v(r, b) -
         v(r, a) with r = r(a): (r, a) o (a, b) = (r, b), and these telescope.
+        The rank of (x, y) is the share of x as a lower face plus that of y as
+        an upper face, so the rows of (r, a), (r, b) and (b, b) are sums of
+        two face shares.
 
         Certified on the vertex tables, or "concatenation left the cube set":
-        every looked-up row has the halves asked for, so r agrees on both
-        halves of every member; each upper face is the lower face of the member
-        (b, b); and each face is the lower face of as many members as its class
-        has faces (equal lower faces are adjacent, as the members are sorted),
-        so the members are the full relation.
+        every looked-up row has the face asked for, and those of (r, a) and
+        (r, b) one r; r(b) = r(a) on every member, as (b, b) is the member of
+        lower face b looked up; and each face is the lower face of as many
+        members as its class has faces, so the members are the full relation.
         """
-        Q, D, column, half = self.members, self._digit_table, self._digit_column, 2 ** (self.dim - 1)
-        jj, pos, m, w = self._radix
-        face = np.flatnonzero(~pos & half)
-        up = np.array([column.get((j, p | half), -1) for j, p in zip(jj[face].tolist(), pos[face].tolist())], dtype=np.intp)
-        free = up >= 0
-        rooted = np.where(free, w[up], w[face])
-
-        def ranks(B):
-            lower = B[:, face].astype(np.int64)
-            upper = (lower + np.where(free, B[:, up], 0)) % m[face]
-            return np.stack([lower @ rooted, upper @ rooted, upper @ w[face]], axis=1)
-
-        R = _blockwise(ranks, D)
-        ra, rb, same = (self._row_of_rank[R[:, i]] for i in range(3))
+        Q, half = self.members, 2 ** (self.dim - 1)
         lower, upper = Q[:, :half], Q[:, half:]
         first = np.ones(len(Q), dtype=bool)
         first[1:] = (lower[1:] != lower[:-1]).any(axis=1)
-        faces = np.cumsum(first) - 1
-        roots = faces[ra][first]
+        faces = np.cumsum(first) - 1  # the number of each member's lower face
+        lead = np.flatnonzero(first)[faces]  # the member (a, r(a)) of each member (a, b)
+        below, above = self._rank(upper), self._rank(upper, half)
+        ra, rb, same = below[lead] + self._rank(lower, half), below[lead] + above, below + above
         if not (
-            np.array_equal(Q[ra, half:], lower)
+            len(Q) == self.size
+            and np.array_equal(Q[ra, half:], lower)
             and np.array_equal(Q[rb, half:], upper)
             and np.array_equal(Q[ra, :half], Q[rb, :half])
             and np.array_equal(Q[same, :half], upper)
-            and np.array_equal(np.bincount(faces), np.bincount(roots)[roots])
+            and np.array_equal((roots := faces[ra])[same], roots)  # the number of r(a), as a lower face
+            and np.array_equal(np.bincount(faces), np.bincount(roots[first])[roots[first]])
         ):
             raise PostconditionError("concatenation left the cube set")
         return _read_only(ra), _read_only(rb)
@@ -418,13 +368,14 @@ class CubeSet:
         ``split`` factors sums over: those sharing q2 and, if ``rooted``, the
         root of q1.  Kept per (split, rooted) and read-only, as (the class of
         each cube, the cubes in stable class order, class starts, class sizes).
+        A cube's q2, the table ``members % |Y2|``, is keyed by its rank in Y2.
         """
         if (split, rooted) not in self._class_sets:
-            y2 = FilteredGroupNilspace(self.nilspace.factors[split:])
-            n2 = CubeSet(y2, self.dim).size
-            keys = self._ranks % n2
+            y2 = CubeSet(FilteredGroupNilspace(self.nilspace.factors[split:]), self.dim)
+            order2 = y2.nilspace.group.order
+            keys = _blockwise(lambda B: y2._rank(B % order2), self.members).astype(np.int64)
             if rooted:
-                keys += (self.members[:, 0] // y2.group.order).astype(np.int64) * n2
+                keys += (self.members[:, 0] // order2).astype(np.int64) * y2.size
             _, cls, counts = np.unique(keys, return_inverse=True, return_counts=True)
             arrays = (cls, np.argsort(cls, kind="stable"), np.cumsum(counts) - counts, counts)
             self._class_sets[split, rooted] = tuple(_read_only(a.astype(_index_dtype(self.size))) for a in arrays)
@@ -646,16 +597,17 @@ def _sigma(points: np.ndarray, Q: np.ndarray, dim: int, zmod: np.ndarray) -> np.
 def _point_values(g, X: FilteredGroupNilspace, Z: FinAbGroup) -> np.ndarray:
     """A point function as its (|X|, ncoords(Z)) value array in element order.
 
-    ``g`` is such an array, a dict from points (GroupElements or coordinate
-    tuples) to values, or a sequence of values in element order; a value is
-    a GroupElement or a coordinate sequence.
+    ``g`` is such an array, a mapping (a dict or a ``ValueTable``) from
+    points (GroupElements or coordinate tuples) to values, or a sequence of
+    values in element order; a value is a GroupElement or a coordinate
+    sequence.
     """
     G = X.group
     if isinstance(g, np.ndarray):
         if g.shape != (G.order, Z.ncoords):
             raise ValueError("point function must be total on the group")
         return g % Z.moduli
-    if isinstance(g, dict):
+    if isinstance(g, Mapping):
         rows = [G.index_of(k.coords if isinstance(k, GroupElement) else k) for k in g]
         vals = g.values()
     else:
@@ -742,8 +694,7 @@ def factor_average(rho: Cocycle, split: int) -> Cocycle:
     """Coprime average of rho(q1' x q2) over all first-factor cubes q1'.
 
     The result is a cocycle and factors through the second projection
-    (both verified).  The cubes q1' x q2 sharing q2 are those whose
-    coefficient rank agrees mod |C^dim(Y2)|, as the digits of Y1 lead.
+    (both verified).
     """
     out = _factor_average(rho, split)
     if not is_cocycle(out):

@@ -280,16 +280,16 @@ class SurjectionDecomposition:
     m: int
     passthrough: tuple[int, ...]  # pivot coordinates of reduction's codomain
     max_rows: tuple[int, ...]  # maximal-order codomain coordinates
+    core_cols: tuple[int, ...]  # the domain coordinates that are not passthrough
+    core_rows: tuple[int, ...]  # the codomain coordinates that are not maximal rows
 
     def middle(self) -> Homomorphism:
         """(core, id) as a map reduction.codomain -> source.codomain."""
         B2 = self.reduction.codomain
         A = self.source.codomain
-        core_cols = [j for j in range(B2.ncoords) if j not in self.passthrough]
-        core_rows = [i for i in range(A.ncoords) if i not in self.max_rows]
         mat = [[0] * B2.ncoords for _ in range(A.ncoords)]
-        for i_local, i in enumerate(core_rows):
-            for j_local, j in enumerate(core_cols):
+        for i_local, i in enumerate(self.core_rows):
+            for j_local, j in enumerate(self.core_cols):
                 mat[i][j] = self.core.matrix[i_local][j_local]
         for i, j in zip(self.max_rows, self.passthrough):
             mat[i][j] = 1
@@ -359,8 +359,8 @@ def decompose_surjection(M: Homomorphism) -> SurjectionDecomposition:
     B2 = FinAbGroup(tuple(o // p if n and a_exp[j] == n and j not in pivots else o for j, o in enumerate(B.orders)))
     P = Homomorphism(B, B2, _eye(B.ncoords))
 
-    core_cols = [j for j in range(B.ncoords) if j not in pivots]
-    core_rows = [i for i in range(A.ncoords) if i not in max_rows]
+    core_cols = tuple(j for j in range(B.ncoords) if j not in pivots)
+    core_rows = tuple(i for i in range(A.ncoords) if i not in max_rows)
     core_dom = FinAbGroup(tuple(B2.orders[j] for j in core_cols))
     core_cod = FinAbGroup(tuple(A.orders[i] for i in core_rows))
     core = Homomorphism(core_dom, core_cod, [[mid[i][j] for j in core_cols] for i in core_rows])
@@ -375,6 +375,8 @@ def decompose_surjection(M: Homomorphism) -> SurjectionDecomposition:
         m=len(max_rows),
         passthrough=tuple(pivots),
         max_rows=max_rows,
+        core_cols=core_cols,
+        core_rows=core_rows,
     )
     dec.verify()
     return dec
@@ -404,11 +406,10 @@ def _pgroup_cross_section(M: Homomorphism) -> np.ndarray:
     if A.order == 1:
         return np.zeros((1, B.ncoords), dtype=np.int64)
     dec = decompose_surjection(M)
-    core_rows = [i for i in range(A.ncoords) if i not in dec.max_rows]
-    core_cols = [j for j in range(B.ncoords) if j not in dec.passthrough]
     w = dec.U.images(A.coords_array)
     lifted = np.empty((A.order, B.ncoords), dtype=np.int64)
-    lifted[:, core_cols] = _pgroup_cross_section(dec.core)[w[:, core_rows] @ dec.core.codomain.radix]
+    core = _pgroup_cross_section(dec.core)[w[:, list(dec.core_rows)] @ dec.core.codomain.radix]
+    lifted[:, list(dec.core_cols)] = core
     lifted[:, list(dec.passthrough)] = w[:, list(dec.max_rows)]
     values = dec.V.images(lifted)
     _check_section(M, values)

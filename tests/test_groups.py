@@ -470,6 +470,16 @@ def test_find_complement_order_21600():
 # complemented_hull
 
 
+def test_trivial_subgroup_takes_no_generator_orders(monkeypatch):
+    # its one-hot mask is built directly, not spanned from no generators
+    calls, orders = [], groups._orders
+    monkeypatch.setattr(groups, "_orders", lambda *args: calls.append(args) or orders(*args))
+    for G in (FinAbGroup(()), FinAbGroup((4, 6))):
+        T = Subgroup.trivial(G)
+        assert T.order == 1 and T.mask[0] and T.rows.shape == (0, G.ncoords)
+    assert calls == []
+
+
 def test_hull_of_zero_is_trivial():
     G = FinAbGroup((3, 27))
     H, K = complemented_hull(G.zero)

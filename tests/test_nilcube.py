@@ -164,45 +164,30 @@ def concatenations(cs):
     """The rows (q, q', q o q') of every concatenation of adjacent cubes
     along axis 0, in blocks of at most 16,384 pairs; none when n = 0.
 
-    q' follows q exactly when c_q'(S) = c_q(S) + c_q(S u {0}) for every
-    S without 0 (the second term is 0 when |S u {0}| > d_j); the digits
-    of q' at the S with 0 in S are free.  q o q' has the digits c_q(S)
-    for S without 0 and c_q(S) + c_q'(S) for S with 0, all mod m_j.
-    Each cube is paired with its followers in the order of their free
-    digits, and each block is certified before it is yielded: the faces
-    of axis 0 are the halves of the vertex order, so q' follows q and
-    q o q' joins them exactly when lower(q') = upper(q), lower(q o q') =
-    lower(q) and upper(q o q') = upper(q'), compared as face keys.
+    q' follows q exactly when lower(q') = upper(q), so the followers of q
+    are the members whose lower-face key is q's upper-face key, and q o q'
+    is found by the rank of its vertex table (lower(q), upper(q')).  Each
+    block is certified before it is yielded: q o q' joins q and q' exactly
+    when lower(q o q') = lower(q) and upper(q o q') = upper(q'), compared as
+    face keys.
     """
-    n, D, column = cs.dim, cs._digit_table, cs._digit_column
-    if not n:
+    if not cs.dim:
         return
-    _, pos, m, w = cs._radix
+    Q, half = cs.members, 2 ** (cs.dim - 1)
     lower, upper = face_keys(cs)
-    bit = 1 << (n - 1)
-    on, off = np.flatnonzero(pos & bit), np.flatnonzero(~pos & bit)
-    # the digit at S u {0} for each S without 0, or -1 where |S u {0}| > d_j
-    up = np.array([column.get((a, b | bit), -1) for a, b in column if not b & bit], dtype=np.intp)
-    shape = tuple(m[on].tolist())
-    free = np.indices(shape).reshape(len(on), int(np.prod(shape))).T
-    free_rank = free @ w[on]
-    # terms[i][c]: the rank term of digit on[i] of q o q' where c_q is c, per choice of free digits
-    terms = [w[t] * ((np.arange(m[t])[:, None] + free[:, i]) % m[t]) for i, t in enumerate(on)]
-    width = min(len(free), 16_384)
-    step = 16_384 // width
-    for s in range(0, len(D), step):
-        cubes = np.arange(s, min(s + step, len(D)))
-        c = D[cubes].astype(np.int64)
-        follower = ((c[:, off] + np.where(up >= 0, c[:, up], 0)) % m[off]) @ w[off]
-        base = c[:, off] @ w[off]
-        low, high = lower[cubes, None], upper[cubes, None]
-        for f in range(0, len(free), width):
-            fs = slice(f, f + width)
-            qp = cs._row_of_rank[follower[:, None] + free_rank[fs]]
-            qq = cs._row_of_rank[base[:, None] + sum(term[c[:, t], fs] for term, t in zip(terms, on))]
-            if not ((lower[qp] == high).all() and (lower[qq] == low).all() and (upper[qq] == upper[qp]).all()):
-                raise PostconditionError("concatenation left the cube set")
-            yield np.repeat(cubes, qp.shape[1]), qp.ravel(), qq.ravel()
+    by_lower = np.argsort(lower, kind="stable")
+    per_face = np.bincount(lower, minlength=upper.max() + 1)
+    count = per_face[upper]  # cube i is followed by by_lower[start[i] : start[i] + count[i]]
+    start = (np.cumsum(per_face) - per_face)[upper]
+    ends = np.cumsum(count)
+    for s in range(0, int(ends[-1]), 16_384):
+        pairs = np.arange(s, min(s + 16_384, ends[-1]))
+        q = np.searchsorted(ends, pairs, side="right")
+        qp = by_lower[start[q] + pairs - (ends - count)[q]]
+        qq = cs._rank(np.concatenate([Q[q, :half], Q[qp, half:]], axis=1))
+        if not ((lower[qq] == lower[q]).all() and (upper[qq] == upper[qp]).all()):
+            raise PostconditionError("concatenation left the cube set")
+        yield q, qp, qq
 
 
 def stream_cocycle_failures(cs, arrays, zmod):
@@ -266,22 +251,37 @@ def oracle_contains(cs, q):
     return True
 
 
+def face_sums_vanish(nilspace, n, A):
+    """Which rows of A (vertex tables of element indices) are n-cubes of the
+    nilspace by the definition: vanishing alternating sums over all
+    (d_j+1)-faces, per coordinate j, in int64."""
+    coords = nilspace.group.coords_array
+    ok = np.ones(len(A), dtype=bool)
+    for j, (m, d) in enumerate(nilspace.factors):
+        signs = np.zeros((len(_faces(n, d + 1)), 2**n), dtype=np.int64)  # no face when d + 1 > n
+        for f, face in enumerate(_faces(n, d + 1)):
+            for vi, sign in face:
+                signs[f, vi] = sign
+        ok &= ~(coords[A, j] @ signs.T % m).any(axis=1)
+    return ok
+
+
 def block_preserving(T, X, Y, dims):
     """Which rows of T (tables of Y element indices) send every cube of X of
-    each dimension in ``dims`` to a cube of Y, by Y's coefficient test.
+    each dimension in ``dims`` to a cube of Y, by Y's face sums.
 
     The block search that enumerated morphisms before the per-factor face
     test: a row is dropped at its first failing block of at most
-    ``nilcube._BLOCK`` images.  Y's cube sets are private, so none is kept.
+    ``nilcube._BLOCK`` images.  No cube set of Y is built.
     """
     alive = np.arange(len(T))
     for n in dims:
-        QX, cy = cube_set(X, n).members, nilcube.CubeSet(Y, n)
+        QX = cube_set(X, n).members
         start = 0
         while alive.size and start < len(QX):
             stop = start + max(1, nilcube._BLOCK // alive.size)
             images = T[alive][:, QX[start:stop]].reshape(-1, 2**n)
-            alive = alive[cy._is_cube(cy._coefficients(images)).reshape(alive.size, -1).all(axis=1)]
+            alive = alive[face_sums_vanish(Y, n, images).reshape(alive.size, -1).all(axis=1)]
             start = stop
     mask = np.zeros(len(T), dtype=bool)
     mask[alive] = True
@@ -666,6 +666,13 @@ def test_is_cocycle_rejects_random_table():
     rng = random.Random(23)
     table = {q: Z3.element((rng.randrange(3),)) for q in cs.cubes}
     assert not is_cocycle(Cocycle(X, Z3, 2, table))
+
+
+def test_coboundary_reads_a_value_table_by_key():
+    # a mapping that is not a dict was read as the sequence of its keys
+    _, g0, _ = random_cocycle(random.Random(19), D1Z2, D1Z3, Z3, 2)
+    X = D1Z2.product(D1Z3)
+    assert np.array_equal(coboundary(X, Z3, 2, g0).array, coboundary(X, Z3, 2, g0.array).array)
 
 
 # ---------------------------------------------------------------------------
@@ -1107,6 +1114,41 @@ def test_axis_zero_additive_table_is_refused_as_not_invariant(factors, dim):
 SMALL_ORACLE_CARRIERS = [(f, d) for f, d in ORACLE_CARRIERS if cube_set(FilteredGroupNilspace(f), d).size <= 10_000]
 
 
+def face_sum_members(nilspace, n):
+    """Every n-cube of the nilspace, sorted, from the definition alone.
+
+    Per factor D_d(Z_m): every choice of values at the vertices of at most d
+    ones, each heavier vertex v then solved, in vertex order, from the
+    vanishing sum over the (d+1)-face spanned by the last d+1 coordinates
+    set in v, whose other vertices come before v.  A cube satisfies those
+    equations, so it is listed once; every table listed must pass all face
+    sums.
+    """
+    nverts = 2**n
+    rows = np.zeros((1, nverts), dtype=np.int64)
+    for m, d in nilspace.factors:
+        low = [v for v in range(nverts) if v.bit_count() <= d]
+        values = np.zeros((m ** len(low), nverts), dtype=np.int64)
+        values[:, low] = np.indices((m,) * len(low)).reshape(len(low), -1).T
+        for v in range(nverts):
+            if v.bit_count() > d:
+                span = [1 << i for i in range(n) if v >> i & 1][: d + 1]
+                for k in range(1, len(span) + 1):
+                    for cleared in combinations(span, k):
+                        values[:, v] += (-1) ** (k + 1) * values[:, v - sum(cleared)]
+                values[:, v] %= m
+        rows = (rows[:, None, :] * m + values[None]).reshape(-1, nverts)
+    assert face_sums_vanish(nilspace, n, rows).all()
+    return rows[np.lexsort(rows.T[::-1])]
+
+
+@pytest.mark.parametrize("factors,dim", ORACLE_CARRIERS)
+def test_members_are_the_sorted_face_sum_cubes_at_their_ranks(factors, dim):
+    cs = cube_set(FilteredGroupNilspace(factors), dim)
+    assert np.array_equal(cs.members, face_sum_members(cs.nilspace, dim))
+    assert np.array_equal(cs._rank(cs.members), np.arange(cs.size))
+
+
 @pytest.mark.parametrize("factors,dim", SMALL_ORACLE_CARRIERS)
 def test_position_agrees_with_the_face_sum_oracle(factors, dim):
     # members sit at their own rows; a member changed at one vertex has a row
@@ -1165,58 +1207,63 @@ def test_is_cocycle_memory_is_bounded():
 # the certificates on private cube sets, and the kept cube sets
 
 
-def _first_pair(keys):
-    """Two members with equal keys, or None."""
-    order = np.argsort(keys, kind="stable")
-    same = np.flatnonzero(keys[order][1:] == keys[order][:-1])
-    return None if not len(same) else tuple(order[[same[0], same[0] + 1]].tolist())
+def _corrupted(cs, vertex, x, y):
+    """A private copy of cs with its members, whose rank table has the
+    entries of elements x and y at ``vertex`` swapped."""
+    from gowerslab.nilcube import CubeSet
+
+    T = cs._rank_table.copy()
+    T[vertex, [x, y]] = T[vertex, [y, x]]
+    corrupted = CubeSet(cs.nilspace, cs.dim)
+    corrupted.__dict__.update(members=cs.members, _rank_table=T)
+    return corrupted
+
+
+def _rank_table_swaps(cs, seed):
+    """(vertex, x, y) swaps of the rank table: none, at the root (a lower
+    vertex), at e_0 (an upper vertex; a low digit of every factor) and at
+    random.  Elements 0 and 1 differ in a coordinate of order > 1."""
+    rng = np.random.default_rng(seed)
+    order = cs.nilspace.group.order
+    at_random = (int(rng.integers(2**cs.dim)), *rng.integers(0, order, size=2).tolist())
+    return [(0, 0, 0), (0, 0, 1), (2 ** (cs.dim - 1), 0, 1), at_random]
 
 
 @pytest.mark.parametrize("factors,dim", [(f, d) for f, d in ORACLE_CARRIERS if d >= 1])
 def test_face_key_certificate_agrees_with_the_vertex_table_comparison(factors, dim):
-    # the rank map is corrupted by swapping the rows of two members: with equal
-    # lower halves only the upper-half key can object, with equal upper halves
-    # the lower-half keys; the stream must fail exactly when the vertex tables
-    # of its triples, compared as the certificate once did, are wrong
+    # the rank table is corrupted by swapping two of its entries at one vertex:
+    # at a lower vertex the joined rows change their lower halves, at an upper
+    # vertex only their upper halves, so only the upper-half key can object;
+    # the stream must fail exactly when the vertex tables of its triples,
+    # compared as the certificate once did, are wrong
     from gowerslab.nilcube import CubeSet
 
-    X = FilteredGroupNilspace(factors)
-    cs = CubeSet(X, dim)
-    q, qp, qq = np.concatenate([np.stack(block) for block in concatenations(cs)], axis=1)
+    cs = CubeSet(FilteredGroupNilspace(factors), dim)
+    q, qp, _ = np.concatenate([np.stack(block) for block in concatenations(cs)], axis=1)
     Q, half = cs.members, 2 ** (dim - 1)
-    lower, upper = face_keys(cs)
-    rng = np.random.default_rng(dim)
-    swaps = [(0, 0), _first_pair(lower), _first_pair(upper), tuple(rng.integers(0, cs.size, size=2).tolist())]
-    for a, b in [pair for pair in swaps if pair is not None]:
-        swap = np.arange(cs.size)
-        swap[[a, b]] = [b, a]
-        first, second, joined = Q[q], Q[swap[qp]], Q[swap[qq]]
-        tables_agree = (
-            (second[:, :half] == first[:, half:]).all()
-            and (joined[:, :half] == first[:, :half]).all()
-            and (joined[:, half:] == second[:, half:]).all()
-        )
-        corrupted = CubeSet(X, dim)
-        corrupted.__dict__["_row_of_rank"] = swap[cs._row_of_rank]
+    for vertex, x, y in _rank_table_swaps(cs, dim):
+        corrupted = _corrupted(cs, vertex, x, y)
+        joined = np.concatenate([Q[q, :half], Q[qp, half:]], axis=1)
+        tables_agree = (Q[corrupted._rank(joined)] == joined).all()
         try:
             list(concatenations(corrupted))
             certified = True
         except PostconditionError as e:
             assert str(e) == "concatenation left the cube set"
             certified = False
-        assert certified == tables_agree == (a == b)
+        assert certified == tables_agree == np.array_equal(corrupted._rank_table, cs._rank_table)
 
 
 def test_permutation_certificate_fires_on_corrupted_transposition_weights():
-    # the weights of (0 a) are scattered through the digit columns: swapping the
-    # columns of the digits at {1} and {2} gives transposition (0 1) the weights
-    # of (0 2)
+    # the rank table's rows at the vertices e_1 and e_2 swapped: the tables
+    # permuted by (0 1) are ranked with the weights of the wrong vertices
     from gowerslab.nilcube import CubeSet
 
     cs = CubeSet(D1Z3, 3)
-    column = dict(cs._digit_column)
-    column[0, 2], column[0, 1] = column[0, 1], column[0, 2]
-    cs.__dict__["_digit_column"] = column
+    T = cs._rank_table.copy()
+    T[[2, 1]] = T[[1, 2]]
+    cs.members
+    cs.__dict__["_rank_table"] = T
     with pytest.raises(PostconditionError, match="permutation left the cube set"):
         cs._permuted
 
@@ -1230,7 +1277,7 @@ def test_equal_nilspaces_share_one_cube_set():
 
 def test_cached_cube_arrays_reject_writes():
     cs = cube_set(D1Z2.product(D2Z3), 3)
-    cached = [cs.members, cs._digit_table, cs._ranks, cs._row_of_rank, cs._permuted, *cs._potential]
+    cached = [cs.members, cs._rank_table, cs._permuted, *cs._potential]
     for a in cached:
         with pytest.raises(ValueError, match="read-only"):
             a[0] = a[0]
@@ -1266,7 +1313,7 @@ def test_a_cube_set_let_go_by_the_budget_is_rebuilt_identically(monkeypatch):
     monkeypatch.setattr(nilcube, "_KEPT_ENTRIES", 216 * 4 + 36 * 2)
     X = D1Z2.product(D1Z3)
     first = cube_set(X, 2)  # 864 entries
-    arrays = [first.members, first._ranks, first._permuted, *first._potential]
+    arrays = [first.members, first._rank_table, first._permuted, *first._potential]
     small = cube_set(X, 1)  # 72 entries: both fit
     assert cube_set(X, 2) is first and cube_set(X, 1) is small
     cube_set(D1Z3, 2)  # 27 * 4 entries: lets the least recently used, dimension 2, go
@@ -1274,7 +1321,7 @@ def test_a_cube_set_let_go_by_the_budget_is_rebuilt_identically(monkeypatch):
     assert sum(cs.size << cs.dim for cs in nilcube._kept.values()) <= nilcube._KEPT_ENTRIES
     again = cube_set(X, 2)
     assert again is not first
-    for a, b in zip(arrays, [again.members, again._ranks, again._permuted, *again._potential]):
+    for a, b in zip(arrays, [again.members, again._rank_table, again._permuted, *again._potential]):
         assert np.array_equal(a, b)
     assert [np.stack(b).tolist() for b in concatenations(again)] == [
         np.stack(b).tolist() for b in concatenations(first)
@@ -1349,35 +1396,22 @@ def test_potential_build_refuses_a_set_not_closed_under_concatenation(factors, d
 
 @pytest.mark.parametrize("factors,dim", [(f, d) for f, d in ORACLE_CARRIERS if d >= 1])
 def test_potential_certificate_fires_on_a_corrupted_rank_map(factors, dim):
-    # the rank map swaps the rows of two members: the build must refuse it when
-    # a swapped row is one it looks up, (r(a), a) or (b, b), and give the same
-    # rows when neither is
+    # the rank table swaps two entries at one vertex: at the root it moves the
+    # rows of (r(a), a), (r(a), b) and (b, b) looked up for members with root
+    # 0 or 1, at e_0 those of the members with 0 or 1 there; the build must
+    # refuse every swap that changes the table, and give the same rows when
+    # none does
     from gowerslab.nilcube import CubeSet
 
-    X = FilteredGroupNilspace(factors)
-    cs = CubeSet(X, dim)
+    cs = CubeSet(FilteredGroupNilspace(factors), dim)
     ra, rb = cs._potential
-    Q, half = cs.members, 2 ** (dim - 1)
-    rooted = np.zeros(cs.size, dtype=bool)
-    rooted[ra] = True
-    diagonal = (Q[:, :half] == Q[:, half:]).all(axis=1)
-    rng = np.random.default_rng(dim)
-    for pick, refused in ((rooted, True), (diagonal & ~rooted, True), (~rooted & ~diagonal, False)):
-        rows = np.flatnonzero(pick)
-        others = np.arange(cs.size) if refused else rows
-        if not len(rows) or len(others) < 2:
-            continue
-        a = rng.choice(rows)
-        b = rng.choice(others[others != a])
-        swap = np.arange(cs.size)
-        swap[[a, b]] = [b, a]
-        corrupted = CubeSet(X, dim)
-        corrupted.__dict__["_row_of_rank"] = swap[cs._row_of_rank]
-        if refused:
+    for vertex, x, y in _rank_table_swaps(cs, dim):
+        corrupted = _corrupted(cs, vertex, x, y)
+        if np.array_equal(corrupted._rank_table, cs._rank_table):
+            assert all(map(np.array_equal, corrupted._potential, (ra, rb)))
+        else:
             with pytest.raises(PostconditionError, match="concatenation left the cube set"):
                 corrupted._potential
-        else:
-            assert all(map(np.array_equal, corrupted._potential, (ra, rb)))
 
 
 def test_averaging_classes_are_kept_read_only_and_match_np_unique():
@@ -1391,7 +1425,8 @@ def test_averaging_classes_are_kept_read_only_and_match_np_unique():
             classes = cs._classes(split, rooted)
             assert cs._classes(split, rooted) is classes
             cls, order, starts, counts = classes
-            keys = cs._ranks % n2 + rooted * (cs.members[:, 0] // y2.group.order) * n2
+            projected = cube_set(y2, 2).position(cs.members % y2.group.order)
+            keys = projected + rooted * (cs.members[:, 0] // y2.group.order) * n2
             _, fresh, fresh_counts = np.unique(keys, return_inverse=True, return_counts=True)
             assert np.array_equal(cls, fresh) and np.array_equal(counts, fresh_counts)
             assert np.array_equal(order, np.argsort(fresh, kind="stable"))
