@@ -447,6 +447,7 @@ def _run_morphisms(params, seed, cap, tol):
 
 def _run_decompose(params, seed, cap, tol):
     G = _group(_need(params, "group", list))
+    _capped(sum(map(math.isqrt, G.orders)), cap, "trial divisions, the sum of isqrt(m_j)")
     dec = primary_decompose(G)
     inputs = {"group": list(G.orders)}
     outputs = {

@@ -642,8 +642,8 @@ def primary_decompose(G: FinAbGroup) -> PrimaryDecomposition:
 
     if not iso_inv.compose(iso).is_identity() or not iso.compose(iso_inv).is_identity():
         raise PostconditionError("primary decomposition isomorphism failed to invert")
-    for p in primes:
-        if len(_factorize(components[p].order)) != 1:
+    for p in primes:  # each order p^e, factored in at most isqrt(p^e) steps (p when e >= 2)
+        if any(set(_factorize(q)) != {p} for q in comp_orders[p]):
             raise PostconditionError("component is not a p-group")
     if prod(components[p].order for p in primes) != G.order:
         raise PostconditionError("component orders do not multiply to |G|")

@@ -38,13 +38,13 @@ grows with the carrier.
 
 Kept cube sets.  ``cube_set`` returns one shared ``CubeSet`` per (nilspace,
 n, cap), so a process builds and certifies each set's members,
-transposition and potential rows once, and the classes of each
-average it is asked for.  The sets are kept in least-recently-used order
-while their vertex entries (ncubes * 2^n each) total at most
-``_KEPT_ENTRIES``; a larger set is built and returned but not kept.  Every
-array a set caches is read-only, so no caller can change a shared set.
-Nothing computed from a caller's data is kept: each morphism candidate,
-cocycle table, average and split residual is checked in full on every call.
+transposition and potential rows once, and the averaging classes and the
+morphism generators (into D_{n-1}(Z_m), per m) that it is asked for.  The
+sets are kept in least-recently-used order while their vertex entries
+(ncubes * 2^n each) total at most ``_KEPT_ENTRIES``; a larger set is built
+and returned but not kept.  Every array a set caches is read-only, so no
+caller can change a shared set.  Nothing computed from a caller's data is
+kept: each cocycle table, average and split residual is checked in full.
 
 Cocycles are group-valued functions on C^{k+1}(X) that are additive under
 concatenation of adjacent cubes (along every coordinate) and invariant
@@ -80,7 +80,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import CapExceeded, CoprimalityError, PostconditionError, cap_power
-from .groups import FinAbGroup, GroupElement, _integer
+from .groups import FinAbGroup, GroupElement, _integer, smith_normal_form
 
 __all__ = [
     "FilteredGroupNilspace",
@@ -91,7 +91,6 @@ __all__ = [
     "cube_set",
     "is_morphism",
     "enumerate_morphisms",
-    "avg_coprime",
     "coboundary",
     "is_cocycle",
     "factor_average",
@@ -99,7 +98,7 @@ __all__ = [
     "split_cocycle",
 ]
 
-# rows per block of cube lookups, and candidate morphism images
+# rows per block of cube lookups, of face-test images, and of cubes whose signed rows are reduced at once
 _BLOCK = 16_384
 # total vertex entries (ncubes * 2^n) of the cube sets ``cube_set`` keeps
 _KEPT_ENTRIES = 1 << 22
@@ -198,6 +197,7 @@ class CubeSet:
         self.dim = dim
         self.cap = cap
         self._class_sets: dict[tuple[int, bool], tuple[np.ndarray, ...]] = {}
+        self._hom_sets: dict[int, tuple[np.ndarray, list[int]]] = {}
 
     @cached_property
     def size(self) -> int:
@@ -408,18 +408,16 @@ def cube_set(X: FilteredGroupNilspace, n: int, *, cap: int = _CUBE_CAP) -> CubeS
 # morphisms
 
 
-def _into_factor(T: np.ndarray, X: FilteredGroupNilspace, m: int, d: int) -> np.ndarray:
+def _into_factor(T: np.ndarray, cs: CubeSet, m: int) -> np.ndarray:
     """The rows of T (residue tables mod m, one value per X element index)
-    whose alternating sum over every (d+1)-cube of X is 0 mod m.
+    whose alternating sum over every cube of ``cs`` is 0 mod m.
 
     Only the cubes that vary along every axis can fail (``CubeSet._varying``).
     They stream in blocks of at most ``_BLOCK`` images, and a row is dropped
     at its first failing block.  A sum is at most 2^d (m - 1) in magnitude,
-    so it is taken in int64 where that fits and in Python ints above.  A
-    cube of more vertices than the cube-set cap is refused (by ``CubeSet``)
-    before any size.
+    so it is taken in int64 where that fits and in Python ints above.
     """
-    Q = cube_set(X, d + 1)._varying
+    Q, d = cs._varying, cs.dim - 1
     dtype = np.int64 if (m - 1) << d < 2**63 else object
     signs = np.array(_signs(d + 1), dtype=dtype)
     T, start = T.astype(dtype, copy=False), 0
@@ -447,7 +445,54 @@ def is_morphism(table, X: FilteredGroupNilspace, Y: FilteredGroupNilspace) -> bo
     if any(len(v) != GY.ncoords for v in table):
         raise ValueError(f"each value of a morphism table needs ncoords(Y) = {GY.ncoords} coordinates")
     T = np.array([[c % m for c, m in zip(v, GY.orders)] for v in table], dtype=object)
-    return all(len(_into_factor(T[None, :, j], X, m, d)) for j, (m, d) in enumerate(Y.factors))
+    return all(len(_into_factor(T[None, :, j], cube_set(X, d + 1), m)) for j, (m, d) in enumerate(Y.factors))
+
+
+def _reduce(H: np.ndarray, cs: CubeSet, B: np.ndarray, m: int) -> None:
+    """Reduce the signed rows of the cubes B of ``cs`` into H mod m, in place: row j of H is 0 before
+    column j and holds m, or since a row reached column j a divisor p of m, there.  Euclid steps clear
+    each column (the least nonzero entry becomes the pivot).  The old pivot is reduced with the rest, so
+    (m / p') P' - (m / p) P, 0 at column j, stays among the rows for a new pivot P' of p', and H spans
+    m Z^|X| itself (a Howell form: Storjohann and Mulders, *Fast algorithms for linear algebra modulo N*)."""
+    n = len(H)
+    rows = np.bincount((np.arange(len(B))[:, None] * n + B).ravel(), np.tile(_signs(cs.dim), len(B)), len(B) * n)
+    R = (rows.reshape(-1, n).astype(np.int64) % m).astype(H.dtype)
+    for j in range(n):
+        live = np.flatnonzero(R[:, j])
+        while live.size:
+            i = live[np.argmin(R[live, j])]
+            if R[i, j] < H[j, j]:
+                H[j], R[i] = R[i], H[j].copy()
+            R[live] = (R[live] - (R[live, j] // H[j, j])[:, None] * H[j]) % m
+            live = live[R[live, j] != 0]
+
+
+def _face_kernel(cs: CubeSet, m: int) -> tuple[np.ndarray, list[int]]:
+    """Generators of Hom(X, D_d(Z_m)), d + 1 = ``cs.dim``, and their orders, kept per m on ``cs``.
+
+    Hom is the kernel mod m of the rows sum_v (-1)^|v| e_q(v) of the varying cubes q, so of a basis B of
+    their span plus m Z^|X| (``_reduce``).  With U B V = diag(s_i), each s_i divides m, and Hom is the sum
+    of the cyclic groups of order s_i spanned by column i of V times m / s_i.  The kernel of any of the rows
+    contains Hom, and the face test is linear, so the kernel is Hom once each generator passes it: that
+    decides when to stop, after 64 cubes, then twice as many, and so on, and failing it on all the rows
+    is a PostconditionError."""
+    if m not in cs._hom_sets:
+        n, Q = cs.nilspace.group.order, cs._varying
+        # Python ints unless |sum_i c_i g_i| < n m^2 fits in int64
+        H, done, stop = np.diag(np.full(n, m, dtype=np.int64 if n * m * m < 2**63 else object)), 0, 64
+        while True:
+            for s in range(done, min(stop, len(Q)), _BLOCK):
+                _reduce(H, cs, Q[s : min(s + _BLOCK, stop)], m)
+            _, D, V = smith_normal_form(H.tolist())
+            orders = [D[i][i] for i in range(n) if D[i][i] > 1]
+            gens = np.array([[r[i] * (m // D[i][i]) % m for i in range(n) if D[i][i] > 1] for r in V], H.dtype).T
+            if not any(m % s for s in orders) and len(_into_factor(gens, cs, m)) == len(gens):
+                break
+            if stop >= len(Q):
+                raise PostconditionError("a morphism kernel generator fails the face test")
+            done, stop = stop, 2 * stop
+        cs._hom_sets[m] = (_read_only(gens), orders)
+    return cs._hom_sets[m]
 
 
 def enumerate_morphisms(X: FilteredGroupNilspace, Y: FilteredGroupNilspace, *, cap: int = 10**6) -> list[tuple]:
@@ -455,45 +500,28 @@ def enumerate_morphisms(X: FilteredGroupNilspace, Y: FilteredGroupNilspace, *, c
     value tuples, at desk scale.
 
     The cubes of a product are the products of cubes, so Hom(X, Y) is the
-    product of the Hom(X, D_d(Z_m)) over the factors of Y.  Each is found
-    by the face test of ``is_morphism`` on its m^|X| tables, taken in
-    row-major order ``_BLOCK`` at a time.  ``cap`` bounds |Y|^|X|, which
-    bounds the sum of the m^|X|.
+    product of the Hom(X, D_d(Z_m)) over the factors of Y, each the span of
+    its kept generators (``_face_kernel``); the tables are glued, sorted and
+    certified pairwise distinct.  ``cap`` bounds |Y|^|X|, the output, and
+    |X|; a |Y| beyond int64 is refused under any cap.
     """
     GY, n = Y.group, X.group.order
     cap_power(GY.order, n, cap, "|Y|^|X|")
+    if n > cap or GY.order >= 2**63:
+        raise CapExceeded(f"|X| = {n} exceeds cap {cap}" if n > cap else f"|Y| = {GY.order} does not fit in int64")
     index = np.zeros((1, n), dtype=np.int64)  # the tables as Y element indices, factor by factor
     for m, d in Y.factors:
-        weights = m ** np.arange(n - 1, -1, -1)
-        blocks = (np.arange(s, min(s + _BLOCK, m**n))[:, None] // weights % m for s in range(0, m**n, _BLOCK))
-        index = (index[:, None] * m + np.concatenate([_into_factor(T, X, m, d) for T in blocks])).reshape(-1, n)
+        gens, orders = _face_kernel(cube_set(X, d + 1), m)
+        T = np.indices(orders).reshape(len(orders), prod(orders)).T @ gens % m
+        index = (index[:, None] * m + T).reshape(-1, n).astype(np.int64, copy=False)
     index = index[np.lexsort(index.T[::-1])]
+    if (index[1:] == index[:-1]).all(axis=1).any():
+        raise PostconditionError("two morphism tables coincide")
     return [tuple(map(tuple, t)) for t in GY.coords_array[index].tolist()]
 
 
 # ---------------------------------------------------------------------------
 # cocycles
-
-
-def _inverses(counts, orders) -> list[list[int]]:
-    """count^-1 mod each order m of Z, per count, as Python ints; 0 where m = 1.
-    Each count must be prime to every order m > 1."""
-    return [[pow(int(c), -1, m) if m > 1 else 0 for m in orders] for c in counts]
-
-
-def avg_coprime(values, count: int, Z: FinAbGroup) -> GroupElement:
-    """The unique z in Z with count * z = sum(values); needs gcd(count,|Z|)=1."""
-    if gcd(count, Z.order) != 1:
-        raise CoprimalityError(f"gcd({count}, |Z|={Z.order}) != 1")
-    total = Z.zero
-    n = 0
-    for v in values:
-        total = total + v
-        n += 1
-    if n != count:
-        raise ValueError("count does not match the number of values")
-    (inverse,) = _inverses([count], Z.orders)
-    return GroupElement(Z, tuple(c * i % m for c, i, m in zip(total.coords, inverse, Z.orders)))
 
 
 class ValueTable(Mapping):
@@ -686,7 +714,8 @@ def _average(rho: Cocycle, split: int, rooted: bool) -> np.ndarray:
     cls, order, starts, counts = rho.carrier._classes(split, rooted)
     sums = np.add.reduceat(rho.array[order], starts, axis=0) % Z.moduli
     sizes, which = np.unique(counts, return_inverse=True)
-    inverse = np.array(_inverses(sizes, Z.orders), dtype=np.int64).reshape(len(sizes), Z.ncoords)
+    inverse = np.array([[pow(int(c), -1, m) if m > 1 else 0 for m in Z.orders] for c in sizes], dtype=np.int64)
+    inverse = inverse.reshape(len(sizes), Z.ncoords)  # size^-1 mod each order of Z, 0 where it is 1
     return (sums * inverse[which] % Z.moduli)[cls]
 
 

@@ -417,6 +417,14 @@ _OBSTRUCT_U4 = {  # |A| N = 64, and U^4 on |A| = 16 sums 16^4 = 65,536 terms
         ("cocycle-split", dict(_TRIVIAL_SPLIT, k=30), {"seed": 1}),
         ("avg-split", dict(_TRIVIAL_SPLIT, k=100), {"seed": 1}),
         ("cocycle-split", dict(_TRIVIAL_SPLIT, k=100), {"seed": 1}),
+        # trial division costs up to sum_j isqrt(m_j): a Mersenne prime 2^61 - 1 and a 100-bit prime
+        ("decompose", {"group": [2**61 - 1]}, {}),
+        ("decompose", {"group": [2**100 - 15]}, {}),
+        # |Y|^|X| = 1, but a table of |X| = 2^32 values
+        ("morphisms", {"x": [[2**32, 1]], "y": []}, {}),
+        ("morphisms", {"x": [[2**32, 1]], "y": [[1, 1]]}, {}),
+        # a codomain order beyond int64, inside the cap
+        ("morphisms", {"x": [[1, 1]], "y": [[2**63, 1]]}, {"cap": 2**70}),
     ],
     ids=[
         "norm-2^40",
@@ -434,6 +442,11 @@ _OBSTRUCT_U4 = {  # |A| N = 64, and U^4 on |A| = 16 sums 16^4 = 65,536 terms
         "cocycle-split-trivial-carrier-k-30",
         "avg-split-trivial-carrier-k-100",
         "cocycle-split-trivial-carrier-k-100",
+        "decompose-2^61-1",
+        "decompose-2^100-15",
+        "morphisms-x-2^32-trivial-y",
+        "morphisms-x-2^32-y-order-1",
+        "morphisms-y-2^63-cap-2^70",
     ],
 )
 def test_main_oversized_config_exit_3_within_2s(tmp_path, command, params, extra):
@@ -441,6 +454,14 @@ def test_main_oversized_config_exit_3_within_2s(tmp_path, command, params, extra
     with deadline(2.0):
         assert main([command, "--config", path, "--out", str(tmp_path / "r.json")]) == 3
     assert not (tmp_path / "r.json").exists()
+
+
+def test_main_morphisms_d1z10_to_d1z8_at_the_default_cap_runs(tmp_path):
+    # 8^10 = 2^30 candidate tables, which the search took about two minutes over; the kernel has 16
+    path = _write(tmp_path, "c.json", cfg("morphisms", {"x": [[10, 1]], "y": [[8, 1]]}))
+    with deadline(1.0):
+        assert main(["morphisms", "--config", path, "--out", str(tmp_path / "r.json")]) == 0
+    assert json.loads((tmp_path / "r.json").read_text())["outputs"]["count"] == 16
 
 
 @pytest.mark.parametrize("command", ["avg-split", "cocycle-split"])

@@ -4,19 +4,19 @@ import random
 import tracemalloc
 from functools import lru_cache
 from itertools import combinations, permutations, product as iproduct
+from math import gcd, prod
 
 import numpy as np
 import pytest
 
 import gowerslab.nilcube as nilcube
 from gowerslab.errors import CapExceeded, CoprimalityError, PostconditionError
-from gowerslab.groups import FinAbGroup
+from gowerslab.groups import FinAbGroup, GroupElement
 from gowerslab.instances import random_cocycle
 from gowerslab.nilcube import (
     Cocycle,
     FilteredGroupNilspace,
     factor_average,
-    avg_coprime,
     coboundary,
     cube_set,
     enumerate_morphisms,
@@ -301,6 +301,22 @@ def block_enumerate_morphisms(X, Y):
     return [tuple(map(tuple, t)) for t in GY.coords_array[T].tolist()]
 
 
+def search_enumerate_morphisms(X, Y):
+    """Every table of each codomain factor's m^|X|, in row-major order ``nilcube._BLOCK``
+    at a time, kept when it passes that factor's face test; the product of the factors.
+
+    The candidate search that ``enumerate_morphisms`` ran before the kernel.
+    """
+    GY, n = Y.group, X.group.order
+    index = np.zeros((1, n), dtype=np.int64)  # the tables as Y element indices, factor by factor
+    for m, d in Y.factors:
+        cs, weights = cube_set(X, d + 1), m ** np.arange(n - 1, -1, -1)
+        blocks = (np.arange(s, min(s + nilcube._BLOCK, m**n))[:, None] // weights % m for s in range(0, m**n, nilcube._BLOCK))
+        index = (index[:, None] * m + np.concatenate([nilcube._into_factor(T, cs, m) for T in blocks])).reshape(-1, n)
+    index = index[np.lexsort(index.T[::-1])]
+    return [tuple(map(tuple, t)) for t in GY.coords_array[index].tolist()]
+
+
 def oracle_enumerate_morphisms(X, Y):
     """Every table of |Y|^|X|, kept when it maps each cube to a face-sum cube."""
     GX, GY = X.group, Y.group
@@ -581,6 +597,23 @@ def test_d1z6_to_d2z6_morphisms_pass_the_face_sum_oracle():
 # coprime averaging
 
 
+def avg_coprime(values, count: int, Z: FinAbGroup) -> GroupElement:
+    """The unique z in Z with count * z = sum(values), in Python ints; needs gcd(count, |Z|) = 1.
+
+    The oracle that the array averages of ``factor_average`` are compared against.
+    """
+    if gcd(count, Z.order) != 1:
+        raise CoprimalityError(f"gcd({count}, |Z|={Z.order}) != 1")
+    total = Z.zero
+    n = 0
+    for v in values:
+        total = total + v
+        n += 1
+    if n != count:
+        raise ValueError("count does not match the number of values")
+    return GroupElement(Z, tuple(c * pow(count, -1, m) % m if m > 1 else 0 for c, m in zip(total.coords, Z.orders)))
+
+
 def test_avg_coprime_forced_values():
     z1 = avg_coprime([Z3.element((1,)), Z3.element((1,))], 2, Z3)
     assert z1.coords == (1,)  # 2z = 2  ->  z = 1
@@ -748,6 +781,25 @@ def test_rooted_average_depends_only_on_root_for_coboundaries():
     for q in rho.table:
         diff = Ep[q] - E.table[q]
         assert by_root.setdefault(q[0], diff) == diff
+
+
+@pytest.mark.parametrize(
+    "y1, y2, orders, dim",
+    [(D1Z2, D1Z3, (3,), 2), (D1Z2, D2Z3, (3, 5), 2), (D1Z3, D1Z2, (4,), 3)],
+)
+def test_factor_averages_match_the_python_int_oracle(y1, y2, orders, dim):
+    # each value is avg_coprime over the cubes sharing q2 and, when rooted, the root of q1
+    Z = FinAbGroup(orders)
+    rho, _, _ = random_cocycle(random.Random(dim), y1, y2, Z, dim)
+    s, classes = y1.group.ncoords, {}
+    keys = {q: (tuple(c[s:] for c in q), q[0][:s]) for q in rho.table}
+    for q, v in rho.table.items():
+        classes.setdefault(keys[q][0], []).append(v)
+        classes.setdefault(keys[q], []).append(v)
+    full, rooted = factor_average(rho, 1), rooted_factor_average(rho, 1)
+    for q, (q2, root) in keys.items():
+        assert full.table[q] == avg_coprime(classes[q2], len(classes[q2]), Z)
+        assert rooted[q] == avg_coprime(classes[q2, root], len(classes[q2, root]), Z)
 
 
 def test_average_rejects_non_coprime():
@@ -1046,6 +1098,101 @@ def test_enumerate_morphisms_over_several_blocks():
     Y = FilteredGroupNilspace(((4, 1),))
     affine = sorted(tuple(((a * x + b) % 4,) for x in range(8)) for a in range(4) for b in range(4))
     assert enumerate_morphisms(X, Y) == affine
+
+
+# the kernel against the candidate search it replaced, on composite m, mixed degrees and several factors
+SEARCH_MORPHISMS = [
+    (((6, 1),), ((6, 2),)),
+    (((4, 1),), ((8, 1),)),
+    (((6, 1),), ((4, 1),)),
+    (((9, 1),), ((3, 2),)),
+    (((4, 1), (2, 2)), ((4, 2),)),
+    (((2, 2), (3, 1)), ((6, 2), (2, 1))),
+    (((8, 1),), ((4, 3),)),
+    (((3, 2), (2, 1)), ((12, 1),)),
+]
+
+
+@pytest.mark.parametrize("x,y", SEARCH_MORPHISMS)
+def test_enumerate_morphisms_matches_the_candidate_search(x, y):
+    X, Y = FilteredGroupNilspace(x), FilteredGroupNilspace(y)
+    assert enumerate_morphisms(X, Y, cap=10**8) == search_enumerate_morphisms(X, Y)
+
+
+@pytest.mark.parametrize("a", range(1, 13))
+def test_morphisms_d1za_to_d1zb_are_the_b_gcd_a_b_affine_maps(a):
+    # Hom(D1(Z_a), D1(Z_b)) is the maps x -> c x + e with a c = 0 mod b: gcd(a, b) slopes, b offsets
+    X = FilteredGroupNilspace(((a, 1),))
+    for b in range(1, 13):
+        affine = sorted({tuple(((c * x + e) % b,) for x in range(a)) for c in range(b) if a * c % b == 0 for e in range(b)})
+        morphs = enumerate_morphisms(X, FilteredGroupNilspace(((b, 1),)), cap=max(a, b**a))
+        assert len(morphs) == b * gcd(a, b) and morphs == affine, b
+
+
+@pytest.mark.parametrize("m", [4, 6, 8, 12])
+def test_reduced_basis_spans_m_z_x_and_keeps_the_kernel_of_its_rows(m):
+    # H spans the rows plus m Z^4 only if each old pivot is reduced with the rows: the row
+    # 2 e0 - e1 - e2 = (2, 3, 3, 0) mod 4 becomes pivot 2, and the old pivot 4 e0 leaves
+    # 4 e0 - 2 (2, 3, 3, 0) = (0, 2, 2, 0) mod 4 for column 1
+    rng, n = random.Random(m), 4
+    cs = cube_set(FilteredGroupNilspace(((n, 1),)), 2)  # _reduce reads its dimension, for the signs
+    everything = np.indices((m,) * n).reshape(n, -1).T
+    for cubes in [[[0, 1, 2, 0]]] + [[[rng.randrange(n) for _ in range(4)] for _ in range(rng.randrange(1, 4))] for _ in range(30)]:
+        rows = np.zeros((len(cubes), n), dtype=np.int64)
+        for r, q in enumerate(cubes):
+            for v, sign in zip(q, (1, -1, -1, 1)):
+                rows[r, v] += sign
+        H = np.diag(np.full(n, m, dtype=np.int64))
+        nilcube._reduce(H, cs, np.array(cubes), m)
+        _, D, _ = nilcube.smith_normal_form(H.tolist())
+        kernel = everything[(everything @ rows.T % m == 0).all(axis=1)]
+        assert all(m % D[i][i] == 0 for i in range(n)) and len(kernel) == prod(D[i][i] for i in range(n))
+        assert np.array_equal(kernel, everything[(everything @ H.T % m == 0).all(axis=1)])
+
+
+def test_a_second_call_runs_no_elimination(monkeypatch):
+    # the generators are kept per m on the (d+1)-cube set of X
+    monkeypatch.setattr(nilcube, "_kept", {})
+    calls, snf = [], nilcube.smith_normal_form
+    monkeypatch.setattr(nilcube, "smith_normal_form", lambda M: calls.append(M) or snf(M))
+    X, Y = FilteredGroupNilspace(((4, 1),)), FilteredGroupNilspace(((6, 2), (2, 1)))
+    first = enumerate_morphisms(X, Y)
+    assert len(first) == 4 * 6 * 2 * 2 and len(calls) >= 2
+    count = len(calls)
+    assert enumerate_morphisms(X, Y) == first and len(calls) == count
+    assert set(cube_set(X, 3)._hom_sets) == {6} and set(cube_set(X, 2)._hom_sets) == {2}
+
+
+@pytest.mark.parametrize(
+    "perturb, message",
+    [("shift", "fails the face test"), ("repeat", "two morphism tables coincide")],
+)
+def test_a_perturbed_kernel_generator_is_refused(monkeypatch, perturb, message):
+    # D1(Z4) -> D1(Z4): two generators of order 4.  Adding 1 at x = 0 to one leaves
+    # the affine maps; repeating one passes the face test but spans each table twice
+    monkeypatch.setattr(nilcube, "_kept", {})
+    snf = nilcube.smith_normal_form
+
+    def perturbed(M):
+        U, D, V = snf(M)
+        i, j = [k for k in range(len(D)) if D[k][k] > 1]
+        for row in V[:1] if perturb == "shift" else V:
+            row[j] = row[j] + 1 if perturb == "shift" else row[i]
+        return U, D, V
+
+    monkeypatch.setattr(nilcube, "smith_normal_form", perturbed)
+    X = FilteredGroupNilspace(((4, 1),))
+    with pytest.raises(PostconditionError, match=message):
+        enumerate_morphisms(X, X)
+    monkeypatch.setattr(nilcube, "smith_normal_form", snf)
+    # a shifted generator is never kept; a repeated one passes the face test, is kept and refuses every call
+    kept = cube_set(X, 2)._hom_sets
+    assert bool(kept) == (perturb == "repeat")
+    if kept:
+        with pytest.raises(PostconditionError, match=message):
+            enumerate_morphisms(X, X)
+    kept.clear()
+    assert len(enumerate_morphisms(X, X)) == 16
 
 
 # the carriers on which the digit maps must equal the rank-lookup oracles
